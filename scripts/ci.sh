@@ -66,6 +66,11 @@
 #         equivalence, modeled >=3x batched speedup, and population-vs-
 #         single-start are all asserted inside the binary) diffed against
 #         the committed BENCH_serve.json baseline.
+# Pass 12: UndefinedBehaviorSanitizer build (-fno-sanitize-recover, so
+#         any finding fails its test) of the engine, pruned, pruned-
+#         equivalence, tour, fuzz and serve suites — signed overflow in
+#         delta and wrapped-arc index arithmetic, misaligned or out-of-
+#         range accesses, invalid casts.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
@@ -824,6 +829,19 @@ EOF
 python3 scripts/bench_compare.py --threshold 0.25 \
     "BENCH_serve.json" "${BATCH_TMP}/BENCH_serve.json"
 echo "micro-batcher end to end: burst, spans, occupancy, bench gate verified."
+
+echo
+echo "== Pass 12: UndefinedBehaviorSanitizer suites =="
+cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DTSPOPT_SANITIZE=undefined >/dev/null
+cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
+      --target test_engines test_pruned test_pruned_equivalence test_tour \
+               test_fuzz test_serve
+for suite in test_engines test_pruned test_pruned_equivalence test_tour \
+             test_fuzz test_serve; do
+  echo "UBSan: ${suite}"
+  "${PREFIX}-ubsan/tests/${suite}" --gtest_brief=1
+done
 
 echo
 echo "CI passed."

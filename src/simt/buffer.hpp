@@ -35,15 +35,18 @@ class Buffer {
     if (count > data_.size()) data_.resize(count);
   }
 
-  void copy_from_host(std::span<const T> src) {
-    TSPOPT_CHECK_MSG(src.size() <= data_.size(),
+  // Copies `src` into elements [offset, offset + src.size()) — one
+  // metered transfer, like cudaMemcpy to a device pointer plus offset.
+  void copy_from_host(std::span<const T> src, std::size_t offset = 0) {
+    TSPOPT_CHECK_MSG(offset <= data_.size() &&
+                         src.size() <= data_.size() - offset,
                      "H2D copy larger than buffer");
     obs::Span span = obs::Tracer::global().span("simt.h2d", "simt");
     if (span) {
       span.arg("device", device_->label());
       span.arg("bytes", static_cast<std::uint64_t>(src.size_bytes()));
     }
-    std::memcpy(data_.data(), src.data(), src.size_bytes());
+    std::memcpy(data_.data() + offset, src.data(), src.size_bytes());
     auto& c = device_->counters();
     c.h2d_transfers.fetch_add(1, std::memory_order_relaxed);
     c.h2d_bytes.fetch_add(src.size_bytes(), std::memory_order_relaxed);

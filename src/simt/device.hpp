@@ -166,10 +166,10 @@ class Device {
 
     std::atomic<std::uint32_t> next_block{0};
     pool_->run_on_all([&](std::size_t) {
-      // One shared-memory arena per worker *thread*, reused across blocks
-      // and across launches (grow-only): in the ILS steady state a launch
-      // allocates no arena storage.
-      thread_local SharedMemory shared(0);
+      // One shared-memory arena per worker *thread*, reused across blocks,
+      // kernels and launches (grow-mostly): in the ILS steady state a
+      // launch allocates no arena storage.
+      SharedMemory& shared = SharedMemory::thread_arena();
       shared.reset();
       shared.set_capacity(spec_.shared_mem_bytes);
       for (;;) {

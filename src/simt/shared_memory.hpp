@@ -6,8 +6,8 @@
 // at 6144 cities in 48 kB, and the two-range tiled kernel at 3072 cities
 // per range (paper §IV-A/B).
 //
-// Arenas are reused across launches (thread_local per pool worker, see
-// Device::launch), so their backing storage is grow-mostly — but bounded:
+// Arenas are reused across launches (one per pool worker thread, see
+// thread_arena()), so their backing storage is grow-mostly — but bounded:
 // retargeting to a much smaller device limit releases the excess (with a
 // 2x hysteresis so alternating between a 48 kB GeForce and a 64 kB Radeon
 // never thrashes), and every live arena's storage is accounted in a
@@ -37,6 +37,14 @@ class SharedMemory {
 
   ~SharedMemory() {
     live_bytes().fetch_sub(storage_.size(), std::memory_order_relaxed);
+  }
+
+  // The calling thread's launch arena: one per thread, shared by every
+  // kernel and device, created on first use and reused across launches
+  // (see Device::launch).
+  static SharedMemory& thread_arena() {
+    thread_local SharedMemory arena(0);
+    return arena;
   }
 
   std::uint32_t capacity() const { return limit_; }

@@ -1,58 +1,163 @@
 #include "solver/pruned_sweep.hpp"
 
 #include <algorithm>
+#include <numeric>
+
+#include "tsp/metric.hpp"
 
 namespace tspopt {
 
-void PrunedSweep::begin_pass(const Tour& tour) {
+void PrunedSweep::begin_pass(const Instance& instance, const Tour& tour) {
   const std::int32_t n = tour.n();
   std::span<const std::int32_t> route = tour.order();
-
-  positions_.resize(static_cast<std::size_t>(n));
-  for (std::int32_t p = 0; p < n; ++p) {
-    positions_[static_cast<std::size_t>(route[static_cast<std::size_t>(p)])] =
-        p;
+  TSPOPT_CHECK(instance.n() == n);
+  TSPOPT_CHECK_MSG(instance.has_coordinates(),
+                   "coordinate engines require a coordinate-based instance");
+  std::span<const Point> points = instance.points();
+  if (positions_restaged_ == nullptr) {
+    positions_restaged_ =
+        &obs::Registry::global().counter("pruned.positions_restaged");
+    full_rebuilds_ = &obs::Registry::global().counter("pruned.full_rebuilds");
   }
 
   const bool fresh = n != n_;
-  n_ = n;
   if (fresh) {
-    adj_lo_.assign(static_cast<std::size_t>(n), -1);
-    adj_hi_.assign(static_cast<std::size_t>(n), -1);
-    dont_look_.assign(static_cast<std::size_t>(n), 0);
+    n_ = n;
+    coords_.resize(n);
+    const auto size = static_cast<std::size_t>(n);
+    succ_len_.resize(size);
+    positions_.resize(size);
+    records_.resize(size);
+    adj_lo_.assign(size, -1);
+    adj_hi_.assign(size, -1);
+    dont_look_.assign(size, 0);
+    armed_.resize(size);
+    std::iota(armed_.begin(), armed_.end(), 0);
+  } else {
+    // Drop the cities the last pass marked quiescent: armed_ is again
+    // exactly the cities whose bit is clear, so re-arming can append.
+    std::erase_if(armed_, [this](std::int32_t city) {
+      return dont_look_[static_cast<std::size_t>(city)] != 0;
+    });
   }
 
-  // Diff the unordered tour adjacency against the previous pass and
-  // re-activate exactly the cities whose edges changed. On the first pass
-  // every adjacency differs from the -1 sentinel, so every row activates.
+  const bool same_state = !fresh && points.data() == points_;
   std::int32_t changed = 0;
-  for (std::int32_t p = 0; p < n; ++p) {
+  if (same_state && tour.version() == version_) {
+    dirty_ = {0, 0};
+    dirty_city_lo_ = 0;
+    dirty_city_hi_ = -1;
+  } else if (same_state && tour.parent_version() != 0 &&
+             tour.parent_version() == version_) {
+    auto [i, j] = tour.last_move();
+    changed = restage(points, route, Tour::two_opt_arc(n, i, j));
+  } else {
+    changed = restage(points, route, {0, n});
+    full_rebuilds_->add();
+  }
+  version_ = tour.version();
+  points_ = points.data();
+
+  // No tour-neighbor pair changed: a re-search of the same tour must
+  // return the same move, so re-arm every row and sweep in full
+  // (idempotence, and bit-equality with the DLB-free cpu-pruned engine on
+  // such passes).
+  if (!fresh && changed == 0) {
+    std::fill(dont_look_.begin(), dont_look_.end(), std::uint8_t{0});
+    armed_.resize(static_cast<std::size_t>(n));
+    std::iota(armed_.begin(), armed_.end(), 0);
+  }
+
+  if (armed_.size() == static_cast<std::size_t>(n)) {
+    active_rows_.resize(armed_.size());
+    std::iota(active_rows_.begin(), active_rows_.end(), 0);
+  } else {
+    active_rows_.clear();
+    for (std::int32_t city : armed_) {
+      active_rows_.push_back(positions_[static_cast<std::size_t>(city)]);
+    }
+    std::sort(active_rows_.begin(), active_rows_.end());
+  }
+}
+
+std::int32_t PrunedSweep::restage(std::span<const Point> points,
+                                  std::span<const std::int32_t> route,
+                                  Tour::Arc arc) {
+  const std::int32_t n = n_;
+  const bool whole = arc.count == n;
+  // Positions arc.first + s (s < 2n) wrap past n - 1.
+  auto wrap = [n](std::int32_t p) { return p >= n ? p - n : p; };
+  float* xs = coords_.xs();
+  float* ys = coords_.ys();
+  // Successor length and candidate record of position q, whose own and
+  // successor coordinates are current.
+  auto stage_succ = [&](std::int32_t q) {
+    std::int32_t len =
+        dist_euc2d(Point{xs[q], ys[q]}, Point{xs[q + 1], ys[q + 1]});
+    succ_len_[static_cast<std::size_t>(q)] = len;
+    records_[static_cast<std::size_t>(route[static_cast<std::size_t>(q)])] =
+        simd::CandRecord{xs[q + 1], ys[q + 1], len, q};
+  };
+
+  // Coordinates and positions over the arc (with the wrap entry when it
+  // holds position 0). Successor lengths and records trail one position
+  // behind, starting at the arc's predecessor, whose successor changed
+  // too.
+  dirty_ = arc;
+  dirty_city_lo_ = n;
+  dirty_city_hi_ = -1;
+  std::int32_t behind = whole ? -1 : wrap(arc.first + n - 1);
+  for (std::int32_t s = 0; s < arc.count; ++s) {
+    std::int32_t p = wrap(arc.first + s);
+    std::int32_t city = route[static_cast<std::size_t>(p)];
+    const Point& pt = points[static_cast<std::size_t>(city)];
+    xs[p] = pt.x;
+    ys[p] = pt.y;
+    if (p == 0) coords_.close();
+    positions_[static_cast<std::size_t>(city)] = p;
+    dirty_city_lo_ = std::min(dirty_city_lo_, city);
+    dirty_city_hi_ = std::max(dirty_city_hi_, city);
+    if (behind >= 0) stage_succ(behind);
+    behind = p;
+  }
+  stage_succ(behind);
+  positions_restaged_->add(static_cast<std::uint64_t>(arc.count) +
+                           (whole ? 0 : 1));
+
+  // Compare-and-set the unordered tour-neighbor pair of every city whose
+  // pair can have changed: all of them on a rebuild (on the first pass
+  // every pair differs from the -1 sentinel), else the four endpoints of
+  // the two edges the move replaced.
+  auto compare_and_set = [&](std::int32_t p) {
     std::int32_t city = route[static_cast<std::size_t>(p)];
     std::int32_t prev = route[static_cast<std::size_t>(p == 0 ? n - 1 : p - 1)];
     std::int32_t next = route[static_cast<std::size_t>(p == n - 1 ? 0 : p + 1)];
     std::int32_t lo = prev < next ? prev : next;
     std::int32_t hi = prev < next ? next : prev;
     auto c = static_cast<std::size_t>(city);
-    if (lo != adj_lo_[c] || hi != adj_hi_[c]) {
-      adj_lo_[c] = lo;
-      adj_hi_[c] = hi;
-      dont_look_[c] = 0;
-      ++changed;
+    if (lo == adj_lo_[c] && hi == adj_hi_[c]) return 0;
+    adj_lo_[c] = lo;
+    adj_hi_[c] = hi;
+    arm(city);
+    return 1;
+  };
+  std::int32_t changed = 0;
+  if (whole) {
+    for (std::int32_t p = 0; p < n; ++p) changed += compare_and_set(p);
+  } else {
+    const std::int32_t last = arc.first + arc.count - 1;
+    for (std::int32_t p : {arc.first + n - 1, arc.first, last, last + 1}) {
+      changed += compare_and_set(wrap(p));
     }
   }
-  // Unchanged tour: a re-search of the same tour must return the same
-  // move, so re-arm every row and sweep in full (idempotence, and
-  // bit-equality with the DLB-free cpu-pruned engine on such passes).
-  if (!fresh && changed == 0) {
-    std::fill(dont_look_.begin(), dont_look_.end(), std::uint8_t{0});
-  }
+  return changed;
+}
 
-  active_rows_.clear();
-  for (std::int32_t p = 0; p < n; ++p) {
-    if (dont_look_[static_cast<std::size_t>(
-            route[static_cast<std::size_t>(p)])] == 0) {
-      active_rows_.push_back(p);
-    }
+void PrunedSweep::arm(std::int32_t city) {
+  auto c = static_cast<std::size_t>(city);
+  if (dont_look_[c] != 0) {
+    dont_look_[c] = 0;
+    armed_.push_back(city);
   }
 }
 

@@ -1,26 +1,39 @@
-// Don't-look-bit sweep state shared by the pruned candidate-list engines.
+// Per-pass staging and don't-look-bit sweep state shared by the pruned
+// candidate-list engines (cpu-simd-pruned and gpu-pruned).
 //
-// Classic don't-look bits (Bentley; the `dontLook` array in SNIPPETS.md
-// Snippet 3's opt2 kernel): a city whose candidate row produced no
-// improving move is marked quiescent and skipped on later passes, until
-// one of its own tour edges changes. Under ILS steady state almost every
-// row is quiescent, so a pass costs O(changed-rows * k) instead of
-// O(n * k).
+// Staging. Both engines read the same route-ordered inputs: SoA
+// coordinates (n + 1 entries, the last duplicating position 0), per-
+// position successor-edge lengths, city -> position, and the city-indexed
+// candidate records of the SIMD sweep. The paper's Optimization 2 rebuilds
+// such a pre-ordering on the host before every pass, which is free next to
+// an O(n^2) sweep but dominates a don't-look candidate sweep that examines
+// a handful of rows. So this state lives across passes and follows the
+// tour's lineage stamp (tsp/tour.hpp):
 //
-// The reset policy is deliberately exact rather than heuristic, because
-// both pruned backends (cpu-simd-pruned and gpu-pruned) share this one
-// component and must select identical moves pass after pass:
+//   - same version as the staged tour: nothing to restage.
+//   - the staged tour plus one apply_two_opt(i, j): restage the reversed
+//     arc and its predecessor only, O(min(j - i, n - (j - i))).
+//   - anything else (first pass, double bridge, Or-opt, a resumed or
+//     restored tour, another instance): the same restage over [0, n).
+//
+// Don't-look bits. Classic don't-look bits (Bentley; the `dontLook` array
+// in SNIPPETS.md Snippet 3's opt2 kernel): a city whose candidate row
+// produced no improving move is marked quiescent and skipped on later
+// passes, until one of its own tour edges changes. Under ILS steady state
+// almost every row is quiescent, so a pass costs O(changed-rows * k)
+// instead of O(n * k). The reset policy is exact rather than heuristic,
+// because both backends must select identical moves pass after pass:
 //
 //   - first pass (or n changed): every row active — a full candidate
 //     sweep, bit-equal to the DLB-free cpu-pruned engine.
-//   - tour unchanged since the previous pass (re-searching the same tour,
-//     e.g. repeated benchmark calls): every bit is re-armed, so the pass
-//     is again a full sweep and search() is idempotent.
-//   - otherwise: exactly the cities whose unordered tour-neighbor pair
+//   - otherwise, exactly the cities whose unordered tour-neighbor pair
 //     {prev, succ} changed are re-activated (4 for an applied 2-opt move,
-//     8 for a double-bridge kick). This is the `positions_` maintenance
-//     across applied moves: the engine detects the applied move from the
-//     tour itself, so no apply-callback wiring is needed.
+//     8 for a double-bridge kick). A rebuild compares and sets every
+//     city's pair; an incremental update only the four endpoints of the
+//     two edges the move replaced, the only pairs a 2-opt move changes.
+//   - no pair changed (the same tour searched again, or a no-op move
+//     like (i, i+1) or (0, n-1)): every bit is re-armed, so the pass is
+//     again a full sweep and search() is idempotent.
 //
 // Skipping a quiescent row can miss moves whose deltas changed only via
 // segment orientation — the standard don't-look approximation; the pruned
@@ -32,24 +45,44 @@
 #include <span>
 #include <vector>
 
+#include "obs/registry.hpp"
+#include "solver/simd.hpp"
+#include "tsp/instance.hpp"
 #include "tsp/soa.hpp"
-#include "tsp/metric.hpp"
 #include "tsp/tour.hpp"
 
 namespace tspopt {
 
 class PrunedSweep {
  public:
-  // Rebuilds the position/adjacency state for `tour` and applies the reset
-  // policy above. Afterwards active_rows() lists the tour positions to
-  // sweep this pass, in ascending order. Reuses capacity: steady-state
-  // calls allocate nothing.
-  void begin_pass(const Tour& tour);
+  // Brings the staging up to date for `tour` and applies the reset policy
+  // above. Afterwards active_rows() lists the tour positions to sweep this
+  // pass, in ascending order. Reuses capacity: steady-state calls
+  // allocate nothing.
+  void begin_pass(const Instance& instance, const Tour& tour);
 
-  // positions()[city] == tour position of `city` (valid after begin_pass).
+  // Route-ordered coordinates: coords().xs()[p] is position p's city.
+  const SoaCoords& coords() const { return coords_; }
+  // succ_len()[p] == dist_euc2d(position p, position p + 1) — the two
+  // removed-edge terms of every candidate delta (see simd::CandRowArgs).
+  std::span<const std::int32_t> succ_len() const { return succ_len_; }
+  // positions()[city] == tour position of `city`.
   std::span<const std::int32_t> positions() const { return positions_; }
+  // records()[city] == {coords of position + 1, succ_len, position}.
+  std::span<const simd::CandRecord> records() const { return records_; }
 
   std::span<const std::int32_t> active_rows() const { return active_rows_; }
+  std::span<const std::uint8_t> dont_look() const { return dont_look_; }
+
+  // The positions whose city the last begin_pass restaged: the reversed
+  // arc after one 2-opt move, [0, n) after a rebuild, empty when the tour
+  // was unchanged. Coordinates change over this arc (and the wrap entry
+  // when it holds position 0), successor lengths over the arc and its
+  // predecessor, positions() over the arc's cities.
+  Tour::Arc dirty() const { return dirty_; }
+  // Smallest and largest city id in the dirty arc (lo > hi when empty).
+  std::int32_t dirty_city_lo() const { return dirty_city_lo_; }
+  std::int32_t dirty_city_hi() const { return dirty_city_hi_; }
 
   std::uint64_t rows_skipped() const {
     return static_cast<std::uint64_t>(n_) - active_rows_.size();
@@ -63,30 +96,40 @@ class PrunedSweep {
   }
 
  private:
+  // Restages `arc` of `route` (all of it, or one move's reversed arc) and
+  // compares-and-sets the tour-neighbor pairs that can have changed;
+  // returns how many did.
+  std::int32_t restage(std::span<const Point> points,
+                       std::span<const std::int32_t> route, Tour::Arc arc);
+  void arm(std::int32_t city);
+
   std::int32_t n_ = 0;
+  // Identity of the staged tour state: its lineage version and the
+  // instance's point storage.
+  std::uint64_t version_ = 0;
+  const Point* points_ = nullptr;
+
+  SoaCoords coords_;
+  std::vector<std::int32_t> succ_len_;
   std::vector<std::int32_t> positions_;
+  std::vector<simd::CandRecord> records_;
+  Tour::Arc dirty_;
+  std::int32_t dirty_city_lo_ = 0;
+  std::int32_t dirty_city_hi_ = -1;
+
   // Unordered tour-neighbor pair per city, as (min, max); -1 = unset.
   std::vector<std::int32_t> adj_lo_;
   std::vector<std::int32_t> adj_hi_;
   std::vector<std::uint8_t> dont_look_;
+  // Cities whose bit was clear at the start of the last pass (a superset
+  // of the armed cities until begin_pass drops those set since).
+  std::vector<std::int32_t> armed_;
   std::vector<std::int32_t> active_rows_;
-};
 
-// Per-position successor-edge lengths over route-ordered SoA coordinates:
-// out[p] = dist_euc2d(position p, position p + 1), p in [0, n). Computed
-// once per pass, these are the two removed-edge terms of every candidate
-// delta (see simd::CandRowArgs). Both pruned engines share this fill so
-// their delta inputs are bit-identical.
-inline void fill_succ_len(const SoaCoords& soa,
-                          std::vector<std::int32_t>& out) {
-  const std::int32_t n = soa.n();
-  const float* xs = soa.xs();
-  const float* ys = soa.ys();
-  out.resize(static_cast<std::size_t>(n));
-  for (std::int32_t p = 0; p < n; ++p) {
-    out[static_cast<std::size_t>(p)] =
-        dist_euc2d(Point{xs[p], ys[p]}, Point{xs[p + 1], ys[p + 1]});
-  }
-}
+  // Registry instruments, resolved lazily so steady-state passes are
+  // allocation-free.
+  obs::Counter* positions_restaged_ = nullptr;
+  obs::Counter* full_rebuilds_ = nullptr;
+};
 
 }  // namespace tspopt

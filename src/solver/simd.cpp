@@ -65,13 +65,6 @@ void cand_row_scalar(const CandRowArgs& a) {
   *a.out_min = row_min;
 }
 
-void succ_len_scalar(const float* xs, const float* ys, std::int32_t n,
-                     std::int32_t* out) {
-  for (std::int32_t p = 0; p < n; ++p) {
-    out[p] = dist_f(xs[p], ys[p], xs[p + 1], ys[p + 1]);
-  }
-}
-
 void cand_sweep_scalar(const CandSweepArgs& a) {
   for (std::int32_t r = 0; r < a.num_rows; ++r) {
     const std::int32_t p = a.rows[r];
@@ -294,36 +287,13 @@ __attribute__((target("avx2,fma"))) void cand_sweep_avx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void succ_len_avx2(const float* xs,
-                                                       const float* ys,
-                                                       std::int32_t n,
-                                                       std::int32_t* out) {
-  constexpr std::int32_t kW = 8;
-  std::int32_t p = 0;
-  // Both endpoints load contiguously: positions p..p+7 and p+1..p+8 (the
-  // staged wrap entry at position n covers the last successor).
-  for (; p + kW <= n; p += kW) {
-    __m256 ax = _mm256_loadu_ps(xs + p);
-    __m256 ay = _mm256_loadu_ps(ys + p);
-    __m256 bx = _mm256_loadu_ps(xs + p + 1);
-    __m256 by = _mm256_loadu_ps(ys + p + 1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + p),
-                        dist_v(ax, ay, bx, by));
-  }
-  for (; p < n; ++p) {
-    out[p] = dist_f(xs[p], ys[p], xs[p + 1], ys[p + 1]);
-  }
-}
-
 #endif  // TSPOPT_SIMD_X86
 
 const Kernels kScalarKernels{Level::kScalar, "scalar", 1, &row_scalar,
-                             &cand_row_scalar, &cand_sweep_scalar,
-                             &succ_len_scalar};
+                             &cand_row_scalar, &cand_sweep_scalar};
 #if TSPOPT_SIMD_X86
 const Kernels kAvx2Kernels{Level::kAvx2, "avx2", 8, &row_avx2,
-                           &cand_row_avx2, &cand_sweep_avx2,
-                           &succ_len_avx2};
+                           &cand_row_avx2, &cand_sweep_avx2};
 #endif
 
 }  // namespace

@@ -137,13 +137,6 @@ struct CandSweepArgs {
 
 using CandSweepFn = void (*)(const CandSweepArgs&);
 
-// Successor-edge lengths over route-ordered SoA coordinates: out[p] =
-// dist(pos p, pos p+1) for p in [0, n), using the staged wrap entry at
-// position n. Same Listing-1 arithmetic as the row kernels, so the
-// vector path is bit-identical to a scalar dist_euc2d loop.
-using SuccLenFn = void (*)(const float* xs, const float* ys, std::int32_t n,
-                           std::int32_t* out);
-
 // A resolved kernel set. `width` is the lane count W; rows shorter than W
 // (and the final len % W positions of longer rows) run in the scalar tail.
 struct Kernels {
@@ -153,7 +146,6 @@ struct Kernels {
   RowKernelFn row = nullptr;
   CandRowKernelFn cand_row = nullptr;
   CandSweepFn cand_sweep = nullptr;
-  SuccLenFn succ_len = nullptr;
 
   std::int64_t vector_pairs(std::int64_t row_len) const {
     return row_len - row_len % width;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/timer.hpp"
-#include "solver/ordering.hpp"
 #include "solver/pair_index.hpp"
 #include "tsp/metric.hpp"
 
@@ -157,6 +156,30 @@ class PrunedKernel {
   std::int32_t rows_per_block_;
 };
 
+// Uploads positions arc.first .. arc.first + arc.count - 1 (mod n) of a
+// route-indexed host array into the same elements of `buf`: one transfer,
+// or two when the arc wraps past n - 1. With `wrap_entry`, the array has
+// n + 1 entries whose last duplicates position 0, and it ships along
+// whenever the arc holds position 0.
+template <typename T>
+void upload_arc(simt::Buffer<T>& buf, std::span<const T> host, std::int32_t n,
+                Tour::Arc arc, bool wrap_entry) {
+  if (arc.count == 0) return;
+  const std::int32_t end = arc.first + arc.count;
+  const bool holds_zero = arc.first == 0 || end > n;
+  std::int32_t head_end = std::min(end, n);
+  if (wrap_entry && holds_zero && head_end == n) ++head_end;
+  auto first = static_cast<std::size_t>(arc.first);
+  buf.copy_from_host(
+      host.subspan(first, static_cast<std::size_t>(head_end) - first), first);
+  if (end > n) {
+    buf.copy_from_host(host.first(static_cast<std::size_t>(end - n)), 0);
+  } else if (wrap_entry && arc.first == 0 && end < n) {
+    auto wrap = static_cast<std::size_t>(n);
+    buf.copy_from_host(host.subspan(wrap, 1), wrap);
+  }
+}
+
 }  // namespace
 
 TwoOptGpuPruned::TwoOptGpuPruned(simt::Device& device,
@@ -194,6 +217,15 @@ TwoOptGpuPruned::TwoOptGpuPruned(simt::Device& device,
   cand_dist_.copy_from_host(neighbors_.cand_dist_flat());
 }
 
+TwoOptGpuPruned::DeviceStaging TwoOptGpuPruned::device_staging() const {
+  const auto size = static_cast<std::size_t>(sweep_.positions().size());
+  return {xs_.device_view().first(size + 1),
+          ys_.device_view().first(size + 1),
+          succ_len_d_.device_view().first(size),
+          positions_.device_view().first(size),
+          route_.device_view().first(size)};
+}
+
 std::int32_t TwoOptGpuPruned::max_rows(const simt::Device& device,
                                        std::int32_t k) {
   // Per staged row: position + successor coord pair + removed length
@@ -214,25 +246,36 @@ SearchResult TwoOptGpuPruned::search(const Instance& instance,
   const std::int32_t n = tour.n();
   const std::int32_t k = neighbors_.k();
 
-  order_coordinates_soa(instance, tour, soa_);
-  fill_succ_len(soa_, succ_len_);
-  sweep_.begin_pass(tour);
+  sweep_.begin_pass(instance, tour);
   std::span<const std::int32_t> route = tour.order();
   const auto m = sweep_.active_rows().size();
 
-  // Per-pass device state: O(n) position-indexed arrays + the active-row
-  // list. The NN lists are already resident.
-  auto coords = static_cast<std::size_t>(n) + 1;
-  xs_.ensure_size(coords);
-  ys_.ensure_size(coords);
-  xs_.copy_from_host({soa_.xs(), coords});
-  ys_.copy_from_host({soa_.ys(), coords});
-  succ_len_d_.ensure_size(succ_len_.size());
-  succ_len_d_.copy_from_host(succ_len_);
-  positions_.ensure_size(sweep_.positions().size());
-  positions_.copy_from_host(sweep_.positions());
-  route_.ensure_size(route.size());
-  route_.copy_from_host(route);
+  // Device state mirrors the sweep's staging: only what the sweep
+  // restaged crosses the bus (everything after a rebuild, O(reversed arc)
+  // after an applied move, nothing for an unchanged tour). The NN lists
+  // are already resident.
+  const Tour::Arc dirty = sweep_.dirty();
+  const SoaCoords& coords = sweep_.coords();
+  const auto size = static_cast<std::size_t>(n);
+  xs_.ensure_size(size + 1);
+  ys_.ensure_size(size + 1);
+  succ_len_d_.ensure_size(size);
+  positions_.ensure_size(size);
+  route_.ensure_size(size);
+  upload_arc(xs_, {coords.xs(), size + 1}, n, dirty, true);
+  upload_arc(ys_, {coords.ys(), size + 1}, n, dirty, true);
+  upload_arc(route_, route, n, dirty, false);
+  if (dirty.count > 0) {
+    // Successor lengths change over the arc and its predecessor.
+    Tour::Arc succ = dirty.count < n
+                         ? Tour::Arc{(dirty.first + n - 1) % n, dirty.count + 1}
+                         : dirty;
+    upload_arc(succ_len_d_, sweep_.succ_len(), n, succ, false);
+    // positions() is city-indexed: ship the id span of the arc's cities.
+    const auto lo = static_cast<std::size_t>(sweep_.dirty_city_lo());
+    const auto hi = static_cast<std::size_t>(sweep_.dirty_city_hi());
+    positions_.copy_from_host(sweep_.positions().subspan(lo, hi - lo + 1), lo);
+  }
   active_.ensure_size(m);
   active_.copy_from_host(sweep_.active_rows());
   host_flags_.assign(m, 0);

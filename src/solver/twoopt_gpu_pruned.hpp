@@ -20,7 +20,10 @@
 // shared PrunedSweep policy) and to cpu-pruned on full sweeps.
 //
 // NN lists are uploaded once at construction (they are per-instance
-// constants); per pass the host ships only O(n) position-indexed arrays.
+// constants). The position-indexed arrays stay device-resident too: per
+// pass the host ships only what PrunedSweep restaged — O(reversed arc)
+// after an applied 2-opt move, all of it after a rebuild — plus the
+// active-row list.
 // Launches go through the normal Device plumbing — launch spans, fault
 // injection, transfer/read counters — and device buffers are grow-only,
 // so steady-state passes do not allocate.
@@ -34,7 +37,6 @@
 #include "solver/engine.hpp"
 #include "solver/pruned_sweep.hpp"
 #include "tsp/neighbor_lists.hpp"
-#include "tsp/soa.hpp"
 
 namespace tspopt {
 
@@ -63,20 +65,32 @@ class TwoOptGpuPruned : public TwoOptEngine {
   // lockstep across a descent).
   const PrunedSweep& sweep() const { return sweep_; }
 
+  // The device-resident copy of the sweep's staging (route-ordered
+  // coordinates with the wrap entry, successor lengths, positions, route),
+  // truncated to the current n. After every pass it equals the host
+  // staging; the equivalence suite checks that.
+  struct DeviceStaging {
+    std::span<const float> xs;
+    std::span<const float> ys;
+    std::span<const std::int32_t> succ_len;
+    std::span<const std::int32_t> positions;
+    std::span<const std::int32_t> route;
+  };
+  DeviceStaging device_staging() const;
+
  private:
   simt::Device& device_;
   const NeighborLists& neighbors_;
   simt::LaunchConfig config_;
   std::int32_t rows_per_block_;
-  SoaCoords soa_;
   PrunedSweep sweep_;
-  std::vector<std::int32_t> succ_len_;
   std::vector<BestMove> host_results_;
   std::vector<std::uint8_t> host_flags_;
   // Per-instance constants, uploaded once at construction.
   simt::Buffer<std::int32_t> ids_;
   simt::Buffer<std::int32_t> cand_dist_;
-  // Per-pass state (grow-only).
+  // Mirror of the sweep's staging, updated over what each pass restaged
+  // (grow-only), then the per-pass active rows and results.
   simt::Buffer<float> xs_;
   simt::Buffer<float> ys_;
   simt::Buffer<std::int32_t> succ_len_d_;

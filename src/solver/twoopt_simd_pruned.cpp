@@ -1,7 +1,6 @@
 #include "solver/twoopt_simd_pruned.hpp"
 
 #include "common/timer.hpp"
-#include "solver/ordering.hpp"
 #include "solver/pair_index.hpp"
 
 namespace tspopt {
@@ -43,34 +42,20 @@ SearchResult TwoOptSimdPruned::search(const Instance& instance,
   WallTimer timer;
   obs::Span span = pass_span(*this, tour, kernels_.width);
   TSPOPT_CHECK(neighbors_.n() == tour.n());
-  order_coordinates_soa(instance, tour, soa_);
+  sweep_.begin_pass(instance, tour);
   const std::int32_t k = neighbors_.k();
-  const float* xs = soa_.xs();
-  const float* ys = soa_.ys();
-
-  const std::int32_t n = tour.n();
-  succ_len_.resize(static_cast<std::size_t>(n));
-  kernels_.succ_len(xs, ys, n, succ_len_.data());
-  sweep_.begin_pass(tour);
+  const float* xs = sweep_.coords().xs();
+  const float* ys = sweep_.coords().ys();
   std::span<const std::int32_t> route = tour.order();
   const std::int32_t* positions = sweep_.positions().data();
   out_delta_.resize(static_cast<std::size_t>(k_pad_));
   out_q_.resize(static_cast<std::size_t>(k_pad_));
 
-  // Stage the per-city candidate records: one sequential walk of the
-  // route-ordered arrays, scattered 16-byte stores by city id.
-  recs_.resize(static_cast<std::size_t>(n));
-  for (std::int32_t q = 0; q < n; ++q) {
-    recs_[static_cast<std::size_t>(route[static_cast<std::size_t>(q)])] =
-        simd::CandRecord{xs[q + 1], ys[q + 1],
-                         succ_len_[static_cast<std::size_t>(q)], q};
-  }
-
   // Phase 1: one batched kernel call computes every active row's minimum
   // candidate delta.
   std::span<const std::int32_t> active = sweep_.active_rows();
   row_mins_.resize(active.size());
-  simd::CandSweepArgs sweep_args{recs_.data(),
+  simd::CandSweepArgs sweep_args{sweep_.records().data(),
                                  ids_pad_.data(),
                                  cand_dist_pad_.data(),
                                  k_pad_,
@@ -94,7 +79,7 @@ SearchResult TwoOptSimdPruned::search(const Instance& instance,
     if (row_min <= best.delta) {
       simd::CandRowArgs args{xs,
                              ys,
-                             succ_len_.data(),
+                             sweep_.succ_len().data(),
                              positions,
                              ids_pad_.data() +
                                  static_cast<std::size_t>(city) *

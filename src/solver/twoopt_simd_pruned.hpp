@@ -4,13 +4,15 @@
 // Where cpu-pruned walks each city's k-NN candidates scalar-wise through
 // the full two_opt_delta (4 distance evaluations per candidate), this
 // engine precomputes everything a candidate shares: the per-position
-// successor-edge lengths (one O(n) fill per pass) and the candidate-edge
-// lengths (NeighborLists' SoA export, computed once per instance). Each
-// candidate then costs a single distance, and a pass runs in two phases:
+// successor-edge lengths (kept current across passes by PrunedSweep,
+// restaged over the reversed arc after each applied move) and the
+// candidate-edge lengths (NeighborLists' SoA export, computed once per
+// instance). Each candidate then costs a single distance, and a pass runs
+// in two phases:
 //
 //   1. One batched simd::Kernels::cand_sweep call computes every active
 //      row's minimum candidate delta from per-city 16-byte candidate
-//      records (staged once per pass) — 8 candidates per AVX2 lane-group
+//      records (PrunedSweep staging) — 8 candidates per AVX2 lane-group
 //      via register transposes, no gathers, row loop inside the kernel so
 //      independent rows' memory traffic overlaps.
 //   2. A host loop gates on that minimum: only rows that can beat or tie
@@ -25,8 +27,9 @@
 // tie-break against their originals, leaving selection unchanged.
 //
 // Don't-look bits (solver/pruned_sweep.hpp) drive which city rows are
-// swept: quiescent regions of the tour cost nothing, which is what makes
-// the ILS steady state O(changed-rows * k) per pass. Like cpu-pruned the
+// swept: quiescent regions of the tour cost nothing, and the staging is
+// updated over the reversed arc only, which is what makes a descent pass
+// O(min(seg, n - seg) + active-rows * k). Like cpu-pruned the
 // move set is restricted to the candidate lists (inexact), and like every
 // engine the same (instance, tour) input yields the same best move at
 // every SIMD dispatch level — the pruned equivalence suite enforces
@@ -40,7 +43,6 @@
 #include "solver/pruned_sweep.hpp"
 #include "solver/simd.hpp"
 #include "tsp/neighbor_lists.hpp"
-#include "tsp/soa.hpp"
 
 namespace tspopt {
 
@@ -72,12 +74,11 @@ class TwoOptSimdPruned : public TwoOptEngine {
   std::int32_t k_pad_ = 0;
   std::vector<std::int32_t> ids_pad_;
   std::vector<std::int32_t> cand_dist_pad_;
-  SoaCoords soa_;
+  // Staging kept current across passes: coordinates, successor lengths,
+  // positions, candidate records, don't-look bits.
   PrunedSweep sweep_;
-  std::vector<std::int32_t> succ_len_;
-  // Per-pass candidate records (city-indexed) and the sweep kernel's
-  // per-active-row minimum deltas — the fold/don't-look gate.
-  std::vector<simd::CandRecord> recs_;
+  // The sweep kernel's per-active-row minimum deltas — the fold/don't-look
+  // gate.
   std::vector<std::int32_t> row_mins_;
   // k_pad_-sized per-row result buffers the cand_row fold kernel writes
   // into, plus its in-kernel row-minimum delta.

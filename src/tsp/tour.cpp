@@ -1,13 +1,31 @@
 #include "tsp/tour.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <utility>
 
 namespace tspopt {
 
-Tour::Tour(std::vector<std::int32_t> order) : order_(std::move(order)) {
+namespace {
+
+std::uint64_t next_version() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
+
+Tour::Tour(std::vector<std::int32_t> order)
+    : order_(std::move(order)), version_(next_version()) {
   TSPOPT_CHECK_MSG(order_.size() >= 3, "a tour needs at least 3 cities");
+}
+
+void Tour::restamp() {
+  version_ = next_version();
+  parent_version_ = 0;
+  move_i_ = -1;
+  move_j_ = -1;
 }
 
 Tour Tour::identity(std::int32_t n) {
@@ -26,6 +44,7 @@ Tour Tour::random(std::int32_t n, Pcg32& rng) {
     std::swap(t.order_[static_cast<std::size_t>(i)],
               t.order_[static_cast<std::size_t>(j)]);
   }
+  t.restamp();
   return t;
 }
 
@@ -67,18 +86,28 @@ void Tour::reverse_wrapped(std::int32_t first, std::int32_t last,
   }
 }
 
-void Tour::apply_two_opt(std::int32_t i, std::int32_t j) {
-  TSPOPT_CHECK(0 <= i && i < j && j <= n() - 1);
+Tour::Arc Tour::two_opt_arc(std::int32_t n, std::int32_t i, std::int32_t j) {
   // Inner arc: positions i+1..j (length j-i). Outer arc: positions
   // (j+1)%n .. i wrapping (length n-(j-i)). Reversing either applies the
   // same 2-opt move; pick the shorter to bound the apply cost by n/2.
   std::int32_t inner_len = j - i;
-  std::int32_t outer_len = n() - inner_len;
-  if (inner_len <= outer_len) {
+  std::int32_t outer_len = n - inner_len;
+  if (inner_len <= outer_len) return {i + 1, inner_len};
+  return {(j + 1) % n, outer_len};
+}
+
+void Tour::apply_two_opt(std::int32_t i, std::int32_t j) {
+  TSPOPT_CHECK(0 <= i && i < j && j <= n() - 1);
+  Arc arc = two_opt_arc(n(), i, j);
+  if (arc.first == i + 1) {
     reverse_inner(i + 1, j);
   } else {
-    reverse_wrapped((j + 1) % n(), i, outer_len);
+    reverse_wrapped(arc.first, i, arc.count);
   }
+  parent_version_ = version_;
+  version_ = next_version();
+  move_i_ = i;
+  move_j_ = j;
 }
 
 void Tour::double_bridge(Pcg32& rng) {
@@ -103,6 +132,7 @@ void Tour::double_bridge(Pcg32& rng) {
   append(p1, p2);   // B
   append(p3, n());  // D
   order_ = std::move(next);
+  restamp();
 }
 
 void Tour::or_opt_move(std::int32_t from, std::int32_t len, std::int32_t to) {
@@ -117,6 +147,7 @@ void Tour::or_opt_move(std::int32_t from, std::int32_t len, std::int32_t to) {
   std::int32_t insert_after = (to >= from + len) ? to - len : to;
   order_.insert(order_.begin() + insert_after + 1, segment.begin(),
                 segment.end());
+  restamp();
 }
 
 std::vector<std::int32_t> Tour::positions() const {

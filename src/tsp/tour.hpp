@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,6 +18,12 @@ namespace tspopt {
 
 class Tour {
  public:
+  // The arc of positions first, first + 1, ... (mod n), `count` long.
+  struct Arc {
+    std::int32_t first = 0;
+    std::int32_t count = 0;
+  };
+
   explicit Tour(std::vector<std::int32_t> order);
 
   // The identity tour 0, 1, ..., n-1.
@@ -43,6 +50,10 @@ class Tour {
   // Requires 0 <= i < j <= n-1.
   void apply_two_opt(std::int32_t i, std::int32_t j);
 
+  // The arc apply_two_opt(i, j) reverses on an n-city tour: positions
+  // i+1..j, or the wrapped outer arc (j+1)%n..i when that is shorter.
+  static Arc two_opt_arc(std::int32_t n, std::int32_t i, std::int32_t j);
+
   // The classic ILS double-bridge perturbation: cut the tour into four
   // non-empty segments A B C D at random points and reconnect as A C B D.
   // Requires n >= 8 so all segments can be non-empty and non-trivial.
@@ -57,16 +68,31 @@ class Tour {
   // positions()[city] == position of `city` in the order.
   std::vector<std::int32_t> positions() const;
 
+  // Lineage stamp (see the header comment). parent_version() is 0, and
+  // last_move() is (-1, -1), unless the latest mutation was apply_two_opt.
+  std::uint64_t version() const { return version_; }
+  std::uint64_t parent_version() const { return parent_version_; }
+  std::pair<std::int32_t, std::int32_t> last_move() const {
+    return {move_i_, move_j_};
+  }
+
   friend bool operator==(const Tour& a, const Tour& b) {
     return a.order_ == b.order_;
   }
 
  private:
+  // Draws a fresh version and forgets the parent: any mutation other than
+  // apply_two_opt.
+  void restamp();
   void reverse_inner(std::int32_t first, std::int32_t last);
   void reverse_wrapped(std::int32_t first, std::int32_t last,
                        std::int32_t count);
 
   std::vector<std::int32_t> order_;
+  std::uint64_t version_ = 0;
+  std::uint64_t parent_version_ = 0;
+  std::int32_t move_i_ = -1;
+  std::int32_t move_j_ = -1;
 };
 
 }  // namespace tspopt

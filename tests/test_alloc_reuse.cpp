@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <new>
 
 namespace {
@@ -232,7 +233,19 @@ TEST(AllocReuse, ServerWorkloadWorkerArenasStayBounded) {
   Fixture f(600, 7);
   simt::Device device(simt::gtx680_cuda());
   TwoOptGpuTiled engine(device, 128);
-  engine.search(f.inst, f.tour);  // warm-up: arenas come into existence
+  // Warm-up: every pool worker creates its arena at the device's limit. A
+  // launch alone does not reach every worker (one worker may run several
+  // of run_on_all's tasks), so each task first waits until all workers
+  // hold one.
+  ThreadPool& pool = ThreadPool::shared();
+  std::latch all_workers(static_cast<std::ptrdiff_t>(pool.size()));
+  pool.run_on_all([&](std::size_t) {
+    all_workers.arrive_and_wait();
+    simt::SharedMemory& arena = simt::SharedMemory::thread_arena();
+    arena.reset();
+    arena.set_capacity(device.spec().shared_mem_bytes);
+  });
+  engine.search(f.inst, f.tour);
 
   const std::uint64_t plateau = simt::SharedMemory::live_storage_bytes();
   for (int pass = 0; pass < 5; ++pass) {

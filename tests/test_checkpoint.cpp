@@ -190,7 +190,9 @@ void run_kill_resume_scenario(IlsAcceptance acceptance) {
       iterated_local_search(engine, inst, initial, options);
 
   // The same run, checkpointing every 5 iterations and "killed" at 10.
-  std::string path = temp_path("kill_resume.ckpt");
+  // One file per acceptance rule: ctest runs the two scenarios in parallel.
+  std::string path = temp_path(
+      "kill_resume_" + std::to_string(static_cast<int>(acceptance)) + ".ckpt");
   IlsOptions first_leg = options;
   first_leg.max_iterations = 10;
   first_leg.checkpoint_path = path;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
+#include "obs/registry.hpp"
 #include "solver/local_search.hpp"
 #include "solver/twoopt_pruned.hpp"
 #include "solver/twoopt_sequential.hpp"
+#include "solver/twoopt_simd_pruned.hpp"
 #include "tsp/catalog.hpp"
 #include "tsp/generator.hpp"
 
@@ -105,6 +109,62 @@ TEST(Pruned, FullNeighborListsEqualFullSearch) {
     ASSERT_EQ(p.best.delta, f.best.delta);
     ASSERT_EQ(p.best.index, f.best.index);
   }
+}
+
+TEST(Pruned, IncrementalPassRestagesOnlyTheReversedArc) {
+  // The don't-look engine's staging follows the tour's lineage: after an
+  // applied move a pass restages the reversed arc and its predecessor,
+  // and only the first pass and non-2-opt changes restage all n.
+  Instance inst = generate_clustered("c5k", 5000, 16, 11);
+  const std::int32_t n = inst.n();
+  NeighborLists nl(inst, 10);
+  TwoOptSimdPruned engine(nl);
+  obs::Counter& restaged =
+      obs::Registry::global().counter("pruned.positions_restaged");
+  obs::Counter& rebuilds =
+      obs::Registry::global().counter("pruned.full_rebuilds");
+  Pcg32 rng(12);
+  Tour tour = Tour::random(n, rng);
+
+  // Searches `tour`, returning (positions restaged, full rebuilds).
+  auto pass = [&](SearchResult& r) {
+    std::uint64_t s0 = restaged.value();
+    std::uint64_t r0 = rebuilds.value();
+    r = engine.search(inst, tour);
+    return std::pair{restaged.value() - s0, rebuilds.value() - r0};
+  };
+  // Descends to the pruned local minimum, checking every pass after the
+  // first against the move applied before it.
+  auto descend = [&](const char* what) {
+    SearchResult r;
+    auto [first_restaged, first_rebuilds] = pass(r);
+    EXPECT_EQ(first_restaged, static_cast<std::uint64_t>(n)) << what;
+    EXPECT_EQ(first_rebuilds, 1u) << what;
+    std::int32_t passes = 1;
+    for (; r.best.improves(); ++passes) {
+      if (passes == 50000) {
+        ADD_FAILURE() << what << ": no local minimum within 50000 passes";
+        break;
+      }
+      const std::int32_t seg = r.best.j - r.best.i;
+      tour.apply_two_opt(r.best.i, r.best.j);
+      auto [staged, rebuilt] = pass(r);
+      EXPECT_LE(staged, static_cast<std::uint64_t>(std::min(seg, n - seg) + 2))
+          << what << " pass " << passes;
+      EXPECT_EQ(rebuilt, 0u) << what << " pass " << passes;
+    }
+    return passes;
+  };
+
+  EXPECT_GT(descend("initial descent"), 1000);
+  // An unchanged tour restages nothing and rebuilds nothing.
+  SearchResult r;
+  EXPECT_EQ(pass(r), (std::pair<std::uint64_t, std::uint64_t>{0, 0}));
+  // Non-2-opt changes rebuild once, then the descent is incremental again.
+  tour.double_bridge(rng);
+  descend("after a double bridge");
+  tour.or_opt_move(10, 3, 400);
+  descend("after an Or-opt move");
 }
 
 }  // namespace

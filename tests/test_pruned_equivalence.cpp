@@ -10,14 +10,25 @@
 // cpu-pruned at every step of a descent trajectory, and the three
 // don't-look backends must agree with each other pass for pass when
 // their persistent sweep state evolves through a descent.
+//
+// The don't-look engines also keep their staging alive across passes and
+// update it over the reversed arc of an applied move (PrunedSweep). The
+// PrunedIncremental suite pins that update to a full rebuild: a twin
+// engine handed a fresh copy of every tour (a new lineage stamp, so it
+// restages all of [0, n) every pass) must select the same moves and reach
+// the same active rows and don't-look bits, pass for pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "simt/device.hpp"
+#include "solver/constructive.hpp"
+#include "solver/ils.hpp"
+#include "solver/local_search.hpp"
 #include "solver/simd.hpp"
 #include "solver/twoopt_gpu_pruned.hpp"
 #include "solver/twoopt_pruned.hpp"
@@ -165,6 +176,321 @@ TEST(PrunedEquivalence, SingleSweepAtTenThousand) {
   }
   TwoOptGpuPruned engine(device, neighbors);
   expect_moves_equal(engine.search(inst, tour), want, "gpu-pruned");
+}
+
+// Hands the wrapped engine a fresh copy of every tour. The copy has a new
+// lineage stamp, so the engine's sweep rebuilds its staging in full on
+// every pass — the reference the incremental update must equal.
+class RebuildEveryPass : public TwoOptEngine {
+ public:
+  explicit RebuildEveryPass(std::unique_ptr<TwoOptEngine> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  SearchResult search(const Instance& instance, const Tour& tour) override {
+    return inner_->search(
+        instance, Tour(std::vector<std::int32_t>(tour.order().begin(),
+                                                 tour.order().end())));
+  }
+  TwoOptEngine& inner() { return *inner_; }
+
+ private:
+  std::unique_ptr<TwoOptEngine> inner_;
+};
+
+// Counts the passes run through it.
+class CountPasses : public TwoOptEngine {
+ public:
+  explicit CountPasses(TwoOptEngine& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  SearchResult search(const Instance& instance, const Tour& tour) override {
+    ++passes;
+    return inner_.search(instance, tour);
+  }
+  std::int64_t passes = 0;
+
+ private:
+  TwoOptEngine& inner_;
+};
+
+const PrunedSweep& sweep_of(TwoOptEngine& engine) {
+  if (auto* simd = dynamic_cast<TwoOptSimdPruned*>(&engine)) {
+    return simd->sweep();
+  }
+  return dynamic_cast<TwoOptGpuPruned&>(engine).sweep();
+}
+
+template <typename T>
+std::vector<T> to_vector(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
+// The device copy of gpu-pruned's staging must equal the host staging
+// after every pass (grow-only buffers once hid stale tail rows).
+void expect_device_mirrors_host(TwoOptEngine& engine, const std::string& what) {
+  auto* gpu = dynamic_cast<TwoOptGpuPruned*>(&engine);
+  if (gpu == nullptr) return;
+  const PrunedSweep& sweep = gpu->sweep();
+  TwoOptGpuPruned::DeviceStaging dev = gpu->device_staging();
+  const auto n = sweep.positions().size();
+  EXPECT_EQ(to_vector(dev.xs),
+            to_vector(std::span<const float>(sweep.coords().xs(), n + 1)))
+      << what;
+  EXPECT_EQ(to_vector(dev.ys),
+            to_vector(std::span<const float>(sweep.coords().ys(), n + 1)))
+      << what;
+  EXPECT_EQ(to_vector(dev.succ_len), to_vector(sweep.succ_len())) << what;
+  EXPECT_EQ(to_vector(dev.positions), to_vector(sweep.positions())) << what;
+}
+
+// One engine per backend (every SIMD level and gpu-pruned) that sees the
+// stamped tours, each with a twin that rebuilds every pass.
+class IncrementalHarness {
+ public:
+  IncrementalHarness(const Instance& inst, std::int32_t k)
+      : inst_(inst), neighbors_(inst, k), device_(simt::gtx680_cuda()) {
+    for (simd::Level level : simd::supported_levels()) {
+      add("cpu-simd-pruned/" + simd::to_string(level), [&] {
+        return std::make_unique<TwoOptSimdPruned>(neighbors_,
+                                                  &simd::kernels(level));
+      });
+    }
+    add("gpu-pruned", [&] {
+      return std::make_unique<TwoOptGpuPruned>(device_, neighbors_);
+    });
+  }
+
+  // Searches `tour` with every backend and its rebuilding twin; all must
+  // agree on the move, and each pair on the sweep state. Returns the move.
+  SearchResult search(const Tour& tour, const std::string& what) {
+    SearchResult first;
+    for (std::size_t e = 0; e < stamped_.size(); ++e) {
+      const std::string label = labels_[e] + " " + what;
+      SearchResult got = stamped_[e]->search(inst_, tour);
+      SearchResult want = rebuilt_[e]->search(inst_, tour);
+      expect_moves_equal(got, want, label);
+      EXPECT_EQ(got.checks, want.checks) << label;
+      const PrunedSweep& a = sweep_of(*stamped_[e]);
+      const PrunedSweep& b = sweep_of(rebuilt_[e]->inner());
+      EXPECT_EQ(to_vector(a.active_rows()), to_vector(b.active_rows()))
+          << label;
+      EXPECT_EQ(to_vector(a.dont_look()), to_vector(b.dont_look())) << label;
+      EXPECT_EQ(to_vector(a.succ_len()), to_vector(b.succ_len())) << label;
+      EXPECT_EQ(to_vector(a.positions()), to_vector(b.positions())) << label;
+      expect_device_mirrors_host(*stamped_[e], label);
+      expect_device_mirrors_host(rebuilt_[e]->inner(), label + " (rebuild)");
+      if (e == 0) {
+        first = got;
+      } else {
+        expect_moves_equal(got, first, label + " vs " + labels_[0]);
+      }
+    }
+    return first;
+  }
+
+  // Descends `tour` to its pruned local minimum, checking every pass.
+  void descend(Tour& tour, const std::string& what) {
+    for (std::int32_t pass = 0; pass < 5000; ++pass) {
+      SearchResult r = search(tour, what + " pass " + std::to_string(pass));
+      if (!r.best.improves()) return;
+      tour.apply_two_opt(r.best.i, r.best.j);
+    }
+    FAIL() << what << ": descent did not converge within 5000 passes";
+  }
+
+  const Instance& instance() const { return inst_; }
+
+ private:
+  template <typename Make>
+  void add(std::string label, Make make) {
+    labels_.push_back(std::move(label));
+    stamped_.push_back(make());
+    rebuilt_.push_back(std::make_unique<RebuildEveryPass>(make()));
+  }
+
+  const Instance& inst_;
+  NeighborLists neighbors_;
+  simt::Device device_;
+  std::vector<std::string> labels_;
+  std::vector<std::unique_ptr<TwoOptEngine>> stamped_;
+  std::vector<std::unique_ptr<RebuildEveryPass>> rebuilt_;
+};
+
+TEST(PrunedIncremental, DescentMatchesRebuildEveryPass) {
+  Instance inst = generate_clustered("c300", 300, 6, 31);
+  IncrementalHarness h(inst, 10);
+  Pcg32 rng(32);
+  Tour tour = Tour::random(inst.n(), rng);
+  h.descend(tour, "descent");
+  // Re-searching the unchanged local minimum re-arms every row.
+  h.search(tour, "re-search");
+  h.search(tour, "re-search again");
+}
+
+TEST(PrunedIncremental, WrappedArcsAndNoOpMoves) {
+  Instance inst = generate_uniform("u200", 200, 33);
+  IncrementalHarness h(inst, 8);
+  Pcg32 rng(34);
+  Tour tour = Tour::random(inst.n(), rng);
+  const std::int32_t n = inst.n();
+  h.search(tour, "start");
+  struct Move {
+    std::int32_t i, j;
+    const char* why;
+  };
+  const Move moves[] = {
+      {2, n - 3, "outer arc wraps past position 0"},
+      {3, n - 1, "outer arc starts at position 0 (wrap entry)"},
+      {0, n - 1, "no-op: whole-tour reversal"},
+      {5, 6, "no-op: single-city arc"},
+      {0, 1, "no-op at position 0"},
+      {n - 2, n - 1, "no-op at the last position"},
+      {0, n / 2, "inner arc from position 1"},
+      {n / 2, n - 1, "arc ending at the last position"},
+      {n / 2 - 1, n - 1, "outer arc [0, n/2 - 1]"},
+      {10, 20, "short inner arc"},
+  };
+  for (const Move& m : moves) {
+    tour.apply_two_opt(m.i, m.j);
+    h.search(tour, m.why);
+    // A descent pass between forced moves arms and quiets rows.
+    SearchResult r = h.search(tour, std::string(m.why) + ", searched twice");
+    if (r.best.improves()) {
+      tour.apply_two_opt(r.best.i, r.best.j);
+      h.search(tour, std::string(m.why) + ", then a descent move");
+    }
+  }
+}
+
+TEST(PrunedIncremental, DoubleBridgeThenRestoredCandidate) {
+  // ILS-shaped lineage: descend, kick a copy, descend it, then restore the
+  // incumbent (the rejected-candidate path) and search it again.
+  Instance inst = generate_clustered("c260", 260, 5, 35);
+  IncrementalHarness h(inst, 10);
+  Pcg32 rng(36);
+  Tour incumbent = Tour::random(inst.n(), rng);
+  h.descend(incumbent, "initial");
+  for (int round = 0; round < 4; ++round) {
+    const std::string what = "round " + std::to_string(round);
+    Tour candidate = incumbent;
+    candidate.double_bridge(rng);
+    h.descend(candidate, what + " candidate");
+    if (round % 2 == 1) {
+      incumbent = candidate;  // accepted
+    }
+    Tour restored = incumbent;
+    h.search(restored, what + " restored");
+    h.descend(restored, what + " restored descent");
+  }
+}
+
+TEST(PrunedIncremental, TwoEnginesAlternateOnTourCopies) {
+  // Two harnesses (two engines per backend) step copies of one tour in
+  // turn; each engine's staging follows its own copy's lineage.
+  Instance inst = generate_uniform("u180", 180, 37);
+  IncrementalHarness a(inst, 8);
+  IncrementalHarness b(inst, 8);
+  Pcg32 rng(38);
+  Tour ta = Tour::random(inst.n(), rng);
+  Tour tb = ta;
+  for (std::int32_t pass = 0; pass < 5000; ++pass) {
+    const std::string what = "pass " + std::to_string(pass);
+    SearchResult ra = a.search(ta, "a " + what);
+    SearchResult rb = b.search(tb, "b " + what);
+    expect_moves_equal(rb, ra, "b vs a " + what);
+    // Every few passes each engine searches the other's copy: a tour it
+    // has not staged, so its next pass on its own copy rebuilds too.
+    if (pass % 5 == 4) {
+      a.search(tb, "a on b's copy " + what);
+      b.search(ta, "b on a's copy " + what);
+    }
+    if (!ra.best.improves()) return;
+    ta.apply_two_opt(ra.best.i, ra.best.j);
+    tb.apply_two_opt(rb.best.i, rb.best.j);
+  }
+  FAIL() << "descent did not converge within 5000 passes";
+}
+
+TEST(PrunedIncremental, GpuUploadsOnlyTheRestagedArc) {
+  // After an applied move gpu-pruned ships the reversed arc of the
+  // route-indexed arrays (plus the wrap entry when the arc holds position
+  // 0, and the predecessor's successor length), the id span of the arc's
+  // cities in the city-indexed positions, and the pass's active rows and
+  // their flags — exactly, byte for byte.
+  Instance inst = generate_clustered("c400", 400, 8, 39);
+  NeighborLists neighbors(inst, 10);
+  simt::Device device(simt::gtx680_cuda());
+  TwoOptGpuPruned engine(device, neighbors);
+  Pcg32 rng(40);
+  Tour tour = Tour::random(inst.n(), rng);
+  const std::int32_t n = inst.n();
+
+  auto h2d = [&] { return device.counters().h2d_bytes.load(); };
+  std::uint64_t before = h2d();
+  SearchResult r = engine.search(inst, tour);
+  const std::uint64_t active_bytes = engine.sweep().active_rows().size() * 5;
+  EXPECT_EQ(h2d() - before, 4u * (5u * static_cast<std::uint64_t>(n) + 2) +
+                                active_bytes)
+      << "the first pass ships the full staging";
+
+  before = h2d();
+  engine.search(inst, tour);
+  EXPECT_EQ(h2d() - before,
+            engine.sweep().active_rows().size() * 5u)
+      << "an unchanged tour ships only the active rows";
+
+  for (std::int32_t pass = 0; pass < 5000 && r.best.improves(); ++pass) {
+    tour.apply_two_opt(r.best.i, r.best.j);
+    const Tour::Arc arc = Tour::two_opt_arc(n, r.best.i, r.best.j);
+    std::int32_t lo = n;
+    std::int32_t hi = -1;
+    for (std::int32_t s = 0; s < arc.count; ++s) {
+      std::int32_t city = tour.city_at((arc.first + s) % n);
+      lo = std::min(lo, city);
+      hi = std::max(hi, city);
+    }
+    const bool holds_zero = arc.first == 0 || arc.first + arc.count > n;
+    const std::uint64_t coords = arc.count + (holds_zero ? 1 : 0);
+    before = h2d();
+    r = engine.search(inst, tour);
+    const std::uint64_t want =
+        4u * (2u * coords +                 // xs, ys
+              (arc.count + 1u) +            // succ_len
+              static_cast<std::uint64_t>(arc.count) +  // route
+              static_cast<std::uint64_t>(hi - lo + 1)) +  // positions
+        engine.sweep().active_rows().size() * 5u;  // active rows + flags
+    EXPECT_EQ(h2d() - before, want) << "pass " << pass;
+    expect_device_mirrors_host(engine, "pass " + std::to_string(pass));
+  }
+  EXPECT_FALSE(r.best.improves());
+}
+
+TEST(PrunedIncremental, IlsEndToEndMatchesRebuildEveryPass) {
+  Instance inst = generate_clustered("c5k", 5000, 16, 41);
+  NeighborLists neighbors(inst, 10);
+  TwoOptSimdPruned engine(neighbors);
+  CountPasses stamped(engine);
+  RebuildEveryPass rebuilding(std::make_unique<TwoOptSimdPruned>(neighbors));
+  CountPasses rebuilt(rebuilding);
+  Tour start = multiple_fragment(inst);
+  IlsOptions options;
+  options.seed = 43;
+  options.max_iterations = 12;
+  options.time_limit_seconds = -1.0;
+  IlsResult got = iterated_local_search(stamped, inst, start, options);
+  IlsResult want = iterated_local_search(rebuilt, inst, start, options);
+  EXPECT_EQ(stamped.passes, rebuilt.passes);
+  EXPECT_EQ(got.best, want.best);
+  EXPECT_EQ(got.best_length, want.best_length);
+  EXPECT_EQ(got.checks, want.checks);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.improvements, want.improvements);
+  ASSERT_EQ(got.trace.size(), want.trace.size());
+  for (std::size_t t = 0; t < got.trace.size(); ++t) {
+    EXPECT_EQ(got.trace[t].length, want.trace[t].length) << t;
+    EXPECT_EQ(got.trace[t].iteration, want.trace[t].iteration) << t;
+    EXPECT_EQ(got.trace[t].checks, want.trace[t].checks) << t;
+    EXPECT_EQ(got.trace[t].passes, want.trace[t].passes) << t;
+  }
 }
 
 }  // namespace

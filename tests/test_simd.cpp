@@ -295,8 +295,10 @@ struct CandFixture {
       positions[static_cast<std::size_t>(route[static_cast<std::size_t>(p)])] =
           p;
     succ_len.resize(static_cast<std::size_t>(n));
-    simd::kernels(simd::Level::kScalar)
-        .succ_len(soa.xs(), soa.ys(), n, succ_len.data());
+    for (std::int32_t p = 0; p < n; ++p)
+      succ_len[static_cast<std::size_t>(p)] =
+          dist_euc2d(Point{soa.xs()[p], soa.ys()[p]},
+                     Point{soa.xs()[p + 1], soa.ys()[p + 1]});
     ordered.resize(static_cast<std::size_t>(n));
     for (std::int32_t p = 0; p < n; ++p)
       ordered[static_cast<std::size_t>(p)] =
@@ -355,30 +357,6 @@ struct CandFixture {
   std::vector<std::int32_t> cd_pad;
   std::vector<simd::CandRecord> recs;
 };
-
-TEST(SimdCandKernels, SuccLenBitIdenticalAcrossLevelsAndSizes) {
-  Pcg32 rng(31);
-  for (std::int32_t n : {3, 7, 8, 9, 16, 17, 64, 65, 257}) {
-    Instance inst = generate_uniform(ctx({"sl", std::to_string(n)}), n, 500 + n);
-    Tour tour = Tour::random(n, rng);
-    SoaCoords soa;
-    order_coordinates_soa(inst, tour, soa);
-    std::span<const std::int32_t> route = tour.order();
-    std::vector<std::int32_t> want(static_cast<std::size_t>(n));
-    for (std::int32_t p = 0; p < n; ++p) {
-      // The published distance on the same cities, wrap included.
-      want[static_cast<std::size_t>(p)] =
-          inst.dist(route[static_cast<std::size_t>(p)],
-                    route[static_cast<std::size_t>((p + 1) % n)]);
-    }
-    for (simd::Level level : simd::supported_levels()) {
-      std::vector<std::int32_t> got(static_cast<std::size_t>(n), -1);
-      simd::kernels(level).succ_len(soa.xs(), soa.ys(), n, got.data());
-      EXPECT_EQ(got, want) << ctx({simd::to_string(level), " n=",
-                                   std::to_string(n)});
-    }
-  }
-}
 
 TEST(SimdCandKernels, CandRowMatchesPublishedDeltaAndScalarAcrossLevels) {
   Pcg32 rng(37);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -191,6 +193,57 @@ TEST(Tour, Berlin52IdentityLengthIsStable) {
     // Computed once from the embedded data; if this fires the coordinates
     // or the metric changed.
     ADD_FAILURE() << "berlin52 identity length drifted: " << len;
+  }
+}
+
+TEST(Tour, LineageStampFollowsMutations) {
+  Pcg32 rng(9);
+  Tour a = Tour::random(20, rng);
+  Tour b = a;  // copies share the stamp
+  EXPECT_EQ(b.version(), a.version());
+  EXPECT_EQ(a.parent_version(), 0u);
+
+  const std::uint64_t before = a.version();
+  a.apply_two_opt(3, 9);
+  EXPECT_NE(a.version(), before);
+  EXPECT_EQ(a.parent_version(), before);
+  EXPECT_EQ(a.last_move(), (std::pair<std::int32_t, std::int32_t>{3, 9}));
+  EXPECT_EQ(b.version(), before);  // the copy is untouched
+
+  // Every other mutation or construction draws a fresh, parentless stamp.
+  std::uint64_t seen = a.version();
+  a.double_bridge(rng);
+  EXPECT_NE(a.version(), seen);
+  EXPECT_EQ(a.parent_version(), 0u);
+  EXPECT_EQ(a.last_move(), (std::pair<std::int32_t, std::int32_t>{-1, -1}));
+  seen = a.version();
+  a.or_opt_move(2, 3, 10);
+  EXPECT_NE(a.version(), seen);
+  EXPECT_EQ(a.parent_version(), 0u);
+  Tour c(std::vector<std::int32_t>(a.order().begin(), a.order().end()));
+  EXPECT_NE(c.version(), a.version());
+}
+
+TEST(Tour, TwoOptArcIsTheReversedSide) {
+  // The arc apply_two_opt reverses is the only span of positions whose
+  // cities change, including arcs that wrap past the last position.
+  const std::int32_t n = 11;
+  for (std::int32_t i = 0; i < n; ++i) {
+    for (std::int32_t j = i + 1; j < n; ++j) {
+      Tour t = Tour::identity(n);
+      t.apply_two_opt(i, j);
+      Tour::Arc arc = Tour::two_opt_arc(n, i, j);
+      EXPECT_EQ(arc.count, std::min(j - i, n - (j - i)));
+      for (std::int32_t s = 0; s < arc.count; ++s) {
+        std::int32_t p = (arc.first + s) % n;
+        std::int32_t mirror = (arc.first + arc.count - 1 - s) % n;
+        EXPECT_EQ(t.city_at(p), mirror) << i << "," << j;
+      }
+      for (std::int32_t s = arc.count; s < n; ++s) {
+        std::int32_t p = (arc.first + s) % n;
+        EXPECT_EQ(t.city_at(p), p) << i << "," << j;
+      }
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include "common/rng.hpp"
 #include "simt/device.hpp"
 #include "solver/constructive.hpp"
+#include "solver/engine_factory.hpp"
 #include "solver/ils.hpp"
 #include "solver/twoopt_gpu.hpp"
 #include "solver/twoopt_sequential.hpp"
@@ -182,6 +183,105 @@ TEST(Ils, StartingFromMultipleFragmentMatchesTableIISetup) {
   opts.time_limit_seconds = -1.0;
   IlsResult r = iterated_local_search(engine, inst, mf, opts);
   EXPECT_LE(r.best_length, initial_len);
+}
+
+// Golden trajectories: fixed-seed runs whose every counted quantity is
+// pinned exactly. Any change to the ILS loop, the descent driver or an
+// engine that moves a single perturbation, move choice or pair count
+// shows up here first.
+struct GoldenPoint {
+  std::int64_t length;
+  std::int64_t iteration;
+  std::uint64_t checks;
+  std::int64_t passes;
+};
+
+struct Golden {
+  std::int64_t best_length;
+  std::int64_t iterations;
+  std::int64_t improvements;
+  std::uint64_t checks;
+  std::vector<GoldenPoint> trace;
+};
+
+void expect_golden(const IlsResult& got, const Golden& want) {
+  EXPECT_EQ(got.best_length, want.best_length);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.improvements, want.improvements);
+  EXPECT_EQ(got.checks, want.checks);
+  EXPECT_FALSE(got.stopped);
+  ASSERT_EQ(got.trace.size(), want.trace.size());
+  for (std::size_t t = 0; t < want.trace.size(); ++t) {
+    EXPECT_EQ(got.trace[t].length, want.trace[t].length) << "@" << t;
+    EXPECT_EQ(got.trace[t].iteration, want.trace[t].iteration) << "@" << t;
+    EXPECT_EQ(got.trace[t].checks, want.trace[t].checks) << "@" << t;
+    EXPECT_EQ(got.trace[t].passes, want.trace[t].passes) << "@" << t;
+  }
+}
+
+IlsResult golden_uniform_run(IlsAcceptance acceptance) {
+  Instance inst = generate_uniform("golden-u200", 200, 41);
+  Pcg32 rng(17);
+  Tour start = Tour::random(inst.n(), rng);
+  EngineFactory factory(&inst);
+  std::unique_ptr<TwoOptEngine> engine = factory.create("cpu-simd");
+  IlsOptions opts;
+  opts.seed = 5;
+  opts.max_iterations = 120;
+  opts.time_limit_seconds = -1.0;
+  opts.acceptance = acceptance;
+  opts.epsilon = 0.01;
+  return iterated_local_search(*engine, inst, start, opts);
+}
+
+TEST(IlsGolden, CpuSimdUniform200) {
+  expect_golden(golden_uniform_run(IlsAcceptance::kBetter),
+                {108812, 120, 7, 17054300,
+                 {{112953, 0, 4397900, 221},
+                  {111505, 15, 6009800, 302},
+                  {111390, 58, 10288300, 517},
+                  {110863, 70, 11522100, 579},
+                  {110302, 80, 12696200, 638},
+                  {109452, 83, 13193700, 663},
+                  {109028, 103, 15104100, 759},
+                  {108812, 115, 16497100, 829}}});
+}
+
+TEST(IlsGolden, EpsilonWorseAcceptance) {
+  expect_golden(golden_uniform_run(IlsAcceptance::kEpsilonWorse),
+                {109727, 120, 8, 16517000,
+                 {{112953, 0, 4397900, 221},
+                  {112692, 15, 5989900, 301},
+                  {112165, 22, 6785900, 341},
+                  {112050, 31, 7621700, 383},
+                  {111791, 32, 7780900, 391},
+                  {111189, 58, 10268400, 516},
+                  {111175, 95, 13969800, 702},
+                  {109741, 103, 14885200, 748},
+                  {109727, 113, 15860300, 797}}});
+}
+
+TEST(IlsGolden, CpuSimdPrunedClustered5k) {
+  Instance inst = generate_clustered("golden-c5k", 5000, 25, 43);
+  EngineFactory factory(&inst);
+  std::unique_ptr<TwoOptEngine> engine = factory.create("cpu-simd-pruned");
+  IlsOptions opts;
+  opts.seed = 9;
+  opts.max_iterations = 40;
+  opts.time_limit_seconds = -1.0;
+  expect_golden(
+      iterated_local_search(*engine, inst, multiple_fragment(inst), opts),
+      {372103, 40, 18, 860784,
+       {{375790, 0, 804624, 296}, {375714, 1, 805344, 304},
+        {375486, 3, 810240, 343}, {375483, 5, 812912, 364},
+        {375395, 6, 813856, 374}, {375187, 7, 814736, 384},
+        {374169, 10, 824176, 449}, {373742, 11, 824992, 459},
+        {373637, 12, 827344, 482}, {373388, 16, 834176, 537},
+        {373386, 20, 837488, 568}, {373145, 21, 838208, 577},
+        {372735, 26, 848400, 643}, {372575, 29, 851952, 674},
+        {372463, 30, 852688, 683}, {372462, 33, 854672, 703},
+        {372216, 36, 857456, 729}, {372200, 37, 858064, 736},
+        {372103, 39, 860336, 756}}});
 }
 
 }  // namespace

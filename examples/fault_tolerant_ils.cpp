@@ -32,6 +32,7 @@
 #include "serve/shutdown.hpp"
 #include "simt/device.hpp"
 #include "simt/fault.hpp"
+#include "solver/batch/population_ils.hpp"
 #include "solver/checkpoint.hpp"
 #include "solver/constructive.hpp"
 #include "solver/ils.hpp"
@@ -122,13 +123,18 @@ int main(int argc, char** argv) {
   std::cout << "\n-- process 'killed' after " << partial.iterations
             << " iterations, best " << partial.best_length << " --\n";
 
-  // Leg 2: a fresh process loads the checkpoint and finishes the job.
-  IlsCheckpoint resume_from = load_ils_checkpoint(ckpt);
-  std::cout << "resuming from " << ckpt << " (iteration "
-            << resume_from.iterations << ", best "
-            << resume_from.best_length << ")\n";
+  // Leg 2: a fresh process loads the checkpoint and finishes the job. The
+  // solo run checkpointed as a population of one and resumes as one.
+  PopulationCheckpoint resume_from = load_population_checkpoint(ckpt);
+  const IlsCheckpoint& at = resume_from.members.front();
+  std::cout << "resuming from " << ckpt << " (iteration " << at.iterations
+            << ", best " << at.best_length << ")\n";
+  PerSlotBatchEngine slots(engine);
   IlsResult resumed =
-      iterated_local_search_resume(engine, instance, resume_from, opts);
+      population_ils_resume(slots, instance, resume_from,
+                            population_members(1, seed),
+                            population_options(opts))
+          .members.front();
   if (resumed.stopped) return drained_exit(resumed);
 
   // Reference: the same job never interrupted, on a healthy single device.

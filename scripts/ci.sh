@@ -68,8 +68,10 @@
 #         the committed BENCH_serve.json baseline.
 # Pass 12: UndefinedBehaviorSanitizer build (-fno-sanitize-recover, so
 #         any finding fails its test) of the engine, pruned, pruned-
-#         equivalence, tour, fuzz and serve suites — signed overflow in
-#         delta and wrapped-arc index arithmetic, misaligned or out-of-
+#         equivalence, tour, fuzz and serve suites, the ILS, population,
+#         checkpoint and batcher suites that share the one solve path, and
+#         the TSPLIB suite with its coordinate-bound test — signed overflow
+#         in delta and wrapped-arc index arithmetic, misaligned or out-of-
 #         range accesses, invalid casts.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]   (default: build-ci)
@@ -834,11 +836,11 @@ echo
 echo "== Pass 12: UndefinedBehaviorSanitizer suites =="
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTSPOPT_SANITIZE=undefined >/dev/null
-cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
-      --target test_engines test_pruned test_pruned_equivalence test_tour \
-               test_fuzz test_serve
-for suite in test_engines test_pruned test_pruned_equivalence test_tour \
-             test_fuzz test_serve; do
+UBSAN_SUITES="test_engines test_pruned test_pruned_equivalence test_tour \
+  test_fuzz test_serve test_ils test_population_ils test_checkpoint \
+  test_batcher test_tsplib"
+cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target ${UBSAN_SUITES}
+for suite in ${UBSAN_SUITES}; do
   echo "UBSan: ${suite}"
   "${PREFIX}-ubsan/tests/${suite}" --gtest_brief=1
 done

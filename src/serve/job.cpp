@@ -138,11 +138,12 @@ JobSpec job_spec_from_json(const obs::JsonValue& value) {
                            p.array[0].kind == obs::JsonValue::Kind::kNumber &&
                            p.array[1].kind == obs::JsonValue::Kind::kNumber,
                        "each point must be an [x, y] number pair");
+      check_coordinate(p.array[0].number, "x coordinate of point",
+                       spec.points.size());
+      check_coordinate(p.array[1].number, "y coordinate of point",
+                       spec.points.size());
       spec.points.push_back({static_cast<float>(p.array[0].number),
                              static_cast<float>(p.array[1].number)});
-      TSPOPT_CHECK_MSG(std::isfinite(spec.points.back().x) &&
-                           std::isfinite(spec.points.back().y),
-                       "point coordinates must be finite");
     }
     if (const obs::JsonValue* name = value.find("name")) {
       TSPOPT_CHECK_MSG(name->kind == obs::JsonValue::Kind::kString,

@@ -12,15 +12,10 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "solver/batch/batch_twoopt_gpu.hpp"
-#include "solver/batch/batch_twoopt_simd.hpp"
 #include "solver/batch/population_ils.hpp"
 #include "solver/checkpoint.hpp"
 #include "solver/constructive.hpp"
 #include "solver/engine_factory.hpp"
-#include "solver/ils.hpp"
-#include "solver/twoopt_gpu.hpp"
-#include "solver/twoopt_gpu_pruned.hpp"
-#include "solver/twoopt_tiled.hpp"
 #include "solver/obs_adapters.hpp"
 #include "tsp/catalog.hpp"
 
@@ -34,16 +29,35 @@ const std::vector<double> kLatencyBucketsUs = {
     100,    250,    500,     1000,    2500,    5000,     10000,    25000,
     50000,  100000, 250000,  500000,  1000000, 2500000,  5000000,  10000000};
 
+// Every engine that runs on a simulated device: gpu-* and batch-gpu.
 bool is_gpu_engine(const std::string& name) {
-  return name.rfind("gpu", 0) == 0;
+  return name.find("gpu") != std::string::npos;
 }
 
 // gpu-multi is the only engine class that spans a multi-device lease; the
-// other gpu-* classes are honored exactly as requested on a one-device
+// other gpu classes are honored exactly as requested on a one-device
 // lease (fault tolerance for those comes from the scheduler's attempt
 // retry on a fresh lease, not from an engine substitution).
 bool is_multi_device_engine(const std::string& name) {
   return name == "gpu-multi";
+}
+
+// Devices a run of `engine` leases: gpu-multi spans the job's request (at
+// least two cards), the other gpu engines one card, CPU engines none.
+std::size_t lease_size(const std::string& engine, std::int32_t requested) {
+  if (is_multi_device_engine(engine)) {
+    return std::max<std::size_t>(2, static_cast<std::size_t>(requested));
+  }
+  return is_gpu_engine(engine) ? 1 : 0;
+}
+
+// The multi-device engine behind a solo gpu-multi run, whose per-device
+// health goes into the run report; nullptr for every other engine.
+const TwoOptMultiDevice* multi_device_engine(BatchTwoOptEngine& engine) {
+  auto* slots = dynamic_cast<PerSlotBatchEngine*>(&engine);
+  return slots == nullptr
+             ? nullptr
+             : dynamic_cast<const TwoOptMultiDevice*>(&slots->engine());
 }
 
 // The engines that restrict 2-opt to k-nearest-neighbor candidate lists
@@ -622,11 +636,7 @@ void Scheduler::worker_loop(std::size_t worker_index) {
       continue;
     }
     if (out.job == nullptr) return;  // closed and drained
-    if (options_.batcher.max_batch > 1 && spec_batchable(out.job->spec())) {
-      run_batch(batcher_.collect(std::move(out.job)));
-      continue;
-    }
-    run_job(out.job);
+    run(batcher_.collect(std::move(out.job)));
   }
 }
 
@@ -694,42 +704,113 @@ bool Scheduler::begin_running(const std::shared_ptr<Job>& job) {
   return true;
 }
 
-void Scheduler::run_job(const std::shared_ptr<Job>& job) {
-  if (!begin_running(job)) return;
+void Scheduler::run(std::vector<std::shared_ptr<Job>> jobs) {
+  // Claim every job. Jobs that lost a cancel/deadline race settled inside
+  // begin_running and drop out here.
+  std::vector<std::shared_ptr<Job>> members;
+  members.reserve(jobs.size());
+  for (std::shared_ptr<Job>& job : jobs) {
+    if (begin_running(job)) members.push_back(std::move(job));
+  }
+  if (members.empty()) return;
 
-  obs::Span span = obs::Tracer::global().span("serve.job", "serve");
-  if (span) {
-    span.arg("id", job->id());
-    span.arg("engine", job->spec().engine);
-    span.arg("priority", job->spec().priority);
-    if (!job->spec().trace_id.empty()) {
-      span.arg("trace_id", job->spec().trace_id);
+  // The parent span every member's work nests under: serve.job for a solo
+  // job, serve.batch (carrying the batch identity; job-level trace events
+  // carry the member ids) for a coalesced one.
+  std::uint64_t batch_id = 0;
+  obs::Span span;
+  const JobSpec& lead = members.front()->spec();
+  if (members.size() == 1) {
+    span = obs::Tracer::global().span("serve.job", "serve");
+    if (span) {
+      span.arg("id", members.front()->id());
+      span.arg("engine", lead.engine);
+      span.arg("priority", lead.priority);
+      if (!lead.trace_id.empty()) span.arg("trace_id", lead.trace_id);
+      if (lead.parent_span != 0) span.arg("parent_span", lead.parent_span);
     }
-    if (job->spec().parent_span != 0) {
-      span.arg("parent_span", job->spec().parent_span);
+  } else {
+    batch_id = next_batch_id_.fetch_add(1, std::memory_order_relaxed);
+    for (const std::shared_ptr<Job>& job : members) {
+      job->batch_id.store(batch_id, std::memory_order_relaxed);
+      job->batch_occupancy.store(static_cast<std::int32_t>(members.size()),
+                                 std::memory_order_relaxed);
+    }
+    n_batches_.fetch_add(1, std::memory_order_relaxed);
+    n_batched_jobs_.fetch_add(members.size(), std::memory_order_relaxed);
+    m_->batches.add();
+    m_->batched_jobs.add(members.size());
+    m_->batch_occupancy.observe(static_cast<double>(members.size()));
+    span = obs::Tracer::global().span("serve.batch", "serve");
+    if (span) {
+      span.arg("batch_id", batch_id);
+      span.arg("occupancy", static_cast<std::uint64_t>(members.size()));
+      span.arg("key", batch_key(lead));
+      span.arg("engine", lead.engine);
+    }
+    obs::LogEvent e =
+        obs::Log::global().event(obs::LogLevel::kInfo, "batch.started");
+    if (e) {
+      e.arg("batch_id", batch_id)
+          .arg("occupancy", static_cast<std::uint64_t>(members.size()))
+          .arg("engine", lead.engine);
     }
   }
 
   WallTimer run_timer;
-  JobState terminal = JobState::kFailed;
-  // Recovered running jobs continue their attempt count so max_attempts
-  // bounds total tries across restarts, not per incarnation.
-  std::int32_t first_attempt =
-      std::max<std::int32_t>(1, job->resume_requested()
-                                    ? job->attempts.load() : 1);
-  for (std::int32_t attempt = first_attempt;; ++attempt) {
+  std::vector<JobState> terminals = run_attempts(members, batch_id);
+  double run_seconds = run_timer.seconds();
+  // The EMA feeds per-job retry-after hints; a batch completes
+  // members.size() jobs in one run, so amortize before averaging in.
+  note_run_seconds(run_seconds / static_cast<double>(members.size()));
+
+  for (std::size_t b = 0; b < members.size(); ++b) {
+    const std::shared_ptr<Job>& job = members[b];
+    job->run_seconds.store(run_seconds, std::memory_order_relaxed);
+    m_->job_run_us.observe(run_seconds * 1e6);
+    m_->phase_run_us.observe(run_seconds * 1e6);
+    active_.fetch_sub(1, std::memory_order_relaxed);
+    m_->active_jobs.set(static_cast<double>(active_.load()));
+    job->try_transition(JobState::kRunning, terminals[b]);
+    settle(job, terminals[b]);
+  }
+}
+
+std::vector<JobState> Scheduler::run_attempts(
+    const std::vector<std::shared_ptr<Job>>& members, std::uint64_t batch_id) {
+  // A recovered running job re-runs its interrupted attempt (resuming from
+  // its spool checkpoint when it runs solo), so max_attempts bounds total
+  // tries across restarts, not per incarnation.
+  bool resume = false;
+  for (const std::shared_ptr<Job>& job : members) {
+    bool recovered = job->take_resume();
+    resume = recovered && members.size() == 1;
+    std::int32_t attempt = recovered ? std::max(1, job->attempts.load())
+                                     : job->attempts.load() + 1;
     job->attempts.store(attempt, std::memory_order_relaxed);
     if (journal_ != nullptr) journal_->append_started(job->id(), attempt);
-    try {
-      terminal = execute_attempt(job, attempt);
-      break;
-    } catch (const std::exception& e) {
-      bool stop = job->cancel_requested() ||
-                  stop_all_.load(std::memory_order_relaxed);
-      if (attempt >= options_.max_attempts || stop) {
+  }
+  try {
+    return execute(members, batch_id, resume);
+  } catch (const std::exception& e) {
+    if (batch_id != 0) {
+      obs::Log::global()
+          .event(obs::LogLevel::kWarn, "batch.failed")
+          .arg("batch_id", batch_id)
+          .arg("occupancy", static_cast<std::uint64_t>(members.size()))
+          .arg("error", e.what());
+    }
+    // The error may belong to any member (or to the lease), so each one
+    // with attempts left retries alone.
+    std::vector<JobState> terminals;
+    terminals.reserve(members.size());
+    for (const std::shared_ptr<Job>& job : members) {
+      std::int32_t attempt = job->attempts.load(std::memory_order_relaxed);
+      if (attempt >= options_.max_attempts || job->cancel_requested() ||
+          stop_all_.load(std::memory_order_relaxed)) {
         job->set_error(e.what());
-        terminal = JobState::kFailed;
-        break;
+        terminals.push_back(JobState::kFailed);
+        continue;
       }
       n_retries_.fetch_add(1, std::memory_order_relaxed);
       m_->retries.add();
@@ -738,115 +819,16 @@ void Scheduler::run_job(const std::shared_ptr<Job>& job) {
           .arg("id", job->id())
           .arg("attempt", attempt)
           .arg("error", e.what());
+      terminals.push_back(run_attempts({job}, 0).front());
     }
-  }
-  double run_seconds = run_timer.seconds();
-  job->run_seconds.store(run_seconds, std::memory_order_relaxed);
-  m_->job_run_us.observe(run_seconds * 1e6);
-  m_->phase_run_us.observe(run_seconds * 1e6);
-  note_run_seconds(run_seconds);
-
-  active_.fetch_sub(1, std::memory_order_relaxed);
-  m_->active_jobs.set(static_cast<double>(active_.load()));
-  job->try_transition(JobState::kRunning, terminal);
-  settle(job, terminal);
-}
-
-void Scheduler::run_batch(std::vector<std::shared_ptr<Job>> batch) {
-  if (batch.size() == 1) {
-    // Nothing coalesced inside the linger window; the solo path is the
-    // exact per-job pipeline the client would have gotten pre-batching.
-    run_job(batch.front());
-    return;
-  }
-
-  // Claim every member. Jobs that lost a cancel/deadline race settled
-  // inside begin_running and drop out of the batch here.
-  std::vector<std::shared_ptr<Job>> members;
-  members.reserve(batch.size());
-  for (std::shared_ptr<Job>& job : batch) {
-    if (begin_running(job)) members.push_back(std::move(job));
-  }
-  if (members.empty()) return;
-
-  const std::uint64_t batch_id =
-      next_batch_id_.fetch_add(1, std::memory_order_relaxed);
-  for (const std::shared_ptr<Job>& job : members) {
-    job->batch_id.store(batch_id, std::memory_order_relaxed);
-    job->batch_occupancy.store(static_cast<std::int32_t>(members.size()),
-                               std::memory_order_relaxed);
-  }
-  n_batches_.fetch_add(1, std::memory_order_relaxed);
-  n_batched_jobs_.fetch_add(members.size(), std::memory_order_relaxed);
-  m_->batches.add();
-  m_->batched_jobs.add(members.size());
-  m_->batch_occupancy.observe(static_cast<double>(members.size()));
-
-  // The parent span every member's work nests under: job-level trace
-  // events carry the member ids; this one carries the batch identity.
-  obs::Span span = obs::Tracer::global().span("serve.batch", "serve");
-  if (span) {
-    span.arg("batch_id", batch_id);
-    span.arg("occupancy", static_cast<std::uint64_t>(members.size()));
-    span.arg("key", batch_key(members.front()->spec()));
-    span.arg("engine", members.front()->spec().engine);
-  }
-  {
-    obs::LogEvent e =
-        obs::Log::global().event(obs::LogLevel::kInfo, "batch.started");
-    if (e) {
-      e.arg("batch_id", batch_id)
-          .arg("occupancy", static_cast<std::uint64_t>(members.size()))
-          .arg("engine", members.front()->spec().engine);
-    }
-  }
-
-  WallTimer run_timer;
-  std::vector<JobState> terminals;
-  try {
-    terminals = execute_batch(members, batch_id);
-  } catch (const std::exception& e) {
-    // No batch-level retry: a fatal error fails every unsettled member in
-    // one stroke (re-running B jobs to probe which member is poisonous
-    // holds the lease B times longer than the client signed up for). The
-    // journal still has each member as running, so at-least-once recovery
-    // semantics are unchanged.
-    terminals.assign(members.size(), JobState::kFailed);
-    for (const std::shared_ptr<Job>& job : members) {
-      if (job->error().empty()) job->set_error(e.what());
-    }
-    obs::Log::global()
-        .event(obs::LogLevel::kWarn, "batch.failed")
-        .arg("batch_id", batch_id)
-        .arg("occupancy", static_cast<std::uint64_t>(members.size()))
-        .arg("error", e.what());
-  }
-  double run_seconds = run_timer.seconds();
-  // The EMA feeds per-job retry-after hints; a batch completes
-  // members.size() jobs in one run, so amortize before averaging in.
-  note_run_seconds(run_seconds / static_cast<double>(members.size()));
-
-  for (std::size_t b = 0; b < members.size(); ++b) {
-    const std::shared_ptr<Job>& job = members[b];
-    double member_run = job->run_seconds.load(std::memory_order_relaxed);
-    if (member_run < 0.0) {
-      member_run = run_seconds;
-      job->run_seconds.store(member_run, std::memory_order_relaxed);
-    }
-    m_->job_run_us.observe(member_run * 1e6);
-    m_->phase_run_us.observe(member_run * 1e6);
-    active_.fetch_sub(1, std::memory_order_relaxed);
-    m_->active_jobs.set(static_cast<double>(active_.load()));
-    job->try_transition(JobState::kRunning, terminals[b]);
-    settle(job, terminals[b]);
+    return terminals;
   }
 }
 
-std::vector<JobState> Scheduler::execute_batch(
-    const std::vector<std::shared_ptr<Job>>& members,
-    std::uint64_t batch_id) {
+std::vector<JobState> Scheduler::execute(
+    const std::vector<std::shared_ptr<Job>>& members, std::uint64_t batch_id,
+    bool resume) {
   const JobSpec& lead = members.front()->spec();
-  const std::string key = batch_key(lead);
   std::vector<JobState> terminals(members.size(), JobState::kFailed);
 
   // Defense in depth against a collection bug: a member whose shape
@@ -854,14 +836,14 @@ std::vector<JobState> Scheduler::execute_batch(
   // error; the rest of the batch still runs.
   std::vector<std::size_t> live;
   live.reserve(members.size());
+  const std::string key = batch_id != 0 ? batch_key(lead) : std::string();
   for (std::size_t b = 0; b < members.size(); ++b) {
-    if (batch_key(members[b]->spec()) == key) {
+    if (batch_id == 0 || batch_key(members[b]->spec()) == key) {
       live.push_back(b);
       continue;
     }
     members[b]->set_error(
         "batch shape: member diverges from the batch key \"" + key + "\"");
-    members[b]->run_seconds.store(0.0, std::memory_order_relaxed);
   }
   if (live.empty()) return terminals;
 
@@ -870,56 +852,56 @@ std::vector<JobState> Scheduler::execute_batch(
           ? Instance(lead.instance_name, Metric::kEuc2D, lead.points)
           : make_catalog_instance(*find_catalog_entry(lead.catalog));
 
-  for (std::size_t b : live) {
-    std::int32_t attempt = members[b]->attempts.load() + 1;
-    members[b]->attempts.store(attempt, std::memory_order_relaxed);
-    if (journal_ != nullptr) {
-      journal_->append_started(members[b]->id(), attempt);
-    }
-  }
-
-  // One lease for the whole batch: that is the point — B gpu jobs on one
-  // launch sequence instead of B serialized leases.
-  const std::string batch_class = batch_engine_for(lead.engine);
+  // A solo job runs exactly the engine class it requested; a coalesced
+  // batch runs its batch class on one lease — B gpu jobs on one launch
+  // sequence instead of B serialized leases. Per-attempt engines keep
+  // gpu-multi's fault quarantine/retry state scoped to this attempt: a
+  // card that faults here re-enters the pool healthy for the next job.
+  const std::string engine_name =
+      batch_id == 0 ? lead.engine : batch_engine_for(lead.engine);
   simt::DevicePool::Lease lease;
-  std::unique_ptr<BatchTwoOptEngine> engine;
-  if (batch_class == "batch-gpu") {
+  if (std::size_t want = lease_size(engine_name, lead.devices); want > 0) {
+    // Lease acquisition is its own traced/timed phase: under device
+    // contention this is where jobs stall, and the wait histogram alone
+    // cannot tell queue pressure from device pressure apart.
     WallTimer lease_timer;
     obs::Span lease_span =
-        obs::Tracer::global().span("serve.batch.lease", "serve");
-    if (lease_span) lease_span.arg("batch_id", batch_id);
-    lease = pool_.acquire(1);
+        obs::Tracer::global().span("serve.job.lease", "serve");
+    if (lease_span) {
+      lease_span.arg("devices", static_cast<std::uint64_t>(want));
+      if (batch_id != 0) {
+        lease_span.arg("batch_id", batch_id);
+      } else {
+        lease_span.arg("id", members.front()->id());
+        if (!lead.trace_id.empty()) lease_span.arg("trace_id", lead.trace_id);
+      }
+    }
+    lease = pool_.acquire(want);
     lease_span.finish();
-    TSPOPT_CHECK_MSG(lease, "device pool closed");
     double lease_seconds = lease_timer.seconds();
     for (std::size_t b : live) {
       members[b]->lease_seconds.store(lease_seconds,
                                       std::memory_order_relaxed);
     }
     m_->phase_lease_us.observe(lease_seconds * 1e6);
-    simt::Device& device = *lease.devices().front();
-    TSPOPT_CHECK_MSG(instance.n() <= BatchTwoOptGpu::max_cities(device),
-                     "batch shape: n=" << instance.n()
-                                       << " exceeds batch-gpu capacity on "
-                                       << device.label());
-    engine = std::make_unique<BatchTwoOptGpu>(device);
-  } else {
-    engine = std::make_unique<BatchTwoOptSimd>();
+    TSPOPT_CHECK_MSG(lease, "device pool closed");
   }
+  EngineFactory factory(
+      &instance, lead.k != 0 ? lead.k : EngineFactory::kDefaultNeighbors,
+      options_.multi);
+  std::unique_ptr<BatchTwoOptEngine> engine =
+      factory.create_batch(engine_name, lease.devices());
 
-  // Same constructive start as the solo path, shared by every member (it
-  // is deterministic per instance); the seeds diverge the perturbations.
-  Tour tour = instance.metric() == Metric::kExplicit
-                  ? nearest_neighbor(instance)
-                  : multiple_fragment(instance);
-  std::int64_t constructive_length = tour.length(instance);
-  std::vector<Tour> initial(live.size(), tour);
-
-  // One PopulationIls member per job, carrying exactly the solo run's
-  // budget and hooks. migrate_every = 0 keeps members independent, which
-  // is what makes a member bit-identical to its solo run.
+  // One PopulationIls member per job, carrying the job's budget and hooks.
+  // migrate_every = 0 keeps members independent, which is what makes a
+  // batched member bit-identical to its solo run. The population's own
+  // budget is its longest member's, so a batch of one runs exactly the
+  // job's budget, initial descent included.
   std::vector<PopulationMemberOptions> mopts(live.size());
   std::vector<bool> deadline_clamped(live.size(), false);
+  PopulationIlsOptions popts;
+  popts.time_limit_seconds = 0.0;
+  popts.migrate_every = 0;
   for (std::size_t i = 0; i < live.size(); ++i) {
     const std::shared_ptr<Job>& job = members[live[i]];
     const JobSpec& spec = job->spec();
@@ -927,6 +909,10 @@ std::vector<JobState> Scheduler::execute_batch(
     mo.seed = spec.seed;
     mo.max_iterations = spec.max_iterations;
     mo.time_limit_seconds = spec.time_limit_seconds;
+    // Clamp the budget to the deadline so an over-deadline job never holds
+    // its device lease past the wall. A clamped run that then consumes the
+    // whole remainder ended because of the deadline, not its own budget —
+    // remembered for the terminal-state classification below.
     if (job->has_deadline()) {
       double remaining_s = job->deadline_remaining_ms() / 1e3;
       if (remaining_s < mo.time_limit_seconds) {
@@ -934,6 +920,8 @@ std::vector<JobState> Scheduler::execute_batch(
         deadline_clamped[i] = true;
       }
     }
+    popts.time_limit_seconds =
+        std::max(popts.time_limit_seconds, mo.time_limit_seconds);
     mo.should_stop = [this, job] {
       return job->cancel_requested() ||
              stop_all_.load(std::memory_order_relaxed) ||
@@ -943,36 +931,89 @@ std::vector<JobState> Scheduler::execute_batch(
       job->best_length.store(p.best_length, std::memory_order_relaxed);
       job->iteration.store(p.iteration, std::memory_order_relaxed);
     };
-    job->best_length.store(constructive_length, std::memory_order_relaxed);
   }
-  PopulationIlsOptions popts;
-  popts.time_limit_seconds = -1.0;  // member budgets retire each member
-  popts.migrate_every = 0;
-  // Batches do not spool checkpoints: a crash re-runs the members fresh
-  // from the journal (at-least-once), the same as a solo job that died
-  // before its first checkpoint write.
-  popts.checkpoint_path.clear();
 
-  PopulationIlsResult result =
-      population_ils(*engine, instance, std::move(initial), mopts, popts);
+  // With a journal, a solo job's ILS loop state spools into
+  // dir/spool/job-<id>.ckpt so a crashed daemon's restart resumes the job
+  // instead of redoing it. Batches spool nothing: a crash re-runs their
+  // members fresh from the journal (at-least-once).
+  const std::shared_ptr<Job>& solo = members.front();
+  if (batch_id == 0 && journal_ != nullptr &&
+      options_.checkpoint_every_iterations > 0) {
+    popts.checkpoint_path = journal_->checkpoint_path(solo->id());
+    popts.checkpoint_every = options_.checkpoint_every_iterations;
+  }
 
+  // A job journaled as running resumes from its latest spool checkpoint:
+  // same RNG position, same incumbent — under an iteration budget the
+  // continuation is bit-identical to the run that was never killed. No
+  // checkpoint on disk (crash before the first write) or one that fails to
+  // load or validate (including a file in a retired format) means a fresh
+  // run, which the journal's at-least-once contract permits.
+  std::optional<PopulationCheckpoint> checkpoint;
+  if (resume && journal_ != nullptr &&
+      std::filesystem::exists(journal_->checkpoint_path(solo->id()))) {
+    try {
+      PopulationCheckpoint ck =
+          load_population_checkpoint(journal_->checkpoint_path(solo->id()));
+      validate_population_checkpoint(ck, instance);
+      TSPOPT_CHECK_MSG(ck.members.size() == 1,
+                       "a solo job's checkpoint has " << ck.members.size()
+                                                      << " members");
+      checkpoint = std::move(ck);
+    } catch (const CheckError& e) {
+      obs::Log::global()
+          .event(obs::LogLevel::kWarn, "job.checkpoint_invalid")
+          .arg("id", solo->id())
+          .arg("error", e.what());
+    }
+  }
+  PopulationIlsResult run;
+  std::int64_t constructive_length = 0;
+  if (checkpoint.has_value()) {
+    const IlsCheckpoint& at = checkpoint->members.front();
+    constructive_length =
+        at.trace.empty() ? at.best_length : at.trace.front().length;
+    solo->best_length.store(at.best_length, std::memory_order_relaxed);
+    solo->iteration.store(at.iterations, std::memory_order_relaxed);
+    obs::Log::global()
+        .event(obs::LogLevel::kInfo, "job.resumed")
+        .arg("id", solo->id())
+        .arg("iteration", at.iterations)
+        .arg("best", at.best_length);
+    run = population_ils_resume(*engine, instance, *checkpoint, mopts, popts);
+  } else {
+    // The same constructive start for every member (it is deterministic
+    // per instance); the seeds diverge the perturbations.
+    Tour tour = instance.metric() == Metric::kExplicit
+                    ? nearest_neighbor(instance)
+                    : multiple_fragment(instance);
+    constructive_length = tour.length(instance);
+    for (std::size_t b : live) {
+      members[b]->best_length.store(constructive_length,
+                                    std::memory_order_relaxed);
+    }
+    run = population_ils(*engine, instance,
+                         std::vector<Tour>(live.size(), tour), mopts, popts);
+  }
+
+  const TwoOptMultiDevice* multi = multi_device_engine(*engine);
   for (std::size_t i = 0; i < live.size(); ++i) {
     const std::shared_ptr<Job>& job = members[live[i]];
     const JobSpec& spec = job->spec();
-    const IlsResult& ils = result.members[i];
+    const IlsResult& ils = run.members[i];
     job->best_length.store(ils.best_length, std::memory_order_relaxed);
     job->iteration.store(ils.iterations, std::memory_order_relaxed);
-    job->run_seconds.store(ils.wall_seconds, std::memory_order_relaxed);
 
-    JobResult jr;
-    jr.constructive_length = constructive_length;
-    jr.best_length = ils.best_length;
-    jr.iterations = ils.iterations;
-    jr.improvements = ils.improvements;
-    jr.checks = ils.checks;
-    jr.wall_seconds = ils.wall_seconds;
-    jr.stopped = ils.stopped;
-    jr.order.assign(ils.best.order().begin(), ils.best.order().end());
+    JobResult result;
+    result.constructive_length = constructive_length;
+    result.best_length = ils.best_length;
+    result.iterations = ils.iterations;
+    result.improvements = ils.improvements;
+    result.checks = ils.checks;
+    result.wall_seconds = ils.wall_seconds;
+    result.stopped = ils.stopped;
+    result.order.assign(ils.best.order().begin(), ils.best.order().end());
 
     obs::RunReport report;
     describe_environment(report);
@@ -984,14 +1025,21 @@ std::vector<JobState> Scheduler::execute_batch(
     report.set_config("priority", std::to_string(spec.priority));
     report.set_config("seed", std::to_string(spec.seed));
     report.set_config("attempt", std::to_string(job->attempts.load()));
-    report.set_config("batch_id", std::to_string(batch_id));
-    report.set_config("batch_occupancy",
-                      std::to_string(job->batch_occupancy.load()));
+    if (batch_id != 0) {
+      report.set_config("batch_id", std::to_string(batch_id));
+      report.set_config("batch_occupancy",
+                        std::to_string(job->batch_occupancy.load()));
+    }
     report_ils(report, ils);
-    jr.report_json = report.to_json();
-    job->set_result(std::move(jr));
+    if (multi != nullptr) report_multi_device(report, *multi);
+    result.report_json = report.to_json();
+    job->set_result(std::move(result));
 
-    // Same terminal classification as the solo path, per member.
+    // Classify the ending: a cancel or an over-deadline stop is not a
+    // completed job even though a best tour exists. Expired: the stop hook
+    // fired on the deadline, or the deadline-clamped budget ran dry (an
+    // iteration-capped run can still finish early inside the clamp — then
+    // the deadline has not passed and the job completed).
     if (job->cancel_requested()) {
       terminals[live[i]] = JobState::kCancelled;
     } else if ((ils.stopped || deadline_clamped[i]) &&
@@ -1002,189 +1050,6 @@ std::vector<JobState> Scheduler::execute_batch(
     }
   }
   return terminals;
-}
-
-JobState Scheduler::execute_attempt(const std::shared_ptr<Job>& job,
-                                    std::int32_t attempt) {
-  const JobSpec& spec = job->spec();
-
-  Instance instance =
-      spec.inline_payload()
-          ? Instance(spec.instance_name, Metric::kEuc2D, spec.points)
-          : make_catalog_instance(*find_catalog_entry(spec.catalog));
-
-  // Per-job engine, honoring the requested engine class. gpu-multi runs
-  // behind a per-job TwoOptMultiDevice over a fresh multi-device lease,
-  // so fault retry/quarantine state is scoped to this job (and this
-  // attempt) — a card that faults here re-enters the pool healthy for
-  // the next job. The single-device gpu classes build exactly the engine
-  // the client asked for on a one-device lease; their fault tolerance is
-  // the scheduler's attempt retry on a fresh lease.
-  simt::DevicePool::Lease lease;
-  std::unique_ptr<TwoOptMultiDevice> multi;
-  EngineFactory factory(&instance, spec.k != 0
-                                       ? spec.k
-                                       : EngineFactory::kDefaultNeighbors);
-  std::unique_ptr<TwoOptEngine> engine;
-  // Lease acquisition is its own traced/timed phase: under device
-  // contention this is where jobs stall, and the wait histogram alone
-  // cannot tell queue pressure from device pressure apart.
-  auto acquire_lease = [&](std::size_t count) {
-    WallTimer lease_timer;
-    obs::Span lease_span =
-        obs::Tracer::global().span("serve.job.lease", "serve");
-    if (lease_span) {
-      lease_span.arg("id", job->id());
-      lease_span.arg("devices", static_cast<std::uint64_t>(count));
-      if (!spec.trace_id.empty()) lease_span.arg("trace_id", spec.trace_id);
-    }
-    simt::DevicePool::Lease acquired = pool_.acquire(count);
-    lease_span.finish();
-    double lease_seconds = lease_timer.seconds();
-    job->lease_seconds.store(lease_seconds, std::memory_order_relaxed);
-    m_->phase_lease_us.observe(lease_seconds * 1e6);
-    return acquired;
-  };
-  if (is_multi_device_engine(spec.engine)) {
-    std::size_t want =
-        std::max<std::size_t>(2, static_cast<std::size_t>(spec.devices));
-    lease = acquire_lease(want);
-    TSPOPT_CHECK_MSG(lease, "device pool closed");
-    std::vector<simt::Device*> devices(lease.devices().begin(),
-                                       lease.devices().end());
-    multi = std::make_unique<TwoOptMultiDevice>(devices, 0, options_.multi);
-  } else if (is_gpu_engine(spec.engine)) {
-    lease = acquire_lease(1);
-    TSPOPT_CHECK_MSG(lease, "device pool closed");
-    simt::Device& device = *lease.devices().front();
-    if (spec.engine == "gpu-small") {
-      engine = std::make_unique<TwoOptGpuSmall>(device);
-    } else if (spec.engine == "gpu-small-indirect") {
-      engine = std::make_unique<TwoOptGpuSmall>(device, simt::LaunchConfig{},
-                                                false);
-    } else if (spec.engine == "gpu-tiled") {
-      engine = std::make_unique<TwoOptGpuTiled>(device);
-    } else if (spec.engine == "gpu-pruned") {
-      // Candidate lists come from the factory (sized by the job's k) but
-      // the engine runs on the leased device, like the other gpu classes.
-      engine =
-          std::make_unique<TwoOptGpuPruned>(device, factory.neighbor_lists());
-    } else {
-      TSPOPT_CHECK_MSG(false, "unknown gpu engine \"" << spec.engine << "\"");
-    }
-  } else {
-    engine = factory.create(spec.engine);
-  }
-  TwoOptEngine& active_engine = multi ? *multi : *engine;
-
-  IlsOptions opts;
-  opts.seed = spec.seed;
-  opts.max_iterations = spec.max_iterations;
-  opts.time_limit_seconds = spec.time_limit_seconds;
-  // Clamp the budget to the deadline so an over-deadline job never holds
-  // its device lease past the wall. A clamped run that then consumes the
-  // whole remainder ended because of the deadline, not its own budget —
-  // remember that for the terminal-state classification below.
-  bool deadline_clamped = false;
-  if (job->has_deadline()) {
-    double remaining_s = job->deadline_remaining_ms() / 1e3;
-    if (remaining_s < opts.time_limit_seconds) {
-      opts.time_limit_seconds = std::max(0.0, remaining_s);
-      deadline_clamped = true;
-    }
-  }
-  opts.should_stop = [this, &job] {
-    return job->cancel_requested() ||
-           stop_all_.load(std::memory_order_relaxed) || job->deadline_passed();
-  };
-  opts.on_progress = [&job](const IlsProgress& p) {
-    job->best_length.store(p.best_length, std::memory_order_relaxed);
-    job->iteration.store(p.iteration, std::memory_order_relaxed);
-  };
-  // With a journal, the ILS loop state spools into dir/spool/job-<id>.ckpt
-  // so a crashed daemon's restart resumes this job instead of redoing it.
-  if (journal_ != nullptr && options_.checkpoint_every_iterations > 0) {
-    opts.checkpoint_path = journal_->checkpoint_path(job->id());
-    opts.checkpoint_every = options_.checkpoint_every_iterations;
-  }
-
-  // A job journaled as running resumes from its latest spool checkpoint:
-  // same RNG position, same incumbent — under an iteration budget the
-  // continuation is bit-identical to the run that was never killed. No
-  // checkpoint on disk (crash before the first write) or a checkpoint
-  // that fails validation means a fresh run; attempt retries after an
-  // engine fault also run fresh (the checkpoint may embed the fault).
-  std::optional<IlsResult> run;
-  std::int64_t constructive_length = 0;
-  if (journal_ != nullptr && job->take_resume() &&
-      std::filesystem::exists(journal_->checkpoint_path(job->id()))) {
-    try {
-      IlsCheckpoint ckpt =
-          load_ils_checkpoint(journal_->checkpoint_path(job->id()));
-      constructive_length =
-          ckpt.trace.empty() ? ckpt.best_length : ckpt.trace.front().length;
-      job->best_length.store(ckpt.best_length, std::memory_order_relaxed);
-      job->iteration.store(ckpt.iterations, std::memory_order_relaxed);
-      obs::Log::global()
-          .event(obs::LogLevel::kInfo, "job.resumed")
-          .arg("id", job->id())
-          .arg("iteration", ckpt.iterations)
-          .arg("best", ckpt.best_length);
-      run = iterated_local_search_resume(active_engine, instance, ckpt, opts);
-    } catch (const CheckError& e) {
-      obs::Log::global()
-          .event(obs::LogLevel::kWarn, "job.checkpoint_invalid")
-          .arg("id", job->id())
-          .arg("error", e.what());
-    }
-  }
-  if (!run.has_value()) {
-    Tour tour = instance.metric() == Metric::kExplicit
-                    ? nearest_neighbor(instance)
-                    : multiple_fragment(instance);
-    constructive_length = tour.length(instance);
-    job->best_length.store(constructive_length, std::memory_order_relaxed);
-    run = iterated_local_search(active_engine, instance, tour, opts);
-  }
-  IlsResult& ils = *run;
-  job->best_length.store(ils.best_length, std::memory_order_relaxed);
-  job->iteration.store(ils.iterations, std::memory_order_relaxed);
-
-  JobResult result;
-  result.constructive_length = constructive_length;
-  result.best_length = ils.best_length;
-  result.iterations = ils.iterations;
-  result.improvements = ils.improvements;
-  result.checks = ils.checks;
-  result.wall_seconds = ils.wall_seconds;
-  result.stopped = ils.stopped;
-  result.order.assign(ils.best.order().begin(), ils.best.order().end());
-
-  obs::RunReport report;
-  describe_environment(report);
-  report.set_run("job_id", std::to_string(job->id()));
-  report.set_instance(instance.name(), instance.n(),
-                      to_string(instance.metric()));
-  report.set_engine(active_engine.name());
-  report.set_config("requested_engine", spec.engine);
-  report.set_config("priority", std::to_string(spec.priority));
-  report.set_config("seed", std::to_string(spec.seed));
-  report.set_config("attempt", std::to_string(attempt));
-  report_ils(report, ils);
-  if (multi) report_multi_device(report, *multi);
-  result.report_json = report.to_json();
-  job->set_result(std::move(result));
-
-  // Classify the ending: a cancel or an over-deadline stop is not a
-  // completed job even though a best tour exists.
-  if (job->cancel_requested()) return JobState::kCancelled;
-  // Expired: the stop hook fired on the deadline, or the deadline-clamped
-  // budget ran dry (an iteration-capped run can still finish early inside
-  // the clamp — then the deadline has not passed and the job completed).
-  if ((ils.stopped || deadline_clamped) && job->deadline_passed()) {
-    return JobState::kExpired;
-  }
-  return JobState::kFinished;
 }
 
 Scheduler::Stats Scheduler::stats() const {

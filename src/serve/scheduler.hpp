@@ -2,15 +2,19 @@
 //
 // A Scheduler multiplexes concurrent solve jobs over a shared
 // simt::DevicePool: admission control and priority ordering come from the
-// bounded JobQueue, execution from a fixed pool of worker jthreads. Each
-// worker leases devices per job and builds a *per-job* engine of exactly
-// the class the client requested: gpu-multi runs behind TwoOptMultiDevice
-// (fault quarantine/retry state scoped to the job, never the process),
-// the single-device gpu classes run as-is on a one-device lease (a fatal
-// fault re-runs the attempt on a fresh lease). The worker then runs the
-// ILS driver with cooperative
-// stop hooks (cancellation, deadline, drain), and streams per-round
-// progress into the Job record plus a per-job RunReport.
+// bounded JobQueue, execution from a fixed pool of worker jthreads. Every
+// run goes through one path: a worker pops a job (plus, for batchable
+// jobs, whatever the micro-batcher coalesces with it), leases devices,
+// asks EngineFactory for the engine on that lease, and runs one
+// PopulationIls with a member per job — a solo job is a batch of one. A
+// solo job gets exactly the engine class the client requested: gpu-multi
+// runs behind TwoOptMultiDevice (fault quarantine/retry state scoped to
+// the job, never the process), the single-device gpu classes run as-is on
+// a one-device lease. A coalesced batch runs its batch engine class on one
+// lease. A fatal engine error re-runs each unsettled member alone, on a
+// fresh lease, up to max_attempts. Members carry cooperative stop hooks
+// (cancellation, deadline, drain) and stream per-round progress into
+// their Job record plus a per-job RunReport.
 //
 // Observability: the scheduler publishes serve.queue_depth /
 // serve.active_jobs / serve.queue_oldest_age_ms gauges, the
@@ -56,8 +60,9 @@ struct SchedulerOptions {
   double min_retry_after_ms = 100.0;
   // Fault policy for the per-job multi-device engines.
   MultiDeviceOptions multi;
-  // A job whose engine raises a fatal error is re-run (with a fresh
-  // device lease) up to this many attempts before it is marked failed.
+  // A job whose engine raises a fatal error is re-run (alone, with a
+  // fresh device lease) up to this many attempts before it is marked
+  // failed — batched jobs included.
   std::int32_t max_attempts = 2;
   // Terminal jobs (holding the full tour + report) are retained for
   // result retrieval until forget(), but at most this many: beyond the
@@ -72,15 +77,16 @@ struct SchedulerOptions {
   // any worker starts. Empty = in-memory only (PR 5 behaviour).
   std::string journal_dir;
   JournalOptions journal;
-  // How often running jobs checkpoint their ILS loop state into the
+  // How often running solo jobs checkpoint their ILS loop state into the
   // journal's spool (iterations between checkpoint writes). Only
   // meaningful with a journal; <= 0 disables per-job checkpointing.
+  // Coalesced batches spool no checkpoints.
   std::int64_t checkpoint_every_iterations = 64;
 
   // Micro-batcher policy: batchable jobs sharing a batch key coalesce
   // into one batch engine pass, up to batcher.max_batch members, after a
   // linger of at most batcher.max_wait_ms. max_batch = 1 disables
-  // coalescing entirely (every job runs the solo path).
+  // coalescing entirely (every job runs as a batch of one).
   BatcherOptions batcher;
 };
 
@@ -200,29 +206,30 @@ class Scheduler {
 
  private:
   void worker_loop(std::size_t worker_index);
-  void run_job(const std::shared_ptr<Job>& job);
-  // Run a coalesced batch: one PopulationIls pass sequence with one
-  // member per job, settling every member individually. Falls back to
-  // run_job for a batch of one.
-  void run_batch(std::vector<std::shared_ptr<Job>> batch);
+  // Run popped jobs as one population: a solo job is a batch of one, a
+  // coalesced batch has one member per job. Claims every job, runs the
+  // attempts and settles every member individually.
+  void run(std::vector<std::shared_ptr<Job>> jobs);
   // Claim the start of a popped job (wait accounting + the queued ->
   // running transition, resolving cancel/deadline races). False when the
   // job settled here instead of starting.
   bool begin_running(const std::shared_ptr<Job>& job);
-  // One solve attempt: lease devices, build the engine, run ILS. Throws on
-  // fatal engine errors (the retry loop in run_job catches); returns the
-  // terminal state the job should settle into.
-  JobState execute_attempt(const std::shared_ptr<Job>& job,
-                           std::int32_t attempt);
-  // One coalesced attempt over the whole batch: one lease, one batch
-  // engine, one PopulationIls run with a member per job. Returns each
-  // member's terminal state (aligned with `members`); throws on fatal
-  // engine errors — there is no batch-level retry, run_batch fails the
-  // unsettled members (at-least-once semantics still hold through the
-  // journal, like any other failed attempt).
-  std::vector<JobState> execute_batch(
+  // Attempt `members` as one population and return each member's terminal
+  // state (aligned with `members`). When an attempt throws, every member
+  // with attempts left under max_attempts re-runs alone, as a batch of
+  // one; the rest fail with the error.
+  std::vector<JobState> run_attempts(
       const std::vector<std::shared_ptr<Job>>& members,
       std::uint64_t batch_id);
+  // One solve attempt over `members` (batch_id 0 = a solo job): lease the
+  // devices, build the engine, run one PopulationIls with a member per
+  // job, and attach each member's result and report. A solo job runs the
+  // engine it requested and spools checkpoints into the journal (resuming
+  // from one when `resume`); a coalesced batch runs its batch engine
+  // class. Throws on fatal engine errors.
+  std::vector<JobState> execute(
+      const std::vector<std::shared_ptr<Job>>& members,
+      std::uint64_t batch_id, bool resume);
   // Account a job that reached `terminal` (log event, counters, drain cv).
   void settle(const std::shared_ptr<Job>& job, JobState terminal);
   double estimate_retry_after_ms() const;

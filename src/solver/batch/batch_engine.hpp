@@ -56,9 +56,42 @@ inline obs::Span batch_pass_span(const BatchTwoOptEngine& engine,
   return span;
 }
 
-// Adapts a batch engine to the single-tour TwoOptEngine interface by
-// running batches of one. This is how the factory's `batch-*` names plug
-// into the existing local-search/ILS drivers and the equivalence tests;
+// Presents any single-tour engine as a batch engine: one engine.search per
+// active slot, on the slot's own Tour, so lineage stamps (and with them
+// the pruned engines' incremental pass staging) carry across passes
+// exactly as in a solo descent. This is how a solo ILS runs as a
+// population of one and a solo serve job as a batch of one.
+class PerSlotBatchEngine : public BatchTwoOptEngine {
+ public:
+  explicit PerSlotBatchEngine(TwoOptEngine& engine) : engine_(&engine) {}
+  explicit PerSlotBatchEngine(std::unique_ptr<TwoOptEngine> engine)
+      : owned_(std::move(engine)), engine_(owned_.get()) {}
+
+  std::string name() const override { return engine_->name(); }
+
+  BatchSearchResult search(TourBatch& batch) override {
+    BatchSearchResult out;
+    out.per_tour.resize(static_cast<std::size_t>(batch.size()));
+    for (std::int32_t b = 0; b < batch.size(); ++b) {
+      if (!batch.active(b)) continue;
+      SearchResult& slot = out.per_tour[static_cast<std::size_t>(b)];
+      slot = engine_->search(batch.instance(), batch.tour(b));
+      out.checks += slot.checks;
+      out.wall_seconds += slot.wall_seconds;
+    }
+    return out;
+  }
+
+  TwoOptEngine& engine() { return *engine_; }
+
+ private:
+  std::unique_ptr<TwoOptEngine> owned_;
+  TwoOptEngine* engine_;
+};
+
+// The reverse adapter: a batch engine as a single-tour TwoOptEngine,
+// running batches of one. This is how the factory's `batch-*` names serve
+// single-tour call sites (the CLI tools, bench_report's engine sweep);
 // hosts that actually hold many tours should use the batch interface
 // directly.
 class BatchSingleTourAdapter : public TwoOptEngine {
@@ -75,8 +108,6 @@ class BatchSingleTourAdapter : public TwoOptEngine {
     out.wall_seconds = result.wall_seconds;
     return out;
   }
-
-  BatchTwoOptEngine& batch_engine() { return *engine_; }
 
  private:
   std::unique_ptr<BatchTwoOptEngine> engine_;

@@ -16,7 +16,7 @@ std::vector<LocalSearchStats> batch_local_search(
         timer.seconds() >= options.time_limit_seconds) {
       break;
     }
-    obs::Span span = obs::Tracer::global().span("ls.batch_pass", "solver");
+    obs::Span span = obs::Tracer::global().span("ls.pass", "solver");
     if (span) {
       span.arg("pass", round);
       span.arg("batch_size", static_cast<std::int64_t>(batch.active_count()));

@@ -9,14 +9,12 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "solver/batch/batch_local_search.hpp"
-#include "solver/batch/population_checkpoint.hpp"
+#include "solver/checkpoint.hpp"
 
 namespace tspopt {
 
 namespace {
 
-// Same acceptance rule as the single-start driver (ils.cpp) — kept in
-// lockstep so a migrate_every == 0 member is bit-identical to a solo run.
 bool accept(IlsAcceptance criterion, double epsilon, std::int64_t candidate,
             std::int64_t incumbent) {
   switch (criterion) {
@@ -31,9 +29,8 @@ bool accept(IlsAcceptance criterion, double epsilon, std::int64_t candidate,
   return false;
 }
 
-// One member's loop-carried state: the per-slot image of ils.cpp's
-// LoopState, which is also exactly what the population checkpoint stores
-// per member.
+// One member's loop-carried state — exactly what the checkpoint stores per
+// member.
 struct MemberState {
   Tour incumbent;
   std::int64_t incumbent_len = 0;
@@ -57,7 +54,7 @@ struct PopState {
 
 void write_checkpoint(const std::string& path, const PopState& ps,
                       double now) {
-  obs::Span span = obs::Tracer::global().span("pop.checkpoint", "ils");
+  obs::Span span = obs::Tracer::global().span("ils.checkpoint", "ils");
   if (span) span.arg("rounds", ps.rounds);
   PopulationCheckpoint ck;
   ck.rounds = ps.rounds;
@@ -85,7 +82,7 @@ void write_checkpoint(const std::string& path, const PopState& ps,
   }
   save_population_checkpoint(path, ck);
   obs::Log::global()
-      .event(obs::LogLevel::kDebug, "pop.checkpoint")
+      .event(obs::LogLevel::kDebug, "ils.checkpoint")
       .arg("path", path)
       .arg("rounds", ps.rounds)
       .arg("seconds", now);
@@ -127,16 +124,11 @@ void migrate(PopState& ps) {
   to.incumbent = from.result.best;
   to.incumbent_len = from.result.best_length;
   ++ps.migrations;
-  obs::Log::global()
-      .event(obs::LogLevel::kDebug, "pop.migration")
-      .arg("from", static_cast<std::int64_t>(src))
-      .arg("to", static_cast<std::int64_t>(dst))
-      .arg("length", from.result.best_length);
 }
 
 // The shared round loop: fresh runs enter it after the initial descent,
 // resumed runs directly. `batch` must be sized to the population (its
-// contents are replaced every round).
+// slots are overwritten every round).
 PopulationIlsResult run_rounds(
     BatchTwoOptEngine& engine, TourBatch& batch,
     const std::vector<PopulationMemberOptions>& members,
@@ -145,12 +137,16 @@ PopulationIlsResult run_rounds(
   auto now = [&] { return ps.base_seconds + timer.seconds(); };
   const auto population = static_cast<std::int32_t>(ps.members.size());
 
+  // Per-round telemetry. Instrument references are resolved once per run;
+  // the loop body pays only lock-free atomic updates.
   obs::Registry& registry = obs::Registry::global();
-  obs::Counter& m_rounds = registry.counter("pop.rounds");
-  obs::Counter& m_migrations = registry.counter("pop.migrations");
-  obs::Gauge& m_best = registry.gauge("pop.best_length");
-  obs::Histogram& m_round_us = registry.histogram(
-      "pop.round_us",
+  obs::Counter& m_iterations = registry.counter("ils.iterations");
+  obs::Counter& m_accepted = registry.counter("ils.accepted");
+  obs::Counter& m_improvements = registry.counter("ils.improvements");
+  obs::Counter& m_migrations = registry.counter("ils.migrations");
+  obs::Gauge& m_best = registry.gauge("ils.best_length");
+  obs::Histogram& m_iteration_us = registry.histogram(
+      "ils.iteration_us",
       {100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000,
        500000, 1000000, 5000000});
   m_best.set(static_cast<double>(best_population_length(ps)));
@@ -162,9 +158,8 @@ PopulationIlsResult run_rounds(
     st.result.wall_seconds = now();
   };
 
-  // Member budget poll, also used mid-descent so a cancellation or member
-  // deadline lands between passes (the solo driver's stop_observer
-  // cadence).
+  // Member budget poll between the passes of a round's descent, so a
+  // cancellation or member deadline lands mid-descent, not after it.
   auto member_should_stop = [&](std::int32_t b) {
     const PopulationMemberOptions& mo = members[static_cast<std::size_t>(b)];
     if (mo.should_stop && mo.should_stop()) return true;
@@ -207,23 +202,21 @@ PopulationIlsResult run_rounds(
     for (const MemberState& st : ps.members) live += st.finished ? 0 : 1;
     if (live == 0) break;
 
-    obs::Span round_span = obs::Tracer::global().span("pop.round", "ils");
-    WallTimer round_timer;
+    obs::Span iter_span = obs::Tracer::global().span("ils.iteration", "ils");
+    WallTimer iter_timer;
 
-    // Perturbation: double bridge per live member on its own RNG stream.
+    // Perturbation (line 5): double bridge on a copy of each live member's
+    // incumbent, written into the member's slot on its own RNG stream.
     for (std::int32_t b = 0; b < population; ++b) {
       MemberState& st = ps.members[static_cast<std::size_t>(b)];
-      if (st.finished) {
-        batch.set_active(b, false);
-        continue;
-      }
-      Tour candidate = st.incumbent;
+      batch.set_active(b, !st.finished);
+      if (st.finished) continue;
+      Tour& candidate = batch.tour_mut(b);
+      candidate = st.incumbent;
       candidate.double_bridge(st.rng);
-      batch.set_tour(b, candidate);
-      batch.set_active(b, true);
     }
 
-    // The round's shared descent, clipped to the remaining global budget.
+    // Local search (line 6), clipped to the remaining global budget.
     LocalSearchOptions round_ls = options.local_search;
     if (options.time_limit_seconds >= 0.0) {
       double remaining = options.time_limit_seconds - now();
@@ -236,7 +229,7 @@ PopulationIlsResult run_rounds(
     std::vector<LocalSearchStats> stats =
         batch_local_search(engine, batch, round_ls, member_should_stop);
 
-    // Acceptance per member (the solo loop's lines, replayed per slot).
+    // Acceptance criterion (line 7), per member.
     for (std::int32_t b = 0; b < population; ++b) {
       MemberState& st = ps.members[static_cast<std::size_t>(b)];
       if (st.finished) continue;
@@ -253,34 +246,41 @@ PopulationIlsResult run_rounds(
         st.result.best = batch.tour(b);
         st.result.best_length = length;
         ++st.result.improvements;
+        m_improvements.add();
         st.result.trace.push_back({now(), st.result.best_length,
                                    st.result.iterations, st.result.checks,
                                    st.passes});
+        obs::Log::global()
+            .event(obs::LogLevel::kInfo, "ils.improvement")
+            .arg("member", static_cast<std::int64_t>(b))
+            .arg("iteration", st.result.iterations)
+            .arg("best", st.result.best_length)
+            .arg("seconds", now());
       }
       if (accept(options.acceptance, options.epsilon, length,
                  st.incumbent_len)) {
-        st.incumbent = batch.tour(b);
+        // The slot is overwritten next round, so the descended tour can
+        // move into the incumbent instead of being copied.
+        std::swap(st.incumbent, batch.tour_mut(b));
         st.incumbent_len = length;
+        m_accepted.add();
       }
       if (mo.on_progress) {
         mo.on_progress(
             {st.result.iterations, st.result.best_length, now(), improved});
       }
-      if (mo.should_stop && mo.should_stop()) {
-        st.result.stopped = true;
-        finish_member(b);
-      }
     }
 
     ++ps.rounds;
-    m_rounds.add();
-    m_best.set(static_cast<double>(best_population_length(ps)));
-    if (round_span) {
-      round_span.arg("round", ps.rounds);
-      round_span.arg("live", static_cast<std::int64_t>(live));
-      round_span.arg("best", best_population_length(ps));
+    m_iterations.add(static_cast<std::uint64_t>(live));
+    std::int64_t best = best_population_length(ps);
+    m_best.set(static_cast<double>(best));
+    if (iter_span) {
+      iter_span.arg("round", ps.rounds);
+      iter_span.arg("live", static_cast<std::int64_t>(live));
+      iter_span.arg("best", best);
     }
-    m_round_us.observe(round_timer.micros());
+    m_iteration_us.observe(iter_timer.micros());
 
     if (options.migrate_every > 0 &&
         ps.rounds % options.migrate_every == 0) {
@@ -300,32 +300,52 @@ PopulationIlsResult run_rounds(
   out.wall_seconds = now();
   out.stopped = global_stop;
   out.members.reserve(ps.members.size());
+  std::int64_t iterations = 0;
+  std::int64_t improvements = 0;
+  std::uint64_t checks = 0;
   for (std::int32_t b = 0; b < population; ++b) {
     MemberState& st = ps.members[static_cast<std::size_t>(b)];
     if (!st.finished) {
       if (global_stop) st.result.stopped = true;
-      st.result.wall_seconds = now();
+      st.result.wall_seconds = out.wall_seconds;
     }
     if (st.result.best_length <
         ps.members[static_cast<std::size_t>(out.best_member)]
             .result.best_length) {
       out.best_member = b;
     }
+    iterations += st.result.iterations;
+    improvements += st.result.improvements;
+    checks += st.result.checks;
     out.members.push_back(std::move(st.result));
   }
   obs::Log::global()
-      .event(obs::LogLevel::kInfo, "pop.finish")
+      .event(obs::LogLevel::kInfo, "ils.finish")
       .arg("population", static_cast<std::int64_t>(population))
-      .arg("rounds", out.rounds)
+      .arg("iterations", iterations)
+      .arg("improvements", improvements)
       .arg("migrations", out.migrations)
-      .arg("best", out.members[static_cast<std::size_t>(out.best_member)]
-                       .best_length)
+      .arg("best", out.best().best_length)
+      .arg("checks", checks)
       .arg("seconds", out.wall_seconds)
       .arg("stopped", out.stopped);
   return out;
 }
 
 }  // namespace
+
+PopulationIlsOptions population_options(const IlsOptions& options) {
+  PopulationIlsOptions out;
+  out.time_limit_seconds = options.time_limit_seconds;
+  out.max_iterations = options.max_iterations;
+  out.acceptance = options.acceptance;
+  out.epsilon = options.epsilon;
+  out.local_search = options.local_search;
+  out.checkpoint_path = options.checkpoint_path;
+  out.checkpoint_every = options.checkpoint_every;
+  out.should_stop = options.should_stop;
+  return out;
+}
 
 std::vector<PopulationMemberOptions> population_members(std::int32_t count,
                                                         std::uint64_t seed) {
@@ -357,7 +377,7 @@ PopulationIlsResult population_ils(
     ls.time_limit_seconds = options.time_limit_seconds;
   }
   obs::Span descent_span =
-      obs::Tracer::global().span("pop.initial_descent", "ils");
+      obs::Tracer::global().span("ils.initial_descent", "ils");
   if (descent_span) {
     descent_span.arg("population", static_cast<std::int64_t>(population));
   }
@@ -376,7 +396,6 @@ PopulationIlsResult population_ils(
   for (std::int32_t b = 0; b < population; ++b) {
     MemberState st(batch.tour(b), Pcg32(members[static_cast<std::size_t>(b)].seed));
     st.incumbent_len = batch.length(b);
-    st.result.best = st.incumbent;
     st.result.best_length = st.incumbent_len;
     st.result.checks = descent[static_cast<std::size_t>(b)].checks;
     st.passes = descent[static_cast<std::size_t>(b)].passes;
@@ -401,9 +420,9 @@ PopulationIlsResult population_ils_resume(
     const PopulationIlsOptions& options) {
   validate_population_checkpoint(checkpoint, instance);
   TSPOPT_CHECK_MSG(members.size() == checkpoint.members.size(),
-                   "population checkpoint has " << checkpoint.members.size()
-                                                << " members, options have "
-                                                << members.size());
+                   "checkpoint has " << checkpoint.members.size()
+                                     << " members, options have "
+                                     << members.size());
 
   PopState ps;
   ps.rounds = checkpoint.rounds;

@@ -1,17 +1,23 @@
-// Population ILS: B-way multi-start iterated local search driven by one
-// batch engine pass per round.
+// Population ILS: the one implementation of the paper's Algorithm 1,
+// B members at a time, driven by one batch engine pass per round.
+//
+//   s* <- 2optLocalSearch(s0)
+//   while not done: s' <- Perturbation(s*); s' <- 2optLocalSearch(s');
+//                   s* <- AcceptanceCriterion(s*, s')
 //
 // Every round each live member perturbs its incumbent (double bridge on
 // its own RNG stream) and all candidates descend together through
 // batch_local_search — so a B-member population pays one batched launch
-// sequence per round where B independent ILS runs would pay B. The paper
-// has no population mode; this is what the batch engines' capacity buys
-// algorithmically: with migrate_every == 0 the members are fully
-// independent multi-starts (a member with seed S is bit-identical to the
-// single-start driver run with seed S under iteration-bounded options —
-// the determinism tests pin this), and with migrate_every > 0 the
-// population periodically copies the best member's best tour over the
-// worst member's incumbent, trading independence for intensification.
+// sequence per round where B independent ILS runs would pay B. A solo run
+// is a population of one: iterated_local_search (ils.hpp) runs any
+// single-tour engine here through PerSlotBatchEngine, and the serve
+// scheduler runs a solo job as a batch of one.
+//
+// With migrate_every == 0 the members are fully independent multi-starts
+// (a member with seed S is bit-identical to the solo run with seed S — the
+// determinism tests pin this), and with migrate_every > 0 the population
+// periodically copies the best member's best tour over the worst member's
+// incumbent, trading independence for intensification.
 //
 // Per-member budgets (time, iterations, stop hooks) exist because the
 // serve-side micro-batcher runs jobs with individual deadlines through
@@ -53,11 +59,15 @@ struct PopulationIlsOptions {
   IlsAcceptance acceptance = IlsAcceptance::kBetter;
   double epsilon = 0.02;
   LocalSearchOptions local_search;  // per-descent budget (defaults: none)
-  // Whole-population checkpoint every `checkpoint_every` completed rounds
-  // (and once after the initial descent); empty path = off.
+  // Whole-population checkpoint (checkpoint.hpp) every `checkpoint_every`
+  // completed rounds and once after the initial descent, so a killed run
+  // can resume bit-identically via population_ils_resume; empty path = off.
   std::string checkpoint_path;
   std::int64_t checkpoint_every = 16;
-  std::function<bool()> should_stop;  // global cooperative stop
+  // Global cooperative stop, polled before every round and between the
+  // passes of a descent; ends the run with PopulationIlsResult::stopped
+  // and every unfinished member's IlsResult::stopped set.
+  std::function<bool()> should_stop;
 };
 
 struct PopulationIlsResult {
@@ -93,6 +103,11 @@ PopulationIlsResult population_ils_resume(
     const PopulationCheckpoint& checkpoint,
     const std::vector<PopulationMemberOptions>& members,
     const PopulationIlsOptions& options);
+
+// The population-wide part of a solo run's options (everything but the
+// seed and progress hook, which are the member's): how a population of
+// one runs, or resumes, exactly as iterated_local_search would.
+PopulationIlsOptions population_options(const IlsOptions& options);
 
 // Convenience roster: `count` members with consecutive seeds
 // (seed, seed + 1, ...) and no individual budgets.

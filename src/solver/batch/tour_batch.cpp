@@ -18,8 +18,6 @@ TourBatch::TourBatch(const Instance& instance, std::vector<Tour> tours)
   stride_ = ((n_ + 1 + kPad - 1) / kPad) * kPad;
   lengths_.resize(tours_.size());
   active_.assign(tours_.size(), 1);
-  xs_.resize(static_cast<std::size_t>(stride_) * tours_.size());
-  ys_.resize(static_cast<std::size_t>(stride_) * tours_.size());
   for (std::int32_t b = 0; b < size(); ++b) refresh_length(b);
 }
 
@@ -30,14 +28,6 @@ TourBatch TourBatch::replicated(const Instance& instance, const Tour& tour,
   tours.reserve(static_cast<std::size_t>(copies));
   for (std::int32_t b = 0; b < copies; ++b) tours.push_back(tour);
   return TourBatch(instance, std::move(tours));
-}
-
-void TourBatch::set_tour(std::int32_t b, const Tour& tour) {
-  TSPOPT_CHECK_MSG(tour.n() == n_, "batch tour has " << tour.n()
-                                                     << " cities, batch has "
-                                                     << n_);
-  tours_[check_slot(b)] = tour;
-  refresh_length(b);
 }
 
 std::int64_t TourBatch::refresh_length(std::int32_t b) {
@@ -57,6 +47,10 @@ std::int32_t TourBatch::active_count() const {
 
 void TourBatch::stage(std::int32_t b) {
   const Tour& t = tours_[check_slot(b)];
+  if (xs_.empty()) {
+    xs_.resize(static_cast<std::size_t>(stride_) * tours_.size());
+    ys_.resize(static_cast<std::size_t>(stride_) * tours_.size());
+  }
   std::span<const Point> pts = instance_->points();
   std::span<const std::int32_t> route = t.order();
   float* xs = xs_.data() + static_cast<std::size_t>(b) * stride_;

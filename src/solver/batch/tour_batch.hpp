@@ -24,8 +24,9 @@ namespace tspopt {
 
 class TourBatch {
  public:
-  // All tours must have the instance's n. The slab is sized once here;
-  // steady-state restaging allocates nothing.
+  // All tours must have the instance's n. The slab is sized on the first
+  // stage() (engines that never stage, like the per-slot adapter, never
+  // pay for it); steady-state restaging allocates nothing.
   TourBatch(const Instance& instance, std::vector<Tour> tours);
 
   // B independent copies of one tour (the equivalence suite's shape).
@@ -39,10 +40,9 @@ class TourBatch {
   std::int32_t stride() const { return stride_; }
 
   const Tour& tour(std::int32_t b) const { return tours_[check_slot(b)]; }
-  // Mutating a tour invalidates its cached length; call refresh_length().
+  // Mutating or replacing a tour invalidates its cached length; a descent
+  // over the slot recomputes it, as does refresh_length().
   Tour& tour_mut(std::int32_t b) { return tours_[check_slot(b)]; }
-  // Replace slot b's tour outright (population migration, perturbation).
-  void set_tour(std::int32_t b, const Tour& tour);
 
   // Cached closed-tour length of slot b (refresh_length to recompute
   // after a mutation through tour_mut).

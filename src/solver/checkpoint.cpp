@@ -12,7 +12,11 @@ namespace tspopt {
 
 namespace {
 
-constexpr char kMagic[8] = {'T', 'S', 'P', 'C', 'K', 'P', 'T', '\0'};
+constexpr char kMagic[8] = {'T', 'S', 'P', 'P', 'O', 'P', 'C', '\0'};
+// Magic, version and payload size precede the payload; the checksum
+// follows it.
+constexpr std::uint64_t kHeaderBytes = sizeof(kMagic) + 4 + 8;
+constexpr std::uint64_t kChecksumBytes = 8;
 
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
@@ -65,7 +69,7 @@ class Reader {
   std::vector<std::int32_t> get_orders() {
     auto count = get<std::uint32_t>();
     TSPOPT_CHECK_MSG(static_cast<std::size_t>(count) * sizeof(std::int32_t) <=
-                         bytes_.size() - pos_,
+                         remaining(),
                      "checkpoint tour length " << count
                                                << " exceeds payload size");
     std::vector<std::int32_t> order(count);
@@ -73,110 +77,52 @@ class Reader {
     return order;
   }
 
-  bool exhausted() const { return pos_ == bytes_.size(); }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   const std::string& bytes_;
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
-void save_ils_checkpoint(const std::string& path, const IlsCheckpoint& ck) {
-  Writer w;
-  w.put(ck.iterations);
-  w.put(ck.improvements);
-  w.put(ck.checks);
-  w.put(ck.passes);
-  w.put(ck.elapsed_seconds);
-  w.put_orders(ck.best_order);
-  w.put(ck.best_length);
-  w.put_orders(ck.incumbent_order);
-  w.put(ck.incumbent_length);
-  w.put(ck.rng.state);
-  w.put(ck.rng.inc);
-  w.put(static_cast<std::uint64_t>(ck.trace.size()));
-  for (const IlsTracePoint& p : ck.trace) {
+void put_member(Writer& w, const IlsCheckpoint& m) {
+  w.put(m.iterations);
+  w.put(m.improvements);
+  w.put(m.checks);
+  w.put(m.passes);
+  w.put(m.elapsed_seconds);
+  w.put_orders(m.best_order);
+  w.put(m.best_length);
+  w.put_orders(m.incumbent_order);
+  w.put(m.incumbent_length);
+  w.put(m.rng.state);
+  w.put(m.rng.inc);
+  w.put(static_cast<std::uint64_t>(m.trace.size()));
+  for (const IlsTracePoint& p : m.trace) {
     w.put(p.seconds);
     w.put(p.length);
     w.put(p.iteration);
     w.put(p.checks);
     w.put(p.passes);
   }
-
-  const std::string& payload = w.bytes();
-  std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    TSPOPT_CHECK_MSG(out.good(), "cannot write checkpoint: " << tmp);
-    out.write(kMagic, sizeof(kMagic));
-    std::uint32_t version = IlsCheckpoint::kVersion;
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    auto size = static_cast<std::uint64_t>(payload.size());
-    out.write(reinterpret_cast<const char*>(&size), sizeof(size));
-    out.write(payload.data(),
-              static_cast<std::streamsize>(payload.size()));
-    std::uint64_t checksum = fnv1a(payload);
-    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-    out.flush();
-    TSPOPT_CHECK_MSG(out.good(), "checkpoint write failed: " << tmp);
-  }
-  TSPOPT_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                   "cannot move checkpoint into place: " << path);
 }
 
-IlsCheckpoint load_ils_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  TSPOPT_CHECK_MSG(in.good(), "cannot open checkpoint: " << path);
-
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  TSPOPT_CHECK_MSG(in.gcount() == sizeof(magic) &&
-                       std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
-                   "not a checkpoint file: " << path);
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  TSPOPT_CHECK_MSG(in.gcount() == sizeof(version) &&
-                       version == IlsCheckpoint::kVersion,
-                   "unsupported checkpoint version " << version << " in "
-                                                     << path);
-  std::uint64_t size = 0;
-  in.read(reinterpret_cast<char*>(&size), sizeof(size));
-  TSPOPT_CHECK_MSG(in.gcount() == sizeof(size), "checkpoint header truncated");
-  // An absurd length means a corrupt header; don't let it drive a huge
-  // allocation.
-  TSPOPT_CHECK_MSG(size <= (1ULL << 32),
-                   "checkpoint payload length " << size << " is implausible");
-
-  std::string payload(size, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(size));
-  TSPOPT_CHECK_MSG(static_cast<std::uint64_t>(in.gcount()) == size,
-                   "checkpoint payload truncated: expected "
-                       << size << " bytes, got " << in.gcount());
-  std::uint64_t checksum = 0;
-  in.read(reinterpret_cast<char*>(&checksum), sizeof(checksum));
-  TSPOPT_CHECK_MSG(in.gcount() == sizeof(checksum),
-                   "checkpoint checksum missing (truncated file)");
-  TSPOPT_CHECK_MSG(checksum == fnv1a(payload),
-                   "checkpoint checksum mismatch (corrupt file): " << path);
-
-  Reader r(payload);
-  IlsCheckpoint ck;
-  ck.iterations = r.get<std::int64_t>();
-  ck.improvements = r.get<std::int64_t>();
-  ck.checks = r.get<std::uint64_t>();
-  ck.passes = r.get<std::int64_t>();
-  ck.elapsed_seconds = r.get<double>();
-  ck.best_order = r.get_orders();
-  ck.best_length = r.get<std::int64_t>();
-  ck.incumbent_order = r.get_orders();
-  ck.incumbent_length = r.get<std::int64_t>();
-  ck.rng.state = r.get<std::uint64_t>();
-  ck.rng.inc = r.get<std::uint64_t>();
+IlsCheckpoint get_member(Reader& r) {
+  IlsCheckpoint m;
+  m.iterations = r.get<std::int64_t>();
+  m.improvements = r.get<std::int64_t>();
+  m.checks = r.get<std::uint64_t>();
+  m.passes = r.get<std::int64_t>();
+  m.elapsed_seconds = r.get<double>();
+  m.best_order = r.get_orders();
+  m.best_length = r.get<std::int64_t>();
+  m.incumbent_order = r.get_orders();
+  m.incumbent_length = r.get<std::int64_t>();
+  m.rng.state = r.get<std::uint64_t>();
+  m.rng.inc = r.get<std::uint64_t>();
   auto points = r.get<std::uint64_t>();
-  TSPOPT_CHECK_MSG(points <= size, "checkpoint trace count " << points
-                                                             << " implausible");
-  ck.trace.reserve(points);
+  TSPOPT_CHECK_MSG(points <= r.remaining(),
+                   "checkpoint trace count " << points << " implausible");
+  m.trace.reserve(points);
   for (std::uint64_t i = 0; i < points; ++i) {
     IlsTracePoint p;
     p.seconds = r.get<double>();
@@ -184,15 +130,12 @@ IlsCheckpoint load_ils_checkpoint(const std::string& path) {
     p.iteration = r.get<std::int64_t>();
     p.checks = r.get<std::uint64_t>();
     p.passes = r.get<std::int64_t>();
-    ck.trace.push_back(p);
+    m.trace.push_back(p);
   }
-  TSPOPT_CHECK_MSG(r.exhausted(),
-                   "checkpoint payload has trailing bytes (corrupt file)");
-  return ck;
+  return m;
 }
 
-void validate_ils_checkpoint(const IlsCheckpoint& ck,
-                             const Instance& instance) {
+void validate_member(const IlsCheckpoint& ck, const Instance& instance) {
   auto n = static_cast<std::size_t>(instance.n());
   TSPOPT_CHECK_MSG(ck.best_order.size() == n && ck.incumbent_order.size() == n,
                    "checkpoint tours have " << ck.best_order.size() << "/"
@@ -215,6 +158,112 @@ void validate_ils_checkpoint(const IlsCheckpoint& ck,
   TSPOPT_CHECK_MSG(ck.iterations >= 0 && ck.improvements >= 0 &&
                        ck.passes >= 0,
                    "checkpoint counters are negative");
+}
+
+}  // namespace
+
+void save_population_checkpoint(const std::string& path,
+                                const PopulationCheckpoint& ck) {
+  TSPOPT_CHECK_MSG(ck.finished.size() == ck.members.size() &&
+                       ck.stopped.size() == ck.members.size(),
+                   "checkpoint flag vectors out of step with members");
+  Writer w;
+  w.put(ck.rounds);
+  w.put(ck.migrations);
+  w.put(ck.elapsed_seconds);
+  w.put(static_cast<std::uint32_t>(ck.members.size()));
+  for (std::size_t b = 0; b < ck.members.size(); ++b) {
+    put_member(w, ck.members[b]);
+    w.put(ck.finished[b]);
+    w.put(ck.stopped[b]);
+  }
+
+  const std::string& payload = w.bytes();
+  std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    TSPOPT_CHECK_MSG(out.good(), "cannot write checkpoint: " << tmp);
+    out.write(kMagic, sizeof(kMagic));
+    std::uint32_t version = PopulationCheckpoint::kVersion;
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    auto size = static_cast<std::uint64_t>(payload.size());
+    out.write(reinterpret_cast<const char*>(&size), sizeof(size));
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    std::uint64_t checksum = fnv1a(payload);
+    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+    out.flush();
+    TSPOPT_CHECK_MSG(out.good(), "checkpoint write failed: " << tmp);
+  }
+  TSPOPT_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
+                   "cannot move checkpoint into place: " << path);
+}
+
+PopulationCheckpoint load_population_checkpoint(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  TSPOPT_CHECK_MSG(in.good(), "cannot open checkpoint: " << path);
+  auto file_bytes = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
+
+  char magic[sizeof(kMagic)];
+  in.read(magic, sizeof(magic));
+  TSPOPT_CHECK_MSG(in.gcount() == sizeof(magic) &&
+                       std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
+                   "not a checkpoint file: " << path);
+  std::uint32_t version = 0;
+  in.read(reinterpret_cast<char*>(&version), sizeof(version));
+  TSPOPT_CHECK_MSG(in.gcount() == sizeof(version) &&
+                       version == PopulationCheckpoint::kVersion,
+                   "unsupported checkpoint version " << version << " in "
+                                                     << path);
+  std::uint64_t size = 0;
+  in.read(reinterpret_cast<char*>(&size), sizeof(size));
+  TSPOPT_CHECK_MSG(in.gcount() == sizeof(size), "checkpoint header truncated");
+  // The header must account for the file exactly; checking before the
+  // allocation keeps a corrupt length from driving a huge one.
+  TSPOPT_CHECK_MSG(file_bytes >= kHeaderBytes + kChecksumBytes &&
+                       size == file_bytes - kHeaderBytes - kChecksumBytes,
+                   "checkpoint payload length "
+                       << size << " does not match the file (" << file_bytes
+                       << " bytes; truncated or corrupt)");
+
+  std::string payload(size, '\0');
+  in.read(payload.data(), static_cast<std::streamsize>(size));
+  std::uint64_t checksum = 0;
+  in.read(reinterpret_cast<char*>(&checksum), sizeof(checksum));
+  TSPOPT_CHECK_MSG(in.good(), "checkpoint read failed: " << path);
+  TSPOPT_CHECK_MSG(checksum == fnv1a(payload),
+                   "checkpoint checksum mismatch (corrupt file): " << path);
+
+  Reader r(payload);
+  PopulationCheckpoint ck;
+  ck.rounds = r.get<std::int64_t>();
+  ck.migrations = r.get<std::int64_t>();
+  ck.elapsed_seconds = r.get<double>();
+  auto count = r.get<std::uint32_t>();
+  TSPOPT_CHECK_MSG(count >= 1 && count <= (1U << 20),
+                   "checkpoint member count " << count << " implausible");
+  ck.members.reserve(count);
+  ck.finished.reserve(count);
+  ck.stopped.reserve(count);
+  for (std::uint32_t b = 0; b < count; ++b) {
+    ck.members.push_back(get_member(r));
+    ck.finished.push_back(r.get<std::uint8_t>());
+    ck.stopped.push_back(r.get<std::uint8_t>());
+  }
+  TSPOPT_CHECK_MSG(r.remaining() == 0,
+                   "checkpoint payload has trailing bytes (corrupt file)");
+  return ck;
+}
+
+void validate_population_checkpoint(const PopulationCheckpoint& ck,
+                                    const Instance& instance) {
+  TSPOPT_CHECK_MSG(!ck.members.empty(), "checkpoint has no members");
+  TSPOPT_CHECK_MSG(ck.finished.size() == ck.members.size() &&
+                       ck.stopped.size() == ck.members.size(),
+                   "checkpoint flag vectors out of step with members");
+  TSPOPT_CHECK_MSG(ck.rounds >= 0 && ck.migrations >= 0,
+                   "checkpoint counters are negative");
+  for (const IlsCheckpoint& m : ck.members) validate_member(m, instance);
 }
 
 }  // namespace tspopt

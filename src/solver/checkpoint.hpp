@@ -1,20 +1,26 @@
 // ILS checkpoint/resume.
 //
 // The paper's headline runs (744 710 cities, Fig. 11) take hours; a killed
-// process must not forfeit them. An IlsCheckpoint captures the complete
-// ILS loop state — best tour, incumbent tour, RNG state, iteration and
-// trace counters — so a resumed run continues *bit-identically*: the same
-// perturbation stream, the same accepted tours, the same final trace (up
-// to wall-clock stamps) as the run that was never interrupted.
+// process must not forfeit them. A PopulationCheckpoint captures the
+// complete loop state of a population ILS run — per member the best tour,
+// incumbent tour, RNG state, iteration and trace counters (one
+// IlsCheckpoint record), plus the population's round and migration
+// counters — so a resumed run continues *bit-identically*: the same
+// perturbation streams, the same accepted tours, the same final traces (up
+// to wall-clock stamps) as the run that was never interrupted. A solo ILS
+// run is a population of one and checkpoints in the same format.
 //
 // On-disk format (version 1): a little-endian binary file
 //
-//   bytes 0..7    magic "TSPCKPT\0"
+//   bytes 0..7    magic "TSPPOPC\0"
 //   bytes 8..11   u32 format version (currently 1)
 //   bytes 12..19  u64 payload byte count P
-//   bytes 20..20+P the payload (fields in declaration order; each tour as
-//                  u32 count + i32 cities; the trace as u64 count +
-//                  per-point fields; doubles as IEEE-754 bit patterns)
+//   bytes 20..20+P the payload: rounds, migrations, elapsed seconds, u32
+//                  member count, then per member its IlsCheckpoint fields
+//                  in declaration order (each tour as u32 count + i32
+//                  cities; the trace as u64 count + per-point fields;
+//                  doubles as IEEE-754 bit patterns) followed by its u8
+//                  finished and stopped flags
 //   last 8 bytes  u64 FNV-1a checksum of the payload
 //
 // Writes go to `path + ".tmp"` and are renamed into place, so a crash
@@ -32,9 +38,8 @@
 
 namespace tspopt {
 
+// One member's loop state.
 struct IlsCheckpoint {
-  static constexpr std::uint32_t kVersion = 1;
-
   // Loop position: the state after `iterations` completed perturbation
   // rounds (0 = after the initial descent).
   std::int64_t iterations = 0;
@@ -53,17 +58,30 @@ struct IlsCheckpoint {
   std::vector<IlsTracePoint> trace;
 };
 
+struct PopulationCheckpoint {
+  static constexpr std::uint32_t kVersion = 1;
+
+  std::int64_t rounds = 0;       // completed population rounds
+  std::int64_t migrations = 0;
+  double elapsed_seconds = 0.0;  // wall time consumed before the snapshot
+  std::vector<IlsCheckpoint> members;
+  std::vector<std::uint8_t> finished;  // member hit its own budget
+  std::vector<std::uint8_t> stopped;   // member ended via its stop hook
+};
+
 // Serialize atomically (tmp + rename). Throws CheckError on I/O failure.
-void save_ils_checkpoint(const std::string& path, const IlsCheckpoint& ck);
+void save_population_checkpoint(const std::string& path,
+                                const PopulationCheckpoint& ck);
 
 // Parse and verify. Throws CheckError for unreadable, truncated, corrupt,
 // or wrong-version files.
-IlsCheckpoint load_ils_checkpoint(const std::string& path);
+PopulationCheckpoint load_population_checkpoint(const std::string& path);
 
-// Consistency of a checkpoint against the instance it claims to describe:
-// both tours must be valid permutations of the instance's cities and the
-// stored lengths must match recomputation. Throws CheckError otherwise.
-void validate_ils_checkpoint(const IlsCheckpoint& ck,
-                             const Instance& instance);
+// Consistency against the instance the run will continue on: flag vectors
+// in step with the members, counters non-negative, and every member's
+// tours valid permutations of the instance's cities whose stored lengths
+// match recomputation. Throws CheckError otherwise.
+void validate_population_checkpoint(const PopulationCheckpoint& ck,
+                                    const Instance& instance);
 
 }  // namespace tspopt

@@ -17,9 +17,11 @@
 
 namespace tspopt {
 
-EngineFactory::EngineFactory(const Instance* instance, std::int32_t k)
+EngineFactory::EngineFactory(const Instance* instance, std::int32_t k,
+                             MultiDeviceOptions multi)
     : instance_(instance),
       k_(k),
+      multi_(multi),
       device_(simt::gtx680_cuda()),
       second_device_(simt::gtx680_cuda()) {}
 
@@ -71,7 +73,9 @@ const std::vector<std::string>& EngineFactory::available() {
   return names;
 }
 
-std::unique_ptr<TwoOptEngine> EngineFactory::create(const std::string& name) {
+std::unique_ptr<TwoOptEngine> EngineFactory::create(
+    const std::string& name, std::span<simt::Device* const> devices) {
+  simt::Device& device = devices.empty() ? device_ : *devices.front();
   if (name == "cpu-sequential") {
     return std::make_unique<TwoOptSequential>(true);
   }
@@ -105,27 +109,28 @@ std::unique_ptr<TwoOptEngine> EngineFactory::create(const std::string& name) {
     return std::make_unique<TwoOptSimdPruned>(neighbor_lists());
   }
   if (name == "gpu-small") {
-    return std::make_unique<TwoOptGpuSmall>(device_);
+    return std::make_unique<TwoOptGpuSmall>(device);
   }
   if (name == "gpu-small-indirect") {
-    return std::make_unique<TwoOptGpuSmall>(device_, simt::LaunchConfig{},
+    return std::make_unique<TwoOptGpuSmall>(device, simt::LaunchConfig{},
                                             false);
   }
   if (name == "gpu-tiled") {
-    return std::make_unique<TwoOptGpuTiled>(device_);
+    return std::make_unique<TwoOptGpuTiled>(device);
   }
   if (name == "gpu-pruned") {
     TSPOPT_CHECK_MSG(instance_ != nullptr,
                      "gpu-pruned needs the factory's instance for its "
                      "neighbor lists");
-    return std::make_unique<TwoOptGpuPruned>(device_, neighbor_lists());
+    return std::make_unique<TwoOptGpuPruned>(device, neighbor_lists());
   }
   if (name == "gpu-multi") {
-    return std::make_unique<TwoOptMultiDevice>(
-        std::vector<simt::Device*>{&device_, &second_device_});
+    std::vector<simt::Device*> spanned(devices.begin(), devices.end());
+    if (spanned.empty()) spanned = {&device_, &second_device_};
+    return std::make_unique<TwoOptMultiDevice>(std::move(spanned), 0, multi_);
   }
   if (is_batch_engine(name)) {
-    return std::make_unique<BatchSingleTourAdapter>(create_batch(name));
+    return std::make_unique<BatchSingleTourAdapter>(create_batch(name, devices));
   }
   TSPOPT_CHECK_MSG(false, "unknown engine: " << name);
   return nullptr;  // unreachable
@@ -136,16 +141,15 @@ bool EngineFactory::is_batch_engine(const std::string& name) {
 }
 
 std::unique_ptr<BatchTwoOptEngine> EngineFactory::create_batch(
-    const std::string& name, simt::Device* device) {
+    const std::string& name, std::span<simt::Device* const> devices) {
   if (name == "batch-simd") {
     return std::make_unique<BatchTwoOptSimd>();
   }
   if (name == "batch-gpu") {
-    return std::make_unique<BatchTwoOptGpu>(device != nullptr ? *device
-                                                              : device_);
+    return std::make_unique<BatchTwoOptGpu>(devices.empty() ? device_
+                                                            : *devices.front());
   }
-  TSPOPT_CHECK_MSG(false, "unknown batch engine: " << name);
-  return nullptr;  // unreachable
+  return std::make_unique<PerSlotBatchEngine>(create(name, devices));
 }
 
 const NeighborLists& EngineFactory::neighbor_lists() {

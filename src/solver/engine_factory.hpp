@@ -7,11 +7,13 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "simt/device.hpp"
 #include "solver/engine.hpp"
+#include "solver/twoopt_multi.hpp"
 #include "tsp/distance_matrix.hpp"
 #include "tsp/instance.hpp"
 #include "tsp/neighbor_lists.hpp"
@@ -30,9 +32,10 @@ class EngineFactory {
 
   // `instance` is needed only for the instance-bound engines (cpu-lut,
   // cpu-pruned); pass nullptr when those are not used. `k` sizes the
-  // pruned engines' neighbor lists.
+  // pruned engines' neighbor lists; `multi` is gpu-multi's fault policy.
   explicit EngineFactory(const Instance* instance = nullptr,
-                         std::int32_t k = kDefaultNeighbors);
+                         std::int32_t k = kDefaultNeighbors,
+                         MultiDeviceOptions multi = {});
 
   // Known names, in the order they print in help text:
   //   cpu-sequential, cpu-sequential-indirect, cpu-generic, cpu-parallel,
@@ -53,34 +56,37 @@ class EngineFactory {
   // Throws CheckError for unknown names or when a required resource is
   // missing (e.g. cpu-lut without an instance). The batch-* names resolve
   // to a BatchSingleTourAdapter, so batch engines slot into single-tour
-  // call sites (examples, the per-job serve path) unchanged.
-  std::unique_ptr<TwoOptEngine> create(const std::string& name);
+  // call sites (the CLI tools, bench sweeps) unchanged.
+  //
+  // `devices` are the devices the gpu engines run on — the serve
+  // scheduler passes its lease. The single-device classes take the first,
+  // gpu-multi spans them all; empty = the factory's own simulated GPUs.
+  std::unique_ptr<TwoOptEngine> create(
+      const std::string& name, std::span<simt::Device* const> devices = {});
 
   // True when `name` belongs to the batch-* family (usable via
   // create_batch and eligible for serve-side micro-batching).
   static bool is_batch_engine(const std::string& name);
 
   // Many-tour engines for TourBatch users (PopulationIls, the serve
-  // micro-batcher). Throws CheckError for names outside the batch-*
-  // family. `device` overrides the factory's simulated GPU for batch-gpu
-  // (the serve scheduler passes its leased device); nullptr = factory's.
-  std::unique_ptr<BatchTwoOptEngine> create_batch(const std::string& name,
-                                                  simt::Device* device =
-                                                      nullptr);
+  // scheduler). The batch-* names build their native batch engine; every
+  // other name builds create(name, devices) behind a PerSlotBatchEngine,
+  // which searches each slot with it in turn. `devices` as for create().
+  std::unique_ptr<BatchTwoOptEngine> create_batch(
+      const std::string& name, std::span<simt::Device* const> devices = {});
 
   // The simulated device behind the gpu-* engines (for counters/models).
   simt::Device& device() { return device_; }
 
   // The factory's k-NN candidate lists, built lazily from the factory's
   // instance with list size k (CheckError without an instance). Shared by
-  // every pruned engine the factory creates, and by callers that build a
-  // pruned engine on a different device (the serve scheduler's leased
-  // gpu-pruned path).
+  // every pruned engine the factory creates.
   const NeighborLists& neighbor_lists();
 
  private:
   const Instance* instance_;
   std::int32_t k_;
+  MultiDeviceOptions multi_;
   simt::Device device_;
   simt::Device second_device_;  // gpu-multi's second GPU
   std::unique_ptr<DistanceMatrix> lut_;

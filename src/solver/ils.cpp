@@ -2,257 +2,23 @@
 
 #include <utility>
 
-#include "common/rng.hpp"
-#include "common/timer.hpp"
-#include "obs/log.hpp"
-#include "obs/registry.hpp"
-#include "obs/trace.hpp"
-#include "solver/checkpoint.hpp"
+#include "solver/batch/population_ils.hpp"
 
 namespace tspopt {
-
-namespace {
-
-bool accept(IlsAcceptance criterion, double epsilon, std::int64_t candidate,
-            std::int64_t incumbent) {
-  switch (criterion) {
-    case IlsAcceptance::kBetter:
-      return candidate < incumbent;
-    case IlsAcceptance::kEpsilonWorse:
-      return static_cast<double>(candidate) <
-             static_cast<double>(incumbent) * (1.0 + epsilon);
-    case IlsAcceptance::kRandomWalk:
-      return true;
-  }
-  return false;
-}
-
-// Everything the perturbation loop carries between iterations — and
-// therefore exactly what a checkpoint must capture for a resumed run to
-// continue bit-identically.
-struct LoopState {
-  Tour incumbent;
-  std::int64_t incumbent_len = 0;
-  Pcg32 rng;
-  IlsResult result;
-  std::int64_t passes = 0;
-  double base_seconds = 0.0;  // wall time consumed before the loop started
-
-  LoopState(Tour incumbent_tour, Pcg32 generator, IlsResult partial)
-      : incumbent(std::move(incumbent_tour)),
-        rng(generator),
-        result(std::move(partial)) {}
-};
-
-void write_checkpoint(const std::string& path, const LoopState& st,
-                      double now) {
-  obs::Span span = obs::Tracer::global().span("ils.checkpoint", "ils");
-  if (span) span.arg("iteration", st.result.iterations);
-  IlsCheckpoint ck;
-  ck.iterations = st.result.iterations;
-  ck.improvements = st.result.improvements;
-  ck.checks = st.result.checks;
-  ck.passes = st.passes;
-  ck.elapsed_seconds = now;
-  ck.best_order.assign(st.result.best.order().begin(),
-                       st.result.best.order().end());
-  ck.best_length = st.result.best_length;
-  ck.incumbent_order.assign(st.incumbent.order().begin(),
-                            st.incumbent.order().end());
-  ck.incumbent_length = st.incumbent_len;
-  ck.rng = st.rng.save();
-  ck.trace = st.result.trace;
-  save_ils_checkpoint(path, ck);
-  obs::Log::global()
-      .event(obs::LogLevel::kDebug, "ils.checkpoint")
-      .arg("path", path)
-      .arg("iteration", st.result.iterations)
-      .arg("best", st.result.best_length)
-      .arg("seconds", now);
-}
-
-// The perturbation loop (Algorithm 1 lines 4-8), shared by fresh and
-// resumed runs. `st.base_seconds` offsets all time accounting so a
-// resumed run's limits and trace stamps continue from where the
-// interrupted run stopped.
-IlsResult run_loop(TwoOptEngine& engine, const Instance& instance,
-                   const IlsOptions& options, LoopState st) {
-  WallTimer timer;
-  auto now = [&] { return st.base_seconds + timer.seconds(); };
-
-  // Per-iteration telemetry. Instrument references are resolved once per
-  // run; the loop body pays only lock-free atomic updates.
-  obs::Registry& registry = obs::Registry::global();
-  obs::Counter& m_iterations = registry.counter("ils.iterations");
-  obs::Counter& m_accepted = registry.counter("ils.accepted");
-  obs::Counter& m_improvements = registry.counter("ils.improvements");
-  obs::Counter& m_perturbations = registry.counter("ils.perturbations");
-  obs::Gauge& m_best = registry.gauge("ils.best_length");
-  obs::Histogram& m_iteration_us = registry.histogram(
-      "ils.iteration_us",
-      {100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000,
-       500000, 1000000, 5000000});
-  m_best.set(static_cast<double>(st.result.best_length));
-
-  // Cooperative stop: polled once per round here and between the passes of
-  // the round's local search below (so a cancellation lands mid-descent,
-  // not after it).
-  auto stop_requested = [&] {
-    return options.should_stop && options.should_stop();
-  };
-  LocalSearchObserver stop_observer;
-  if (options.should_stop) {
-    stop_observer = [&](const LocalSearchStats&) { return !stop_requested(); };
-  }
-
-  while ((options.max_iterations < 0 ||
-          st.result.iterations < options.max_iterations) &&
-         (options.time_limit_seconds < 0.0 ||
-          now() < options.time_limit_seconds)) {
-    if (stop_requested()) {
-      st.result.stopped = true;
-      break;
-    }
-    obs::Span iter_span = obs::Tracer::global().span("ils.iteration", "ils");
-    WallTimer iter_timer;
-
-    // Perturbation (line 5): double bridge on a copy of the incumbent.
-    Tour candidate = st.incumbent;
-    candidate.double_bridge(st.rng);
-    m_perturbations.add();
-
-    // Local search (line 6), clipped to the remaining time budget.
-    LocalSearchOptions round = options.local_search;
-    if (options.time_limit_seconds >= 0.0) {
-      double remaining = options.time_limit_seconds - now();
-      if (remaining <= 0.0) break;
-      if (round.time_limit_seconds < 0.0 || round.time_limit_seconds > remaining)
-        round.time_limit_seconds = remaining;
-    }
-    LocalSearchStats stats =
-        local_search(engine, instance, candidate, round, stop_observer);
-    st.result.checks += stats.checks;
-    st.passes += stats.passes;
-    ++st.result.iterations;
-    m_iterations.add();
-
-    // Acceptance criterion (line 7).
-    std::int64_t length = candidate.length(instance);
-    bool improved = length < st.result.best_length;
-    if (improved) {
-      st.result.best = candidate;
-      st.result.best_length = length;
-      ++st.result.improvements;
-      m_improvements.add();
-      m_best.set(static_cast<double>(st.result.best_length));
-      st.result.trace.push_back({now(), st.result.best_length,
-                                 st.result.iterations, st.result.checks,
-                                 st.passes});
-      obs::Log::global()
-          .event(obs::LogLevel::kInfo, "ils.improvement")
-          .arg("iteration", st.result.iterations)
-          .arg("best", st.result.best_length)
-          .arg("seconds", now());
-    }
-    bool accepted = accept(options.acceptance, options.epsilon, length,
-                           st.incumbent_len);
-    if (accepted) {
-      st.incumbent = std::move(candidate);
-      st.incumbent_len = length;
-      m_accepted.add();
-    }
-    if (iter_span) {
-      iter_span.arg("iteration", st.result.iterations);
-      iter_span.arg("length", length);
-      iter_span.arg("best", st.result.best_length);
-      iter_span.arg("accepted", accepted);
-      iter_span.arg("improved", improved);
-    }
-    m_iteration_us.observe(iter_timer.micros());
-    if (options.on_progress) {
-      options.on_progress(
-          {st.result.iterations, st.result.best_length, now(), improved});
-    }
-
-    if (!options.checkpoint_path.empty() && options.checkpoint_every > 0 &&
-        st.result.iterations % options.checkpoint_every == 0) {
-      write_checkpoint(options.checkpoint_path, st, now());
-    }
-  }
-
-  st.result.wall_seconds = now();
-  obs::Log::global()
-      .event(obs::LogLevel::kInfo, "ils.finish")
-      .arg("iterations", st.result.iterations)
-      .arg("improvements", st.result.improvements)
-      .arg("best", st.result.best_length)
-      .arg("checks", st.result.checks)
-      .arg("seconds", st.result.wall_seconds)
-      .arg("stopped", st.result.stopped);
-  return std::move(st.result);
-}
-
-}  // namespace
 
 IlsResult iterated_local_search(TwoOptEngine& engine, const Instance& instance,
                                 const Tour& initial,
                                 const IlsOptions& options) {
-  WallTimer timer;
-
-  // Initial descent (Algorithm 1 line 3).
-  Tour incumbent = initial;
-  LocalSearchOptions ls = options.local_search;
-  if (options.time_limit_seconds >= 0.0 && ls.time_limit_seconds < 0.0) {
-    ls.time_limit_seconds = options.time_limit_seconds;
-  }
-  LocalSearchObserver descent_observer;
-  if (options.should_stop) {
-    descent_observer = [&](const LocalSearchStats&) {
-      return !options.should_stop();
-    };
-  }
-  obs::Span descent_span =
-      obs::Tracer::global().span("ils.initial_descent", "ils");
-  LocalSearchStats descent =
-      local_search(engine, instance, incumbent, ls, descent_observer);
-  descent_span.finish();
-
-  LoopState st(incumbent, Pcg32(options.seed),
-               IlsResult{incumbent, 0, 0, 0, 0, 0.0, false, {}});
-  st.result.checks = descent.checks;
-  st.passes = descent.passes;
-  st.incumbent_len = incumbent.length(instance);
-  st.result.best_length = st.incumbent_len;
-  st.result.trace.push_back(
-      {timer.seconds(), st.result.best_length, 0, st.result.checks,
-       st.passes});
-
-  // A first checkpoint right after the descent: the expensive part of
-  // short runs is already safe before the first perturbation.
-  if (!options.checkpoint_path.empty()) {
-    write_checkpoint(options.checkpoint_path, st, timer.seconds());
-  }
-
-  st.base_seconds = timer.seconds();
-  return run_loop(engine, instance, options, std::move(st));
-}
-
-IlsResult iterated_local_search_resume(TwoOptEngine& engine,
-                                       const Instance& instance,
-                                       const IlsCheckpoint& checkpoint,
-                                       const IlsOptions& options) {
-  validate_ils_checkpoint(checkpoint, instance);
-
-  LoopState st(Tour(checkpoint.incumbent_order), Pcg32(options.seed),
-               IlsResult{Tour(checkpoint.best_order),
-                         checkpoint.best_length, checkpoint.iterations,
-                         checkpoint.improvements, checkpoint.checks, 0.0,
-                         false, checkpoint.trace});
-  st.rng.restore(checkpoint.rng);  // seed is irrelevant; position restored
-  st.incumbent_len = checkpoint.incumbent_length;
-  st.passes = checkpoint.passes;
-  st.base_seconds = checkpoint.elapsed_seconds;
-  return run_loop(engine, instance, options, std::move(st));
+  PerSlotBatchEngine slots(engine);
+  std::vector<PopulationMemberOptions> member(1);
+  member[0].seed = options.seed;
+  member[0].on_progress = options.on_progress;
+  std::vector<Tour> start;
+  start.push_back(initial);
+  PopulationIlsResult run =
+      population_ils(slots, instance, std::move(start), member,
+                     population_options(options));
+  return std::move(run.members.front());
 }
 
 }  // namespace tspopt

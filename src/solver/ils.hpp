@@ -1,4 +1,4 @@
-// Iterated Local Search (the paper's Algorithm 1).
+// Iterated Local Search (the paper's Algorithm 1) for a single tour.
 //
 //   s* <- 2optLocalSearch(s0)
 //   while not done: s' <- Perturbation(s*); s' <- 2optLocalSearch(s');
@@ -6,7 +6,10 @@
 //
 // The perturbation is the paper's double-bridge move; the acceptance
 // criterion keeps the better tour. The convergence trace (best length vs
-// wall time) is what Fig. 11 plots.
+// wall time) is what Fig. 11 plots. The loop itself lives in
+// population_ils (batch/population_ils.hpp): a solo run is a population of
+// one, so this entry point and the batched multi-start share every line
+// of it.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +52,9 @@ struct IlsOptions {
 
   // Periodic checkpointing: every `checkpoint_every` completed iterations
   // (and once after the initial descent) the full loop state is written
-  // atomically to `checkpoint_path`, so a killed run can resume
-  // bit-identically via iterated_local_search_resume. Empty path = off.
+  // atomically to `checkpoint_path` as a one-member population checkpoint
+  // (checkpoint.hpp), so a killed run can resume bit-identically via
+  // population_ils_resume. Empty path = off.
   std::string checkpoint_path;
   std::int64_t checkpoint_every = 16;
 
@@ -88,19 +92,5 @@ struct IlsResult {
 
 IlsResult iterated_local_search(TwoOptEngine& engine, const Instance& instance,
                                 const Tour& initial, const IlsOptions& options);
-
-struct IlsCheckpoint;
-
-// Continue a checkpointed run. The checkpoint is validated against the
-// instance (CheckError on mismatch) and the loop resumes exactly where the
-// interrupted run stopped: same RNG stream, same incumbent, counters and
-// trace carried over — so, under iteration-bounded options, the result is
-// bit-identical to the run that was never killed. `options.seed` is
-// ignored (the RNG position comes from the checkpoint); the time limit, if
-// any, applies to total elapsed time including the checkpointed portion.
-IlsResult iterated_local_search_resume(TwoOptEngine& engine,
-                                       const Instance& instance,
-                                       const IlsCheckpoint& checkpoint,
-                                       const IlsOptions& options);
 
 }  // namespace tspopt

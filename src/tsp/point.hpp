@@ -5,6 +5,12 @@
 // ~7 significant digits so nothing is lost.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
+#include <sstream>
+
+#include "common/check.hpp"
+
 namespace tspopt {
 
 struct Point {
@@ -15,5 +21,28 @@ struct Point {
     return a.x == b.x && a.y == b.y;
   }
 };
+
+// The coordinate bound every instance from outside the process respects.
+// A 2-opt delta sums two distances in int32 (solver/delta.hpp), so each
+// distance must stay below 2^30. Within |x|, |y| <= kMaxAbsCoordinate the
+// longest distance of any coordinate metric is MAN_2D's
+// 4 * kMaxAbsCoordinate = 1e9 (EUC_2D's is 2 * sqrt(2) * 2.5e8 ~ 7.1e8).
+inline constexpr double kMaxAbsCoordinate = 2.5e8;
+
+// The typed rejection of a coordinate outside the bound.
+class CoordinateRangeError : public CheckError {
+ public:
+  using CheckError::CheckError;
+};
+
+// Throws CoordinateRangeError unless |v| <= kMaxAbsCoordinate (NaN and
+// infinities fail too). The message names the value as "<what> <at>".
+inline void check_coordinate(double v, const char* what, std::size_t at) {
+  if (std::abs(v) <= kMaxAbsCoordinate) return;
+  std::ostringstream os;
+  os << what << ' ' << at << ": " << v << " is outside [-"
+     << kMaxAbsCoordinate << ", " << kMaxAbsCoordinate << ']';
+  throw CoordinateRangeError(os.str());
+}
 
 }  // namespace tspopt

@@ -256,6 +256,8 @@ Instance parse_tsplib(std::istream& in) {
                                  << header.dimension << "]");
         double x = parse_double(tok_x, tokens.line_no(), "x coordinate");
         double y = parse_double(tok_y, tokens.line_no(), "y coordinate");
+        check_coordinate(x, "x coordinate on line", tokens.line_no());
+        check_coordinate(y, "y coordinate on line", tokens.line_no());
         auto slot = static_cast<std::size_t>(index - 1);
         TSPOPT_CHECK_MSG(!seen[slot], "line " << tokens.line_no()
                                               << ": duplicate node index "

@@ -16,9 +16,11 @@
 #include "serve/scheduler.hpp"
 #include "simt/device.hpp"
 #include "simt/device_pool.hpp"
+#include "simt/fault.hpp"
 #include "solver/batch/batch_twoopt_gpu.hpp"
 #include "solver/constructive.hpp"
 #include "solver/ils.hpp"
+#include "solver/twoopt_gpu.hpp"
 #include "solver/twoopt_simd.hpp"
 #include "tsp/catalog.hpp"
 #include "tsp/generator.hpp"
@@ -282,7 +284,7 @@ TEST(ServeScheduler, BatchedBurstMatchesSoloResults) {
     EXPECT_EQ(wait_terminal(scheduler, id), JobState::kFinished);
   }
 
-  // Solo reference: the exact pipeline execute_batch runs per member.
+  // Solo reference: the pipeline the scheduler runs per member.
   Instance instance = make_catalog_instance(*find_catalog_entry("berlin52"));
   Tour start = multiple_fragment(instance);
 
@@ -368,6 +370,77 @@ TEST(ServeScheduler, CancelledMemberDoesNotPoisonBatch) {
   EXPECT_EQ(wait_terminal(scheduler, ids[0]), JobState::kFinished);
   EXPECT_EQ(wait_terminal(scheduler, ids[1]), JobState::kCancelled);
   EXPECT_EQ(wait_terminal(scheduler, ids[2]), JobState::kFinished);
+
+  scheduler.shutdown(/*drain_first=*/false);
+}
+
+// A fatal fault in a coalesced batch does not fail its members: each one
+// retries alone, as a batch of one under its own max_attempts, and
+// finishes with the result its solo run produces.
+TEST(ServeScheduler, BatchFaultRetriesEachMemberAlone) {
+  simt::FaultPlan plan(5);
+  plan.inject({.device = "gpu0",
+               .kind = simt::FaultKind::kLaunchFailure,
+               .first_launch = 0,
+               .count = 1});
+  simt::FaultInjector injector(plan);
+  simt::Device device(simt::gtx680_cuda());
+  device.set_label("gpu0");
+  device.set_fault_injector(&injector);
+  std::vector<simt::Device*> devices{&device};
+  simt::DevicePool pool(devices);
+
+  constexpr std::size_t kBurst = 4;
+  SchedulerOptions options;
+  options.workers = 1;
+  options.batcher.max_batch = kBurst;
+  options.batcher.max_wait_ms = 250.0;
+  Scheduler scheduler(pool, options);
+
+  JobSpec plug;
+  plug.catalog = "berlin52";
+  plug.engine = "cpu-parallel";
+  plug.time_limit_seconds = 0.15;
+  ASSERT_TRUE(scheduler.submit(plug).accepted);
+
+  std::vector<std::uint64_t> ids;
+  for (std::size_t j = 0; j < kBurst; ++j) {
+    Scheduler::Admission a =
+        scheduler.submit(batchable_spec(300 + j, "gpu-small"));
+    ASSERT_TRUE(a.accepted) << a.error;
+    ids.push_back(a.id);
+  }
+  for (std::uint64_t id : ids) {
+    EXPECT_EQ(wait_terminal(scheduler, id), JobState::kFinished);
+  }
+
+  Instance instance = make_catalog_instance(*find_catalog_entry("berlin52"));
+  Tour start = multiple_fragment(instance);
+  for (std::size_t j = 0; j < kBurst; ++j) {
+    std::shared_ptr<const Job> job = scheduler.find(ids[j]);
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->attempts.load(), 2) << "job " << ids[j];
+    simt::Device healthy(simt::gtx680_cuda());
+    TwoOptGpuSmall solo(healthy);
+    IlsOptions opts;
+    opts.seed = 300 + j;
+    opts.max_iterations = 5;
+    opts.time_limit_seconds = 10.0;
+    IlsResult want = iterated_local_search(solo, instance, start, opts);
+    JobResult got = job->result();
+    EXPECT_EQ(got.best_length, want.best_length) << "job " << ids[j];
+    EXPECT_EQ(got.iterations, want.iterations) << "job " << ids[j];
+    EXPECT_EQ(got.checks, want.checks) << "job " << ids[j];
+    EXPECT_EQ(got.order, std::vector<std::int32_t>(want.best.order().begin(),
+                                                   want.best.order().end()))
+        << "job " << ids[j];
+  }
+
+  Scheduler::Stats stats = scheduler.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.retries, kBurst);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_GE(device.counters().snapshot().launch_failures, 1u);
 
   scheduler.shutdown(/*drain_first=*/false);
 }

@@ -1,6 +1,7 @@
-// ILS checkpoint/resume: the on-disk format round-trips exactly, damaged
-// files are rejected with CheckError (never trusted), and a checkpointed,
-// killed, resumed run reproduces the uninterrupted run bit-identically.
+// ILS checkpoint/resume: the population checkpoint format round-trips
+// exactly, damaged files are rejected with CheckError (never trusted), and
+// a checkpointed, killed, resumed solo run (a population of one) reproduces
+// the uninterrupted run bit-identically.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "simt/fault.hpp"
+#include "solver/batch/population_ils.hpp"
 #include "solver/checkpoint.hpp"
 #include "solver/ils.hpp"
 #include "solver/twoopt_multi.hpp"
@@ -24,7 +26,7 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "tspopt_" + name;
 }
 
-IlsCheckpoint sample_checkpoint() {
+IlsCheckpoint sample_member() {
   IlsCheckpoint ck;
   ck.iterations = 17;
   ck.improvements = 4;
@@ -40,6 +42,20 @@ IlsCheckpoint sample_checkpoint() {
   return ck;
 }
 
+PopulationCheckpoint sample_checkpoint() {
+  PopulationCheckpoint ck;
+  ck.rounds = 17;
+  ck.migrations = 2;
+  ck.elapsed_seconds = 1.625;
+  ck.members = {sample_member(), sample_member()};
+  ck.members[1].iterations = 11;
+  ck.members[1].rng = {0x0123456789ABCDEFULL, 0x777ULL};
+  ck.members[1].trace.pop_back();
+  ck.finished = {0, 1};
+  ck.stopped = {1, 0};
+  return ck;
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in),
@@ -51,12 +67,7 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-TEST(Checkpoint, RoundTripsEveryField) {
-  IlsCheckpoint ck = sample_checkpoint();
-  std::string path = temp_path("roundtrip.ckpt");
-  save_ils_checkpoint(path, ck);
-  IlsCheckpoint back = load_ils_checkpoint(path);
-
+void expect_member_equal(const IlsCheckpoint& back, const IlsCheckpoint& ck) {
   EXPECT_EQ(back.iterations, ck.iterations);
   EXPECT_EQ(back.improvements, ck.improvements);
   EXPECT_EQ(back.checks, ck.checks);
@@ -76,16 +87,33 @@ TEST(Checkpoint, RoundTripsEveryField) {
     EXPECT_EQ(back.trace[i].checks, ck.trace[i].checks);
     EXPECT_EQ(back.trace[i].passes, ck.trace[i].passes);
   }
+}
+
+TEST(Checkpoint, RoundTripsEveryField) {
+  PopulationCheckpoint ck = sample_checkpoint();
+  std::string path = temp_path("roundtrip.ckpt");
+  save_population_checkpoint(path, ck);
+  PopulationCheckpoint back = load_population_checkpoint(path);
+
+  EXPECT_EQ(back.rounds, ck.rounds);
+  EXPECT_EQ(back.migrations, ck.migrations);
+  EXPECT_EQ(back.elapsed_seconds, ck.elapsed_seconds);
+  EXPECT_EQ(back.finished, ck.finished);
+  EXPECT_EQ(back.stopped, ck.stopped);
+  ASSERT_EQ(back.members.size(), ck.members.size());
+  for (std::size_t m = 0; m < ck.members.size(); ++m) {
+    expect_member_equal(back.members[m], ck.members[m]);
+  }
   std::remove(path.c_str());
 }
 
 TEST(Checkpoint, SaveOverwritesAtomically) {
   std::string path = temp_path("overwrite.ckpt");
-  IlsCheckpoint ck = sample_checkpoint();
-  save_ils_checkpoint(path, ck);
-  ck.iterations = 99;
-  save_ils_checkpoint(path, ck);  // replaces, does not append
-  EXPECT_EQ(load_ils_checkpoint(path).iterations, 99);
+  PopulationCheckpoint ck = sample_checkpoint();
+  save_population_checkpoint(path, ck);
+  ck.rounds = 99;
+  save_population_checkpoint(path, ck);  // replaces, does not append
+  EXPECT_EQ(load_population_checkpoint(path).rounds, 99);
   // No stray .tmp left behind.
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.good());
@@ -94,14 +122,14 @@ TEST(Checkpoint, SaveOverwritesAtomically) {
 
 TEST(Checkpoint, EveryTruncationIsRejectedNotTrusted) {
   std::string path = temp_path("trunc.ckpt");
-  save_ils_checkpoint(path, sample_checkpoint());
+  save_population_checkpoint(path, sample_checkpoint());
   std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 30u);
 
   std::string cut_path = temp_path("trunc_cut.ckpt");
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     write_file(cut_path, bytes.substr(0, len));
-    EXPECT_THROW(load_ils_checkpoint(cut_path), CheckError)
+    EXPECT_THROW(load_population_checkpoint(cut_path), CheckError)
         << "prefix of " << len << " bytes parsed successfully";
   }
   std::remove(path.c_str());
@@ -110,7 +138,7 @@ TEST(Checkpoint, EveryTruncationIsRejectedNotTrusted) {
 
 TEST(Checkpoint, BitFlipsAreCaughtByTheChecksum) {
   std::string path = temp_path("corrupt.ckpt");
-  save_ils_checkpoint(path, sample_checkpoint());
+  save_population_checkpoint(path, sample_checkpoint());
   std::string bytes = read_file(path);
 
   std::string flip_path = temp_path("corrupt_flip.ckpt");
@@ -122,7 +150,7 @@ TEST(Checkpoint, BitFlipsAreCaughtByTheChecksum) {
     write_file(flip_path, damaged);
     // Flipping any single bit anywhere (magic, version, length, payload or
     // checksum) must be detected, never silently accepted.
-    EXPECT_THROW(load_ils_checkpoint(flip_path), CheckError)
+    EXPECT_THROW(load_population_checkpoint(flip_path), CheckError)
         << "bit flip at byte " << at << " was accepted";
   }
   std::remove(path.c_str());
@@ -130,34 +158,64 @@ TEST(Checkpoint, BitFlipsAreCaughtByTheChecksum) {
 }
 
 TEST(Checkpoint, MissingFileAndWrongMagicAreCheckErrors) {
-  EXPECT_THROW(load_ils_checkpoint(temp_path("does_not_exist.ckpt")),
+  EXPECT_THROW(load_population_checkpoint(temp_path("does_not_exist.ckpt")),
                CheckError);
   std::string path = temp_path("not_a_ckpt.bin");
   write_file(path, "definitely not a checkpoint file, much too informal");
-  EXPECT_THROW(load_ils_checkpoint(path), CheckError);
+  EXPECT_THROW(load_population_checkpoint(path), CheckError);
+  // The retired single-run format: same framing, its own magic. A spool
+  // file left in it is reported, so the job reruns fresh.
+  std::string bytes = "TSPCKPT";
+  bytes.push_back('\0');
+  bytes += std::string(64, '\x01');
+  write_file(path, bytes);
+  EXPECT_THROW(load_population_checkpoint(path), CheckError);
   std::remove(path.c_str());
 }
 
 TEST(Checkpoint, ValidationRejectsForeignOrTamperedCheckpoints) {
   Instance inst = generate_uniform("u64", 64, 1);
-  IlsCheckpoint ck = sample_checkpoint();  // 8-city tours
-  EXPECT_THROW(validate_ils_checkpoint(ck, inst), CheckError);
+  PopulationCheckpoint ck = sample_checkpoint();  // 8-city tours
+  EXPECT_THROW(validate_population_checkpoint(ck, inst), CheckError);
 
   // Right size but a tampered best length.
   Pcg32 rng(3);
   Tour tour = Tour::random(64, rng);
-  ck.best_order.assign(tour.order().begin(), tour.order().end());
-  ck.incumbent_order = ck.best_order;
-  ck.best_length = tour.length(inst) + 1;  // lie
-  ck.incumbent_length = tour.length(inst);
-  EXPECT_THROW(validate_ils_checkpoint(ck, inst), CheckError);
-  ck.best_length = tour.length(inst);
-  EXPECT_NO_THROW(validate_ils_checkpoint(ck, inst));
+  ck.members.resize(1);
+  ck.finished.resize(1);
+  ck.stopped.resize(1);
+  IlsCheckpoint& m = ck.members[0];
+  m.best_order.assign(tour.order().begin(), tour.order().end());
+  m.incumbent_order = m.best_order;
+  m.best_length = tour.length(inst) + 1;  // lie
+  m.incumbent_length = tour.length(inst);
+  EXPECT_THROW(validate_population_checkpoint(ck, inst), CheckError);
+  m.best_length = tour.length(inst);
+  EXPECT_NO_THROW(validate_population_checkpoint(ck, inst));
+
+  // Flag vectors out of step with the members.
+  ck.stopped.push_back(0);
+  EXPECT_THROW(validate_population_checkpoint(ck, inst), CheckError);
+  ck.stopped.pop_back();
 
   // A non-permutation "tour".
-  ck.incumbent_order[0] = ck.incumbent_order[1];
-  ck.incumbent_length = Tour(ck.incumbent_order).length(inst);
-  EXPECT_THROW(validate_ils_checkpoint(ck, inst), CheckError);
+  m.incumbent_order[0] = m.incumbent_order[1];
+  m.incumbent_length = Tour(m.incumbent_order).length(inst);
+  EXPECT_THROW(validate_population_checkpoint(ck, inst), CheckError);
+}
+
+// Continue a solo run from the one-member checkpoint at `path` under the
+// solo run's options (its seed is irrelevant: the RNG position is in the
+// checkpoint).
+IlsResult resume_solo(TwoOptEngine& engine, const Instance& inst,
+                      const std::string& path, const IlsOptions& options) {
+  PopulationCheckpoint ck = load_population_checkpoint(path);
+  EXPECT_EQ(ck.members.size(), 1u);
+  PerSlotBatchEngine slots(engine);
+  return population_ils_resume(slots, inst, ck,
+                               population_members(1, options.seed),
+                               population_options(options))
+      .members.front();
 }
 
 // Field-by-field trace comparison, ignoring wall-clock stamps (the only
@@ -199,11 +257,9 @@ void run_kill_resume_scenario(IlsAcceptance acceptance) {
   first_leg.checkpoint_every = 5;
   iterated_local_search(engine, inst, initial, first_leg);
 
-  IlsCheckpoint ck = load_ils_checkpoint(path);
-  EXPECT_EQ(ck.iterations, 10);
+  EXPECT_EQ(load_population_checkpoint(path).members[0].iterations, 10);
 
-  IlsResult resumed =
-      iterated_local_search_resume(engine, inst, ck, options);
+  IlsResult resumed = resume_solo(engine, inst, path, options);
 
   EXPECT_EQ(resumed.best_length, uninterrupted.best_length);
   EXPECT_TRUE(resumed.best == uninterrupted.best);
@@ -245,9 +301,8 @@ TEST(Checkpoint, DescentCheckpointAloneIsResumable) {
   first_leg.checkpoint_path = path;
   iterated_local_search(engine, inst, initial, first_leg);
 
-  IlsCheckpoint ck = load_ils_checkpoint(path);
-  EXPECT_EQ(ck.iterations, 0);
-  IlsResult resumed = iterated_local_search_resume(engine, inst, ck, options);
+  EXPECT_EQ(load_population_checkpoint(path).members[0].iterations, 0);
+  IlsResult resumed = resume_solo(engine, inst, path, options);
   EXPECT_TRUE(resumed.best == uninterrupted.best);
   EXPECT_EQ(resumed.checks, uninterrupted.checks);
   expect_same_trace(resumed.trace, uninterrupted.trace);
@@ -291,8 +346,7 @@ TEST(Checkpoint, ResumeOnAFaultyMultiDeviceEngineStillMatches) {
   first_leg.checkpoint_every = 7;
   iterated_local_search(engine, inst, initial, first_leg);
 
-  IlsCheckpoint ck = load_ils_checkpoint(path);
-  IlsResult resumed = iterated_local_search_resume(engine, inst, ck, options);
+  IlsResult resumed = resume_solo(engine, inst, path, options);
   EXPECT_TRUE(resumed.best == expect.best);
   EXPECT_EQ(resumed.best_length, expect.best_length);
   expect_same_trace(resumed.trace, expect.trace);

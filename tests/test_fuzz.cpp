@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -18,6 +22,9 @@
 #include "serve/scheduler.hpp"
 #include "simt/device.hpp"
 #include "simt/device_pool.hpp"
+#include "solver/batch/batch_twoopt_simd.hpp"
+#include "solver/batch/population_ils.hpp"
+#include "solver/checkpoint.hpp"
 #include "solver/delta.hpp"
 #include "solver/ordering.hpp"
 #include "solver/twoopt_gpu.hpp"
@@ -291,6 +298,120 @@ TEST(Fuzz, MutatedTsplibFilesEitherParseOrRaiseCheckError) {
       // test by escaping the harness.
     }
   }
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// 1-4 random byte edits in [lo, hi): overwrite, delete, or insert.
+void mutate_bytes(Pcg32& rng, std::string& bytes, std::size_t lo,
+                  std::size_t hi) {
+  int edits = 1 + static_cast<int>(rng.next_below(4));
+  for (int e = 0; e < edits && hi > lo; ++e) {
+    std::size_t at =
+        lo + rng.next_below(static_cast<std::uint32_t>(hi - lo));
+    auto junk = static_cast<char>(rng.next_below(256));
+    switch (rng.next_below(3)) {
+      case 0:
+        bytes[at] = junk;
+        break;
+      case 1:
+        bytes.erase(at, 1);
+        --hi;
+        break;
+      default:
+        bytes.insert(at, 1, junk);
+        ++hi;
+        break;
+    }
+  }
+}
+
+// Byte-level mutations of a real two-member checkpoint. The loader must
+// never crash and never accept a file whose checksum fails: whatever it
+// accepts is byte-for-byte what saving the loaded contents writes back.
+// An accepted file then either validates against the instance or raises
+// CheckError from validate_population_checkpoint. Half the trials repair
+// the length and checksum after mutating the payload, so the mutations
+// reach the field parser and the validator instead of stopping at the
+// checksum.
+TEST(Fuzz, MutatedCheckpointsNeverCrashOrLoadUnchecked) {
+  Instance inst = generate_uniform("ckfz", 24, 71);
+  Pcg32 start_rng(72);
+  Tour start = Tour::random(inst.n(), start_rng);
+  const std::string path = ::testing::TempDir() + "tspopt_fuzz.ckpt";
+  const std::string damaged_path = ::testing::TempDir() + "tspopt_fuzz_m.ckpt";
+  BatchTwoOptSimd engine;
+  std::vector<PopulationMemberOptions> members = population_members(2, 9);
+  for (PopulationMemberOptions& m : members) m.max_iterations = 6;
+  PopulationIlsOptions options;
+  options.time_limit_seconds = -1.0;
+  options.checkpoint_path = path;
+  options.checkpoint_every = 3;
+  population_ils(engine, inst, {start, start}, members, options);
+  const std::string bytes = read_bytes(path);
+  constexpr std::size_t kHeader = 20;  // magic, version, payload length
+  constexpr std::size_t kChecksum = 8;
+  ASSERT_GT(bytes.size(), kHeader + kChecksum);
+
+  auto fnv1a = [](const std::string& payload) {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (unsigned char c : payload) {
+      h ^= c;
+      h *= 0x100000001B3ULL;
+    }
+    return h;
+  };
+
+  Pcg32 rng(20261017);
+  int loaded = 0;
+  int validated = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string damaged = bytes;
+    const bool reseal = trial % 2 == 1;
+    if (reseal) {
+      std::size_t end = damaged.size() - kChecksum;
+      mutate_bytes(rng, damaged, kHeader, end);
+      std::string payload =
+          damaged.substr(kHeader, damaged.size() - kHeader - kChecksum);
+      auto size = static_cast<std::uint64_t>(payload.size());
+      std::memcpy(damaged.data() + 12, &size, sizeof(size));
+      std::uint64_t sum = fnv1a(payload);
+      std::memcpy(damaged.data() + damaged.size() - kChecksum, &sum,
+                  sizeof(sum));
+    } else {
+      mutate_bytes(rng, damaged, 0, damaged.size());
+    }
+    write_bytes(damaged_path, damaged);
+
+    PopulationCheckpoint ck;
+    try {
+      ck = load_population_checkpoint(damaged_path);
+    } catch (const CheckError&) {
+      continue;  // rejected: the expected outcome for most mutations
+    }
+    ++loaded;
+    save_population_checkpoint(path, ck);
+    EXPECT_EQ(read_bytes(path), damaged)
+        << "trial " << trial << " loaded a file its contents do not encode";
+    try {
+      validate_population_checkpoint(ck, inst);
+      ++validated;
+    } catch (const CheckError&) {
+    }
+  }
+  // The resealed half must actually reach the parser and validator.
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(validated, loaded);
+  std::remove(path.c_str());
+  std::remove(damaged_path.c_str());
 }
 
 TEST(Fuzz, ParallelEngineStableAcrossPoolSizes) {

@@ -4,6 +4,8 @@
 // trace and report record the retry/quarantine story.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -497,6 +499,16 @@ TEST(ObsIntegration, FaultyMultiDeviceIlsProducesTraceAndReport) {
   EXPECT_TRUE(any_nested(find_all("multi.partition"), find_all("simt.launch")));
   EXPECT_TRUE(any_nested(find_all("ils.iteration"), find_all("ls.pass")));
   EXPECT_TRUE(any_nested(find_all("ls.pass"), find_all("engine.pass")));
+  // A solo run is a population of one: its passes carry the batch size,
+  // the same span family a batched population emits.
+  for (const obs::TraceEvent* pass : find_all("ls.pass")) {
+    EXPECT_TRUE(std::any_of(pass->args.begin(), pass->args.end(),
+                            [](const auto& arg) {
+                              return std::string_view(arg.first) ==
+                                         "batch_size" &&
+                                     arg.second == "1";
+                            }));
+  }
   EXPECT_TRUE(any_nested(find_all("engine.pass"), find_all("simt.h2d")));
 
   // The whole buffer exports as loadable Chrome trace JSON.

@@ -103,8 +103,8 @@ int bench_worker_scaling(int jobs) {
     double wait_sum = 0.0, run_sum = 0.0;
     for (std::uint64_t id : ids) {
       std::shared_ptr<const serve::Job> job = scheduler.find(id);
-      wait_sum += job->wait_seconds.load();
-      run_sum += job->run_seconds.load();
+      wait_sum += job->phase_seconds(serve::JobPhase::kWait);
+      run_sum += job->phase_seconds(serve::JobPhase::kRun);
     }
     serve::Scheduler::Stats stats = scheduler.stats();
     double denom = ids.empty() ? 1.0 : static_cast<double>(ids.size());

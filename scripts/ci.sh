@@ -19,15 +19,16 @@
 #         throughput regression is caught.
 # Pass 6: Solve-service end to end — start tspoptd on an ephemeral port,
 #         submit a job with tspopt_client and poll it to completion,
-#         assert the serve.* series appear in the Prometheus exposition
-#         and the full job lifecycle in the JSONL log, then SIGTERM the
-#         daemon and require a clean drain (exit 143).
+#         assert the serve.* series appear in the live /metrics
+#         exposition and the full job lifecycle in the JSONL log, then
+#         SIGTERM the daemon and require a clean drain (exit 143).
 # Pass 7: Durable serve plane — start tspoptd with a job journal, submit
 #         a long job, kill -9 the daemon mid-run, restart it into the
 #         same journal directory and require the job to resume and
 #         finish (idempotent resubmit dedupes to the same id, journal
-#         counters in the stats verb, SIGTERM drain still exits 143);
-#         then the serve/journal/recovery suites under ASan and TSan.
+#         counters in the stats verb and /metrics, SIGTERM drain still
+#         exits 143); then the serve/journal/recovery suites under ASan
+#         and TSan.
 # Pass 8: Admin plane + distributed trace — start tspoptd with
 #         --admin-port and TSPOPT_TRACE, probe /healthz /readyz /metrics
 #         /statusz /tracez (asserting the tspopt_serve_* series and the
@@ -69,10 +70,11 @@
 # Pass 12: UndefinedBehaviorSanitizer build (-fno-sanitize-recover, so
 #         any finding fails its test) of the engine, pruned, pruned-
 #         equivalence, tour, fuzz and serve suites, the ILS, population,
-#         checkpoint and batcher suites that share the one solve path, and
-#         the TSPLIB suite with its coordinate-bound test — signed overflow
-#         in delta and wrapped-arc index arithmetic, misaligned or out-of-
-#         range accesses, invalid casts.
+#         checkpoint and batcher suites that share the one solve path, the
+#         TSPLIB suite with its coordinate-bound test, and the admin,
+#         journal and serve-stress suites that read the serve instruments —
+#         signed overflow in delta and wrapped-arc index arithmetic,
+#         misaligned or out-of-range accesses, invalid casts.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
@@ -80,6 +82,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 PREFIX="${1:-build-ci}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+# GET /metrics from a live tspoptd admin port ($1) and require every
+# named series (without the tspopt_ prefix) in the exposition.
+require_metrics() {
+  python3 - "$@" <<'EOF'
+import http.client, sys
+conn = http.client.HTTPConnection("127.0.0.1", int(sys.argv[1]), timeout=5)
+conn.request("GET", "/metrics")
+body = conn.getresponse().read().decode()
+for series in sys.argv[2:]:
+    assert f"tspopt_{series}" in body, f"missing series tspopt_{series}"
+print(f"/metrics: all {len(sys.argv) - 2} required series present")
+EOF
+}
 
 echo "== Pass 1: Release build + full test suite =="
 cmake -B "${PREFIX}-release" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -173,19 +189,21 @@ echo "== Pass 6: solve-service end to end (tspoptd + tspopt_client) =="
 SERVE_TMP="${OBS_TMP}/serve"
 mkdir -p "${SERVE_TMP}"
 TSPOPT_LOG="info,${SERVE_TMP}/events.jsonl" \
-TSPOPT_PROM="${SERVE_TMP}/metrics.prom" \
     "${PREFIX}-release/examples/tspoptd" \
     --port 0 --port-file "${SERVE_TMP}/port" \
+    --admin-port 0 --admin-port-file "${SERVE_TMP}/admin-port" \
     --devices 2 --workers 2 --queue 8 &
 DAEMON_PID=$!
 for _ in $(seq 1 100); do
-  [ -s "${SERVE_TMP}/port" ] && break
+  [ -s "${SERVE_TMP}/port" ] && [ -s "${SERVE_TMP}/admin-port" ] && break
   kill -0 "${DAEMON_PID}" 2>/dev/null || { echo "tspoptd died"; exit 1; }
   sleep 0.1
 done
-[ -s "${SERVE_TMP}/port" ] || { echo "tspoptd never bound a port"; exit 1; }
+[ -s "${SERVE_TMP}/port" ] && [ -s "${SERVE_TMP}/admin-port" ] \
+    || { echo "tspoptd never bound its ports"; exit 1; }
 PORT="$(cat "${SERVE_TMP}/port")"
-echo "tspoptd up on port ${PORT}"
+ADMIN_PORT="$(cat "${SERVE_TMP}/admin-port")"
+echo "tspoptd up on port ${PORT}, admin port ${ADMIN_PORT}"
 
 "${PREFIX}-release/examples/tspopt_client" ping --port "${PORT}" >/dev/null
 RESULT="$("${PREFIX}-release/examples/tspopt_client" submit \
@@ -201,6 +219,10 @@ assert r["result"]["best_length"] > 0
 print(f"job finished: best {r['result']['best_length']} "
       f"in {r['result']['wall_seconds']:.3f}s")
 EOF
+require_metrics "${ADMIN_PORT}" serve_queue_depth serve_active_jobs \
+    serve_jobs_accepted serve_jobs_finished \
+    'serve_job_phase_us_count{phase="wait"}' \
+    'serve_job_phase_us_count{phase="run"}'
 
 # SIGTERM must drain (no live jobs here, but the path is the same) and
 # exit 143; the flush hooks leave the telemetry files complete.
@@ -210,11 +232,6 @@ wait "${DAEMON_PID}" || DAEMON_RC=$?
 [ "${DAEMON_RC}" -eq 143 ] \
     || { echo "tspoptd exit ${DAEMON_RC}, expected 143"; exit 1; }
 
-for series in serve_queue_depth serve_active_jobs serve_jobs_accepted \
-              serve_jobs_finished serve_job_wait_us serve_job_run_us; do
-  grep -q "tspopt_${series}" "${SERVE_TMP}/metrics.prom" \
-      || { echo "missing Prometheus series tspopt_${series}"; exit 1; }
-done
 for event in job.accepted job.started job.finished daemon.start daemon.stop; do
   grep -q "\"event\":\"${event}\"" "${SERVE_TMP}/events.jsonl" \
       || { echo "missing JSONL event ${event}"; exit 1; }
@@ -264,18 +281,19 @@ kill -9 "${VICTIM_PID}"
 wait "${VICTIM_PID}" 2>/dev/null || true
 echo "killed tspoptd (SIGKILL) with job ${JOB_ID} mid-run"
 
-TSPOPT_PROM="${RECOVER_TMP}/metrics.prom" \
-    "${PREFIX}-release/examples/tspoptd" \
+"${PREFIX}-release/examples/tspoptd" \
     --port 0 --port-file "${RECOVER_TMP}/port2" \
+    --admin-port 0 --admin-port-file "${RECOVER_TMP}/admin-port2" \
     --devices 1 --workers 1 --journal-dir "${JOURNAL}" \
     --checkpoint-every 4 > "${RECOVER_TMP}/daemon2.log" &
 RESTART_PID=$!
 for _ in $(seq 1 100); do
-  [ -s "${RECOVER_TMP}/port2" ] && break
+  [ -s "${RECOVER_TMP}/port2" ] && [ -s "${RECOVER_TMP}/admin-port2" ] && break
   kill -0 "${RESTART_PID}" 2>/dev/null || { echo "restart died"; exit 1; }
   sleep 0.1
 done
 PORT="$(cat "${RECOVER_TMP}/port2")"
+ADMIN_PORT="$(cat "${RECOVER_TMP}/admin-port2")"
 grep -q "recovered" "${RECOVER_TMP}/daemon2.log" \
     || { echo "restart did not report journal recovery"; exit 1; }
 
@@ -320,17 +338,14 @@ EOF
 "${PREFIX}-release/examples/tspopt_client" stats --port "${PORT}" \
     | python3 -c 'import json,sys; s=json.load(sys.stdin); \
 j=s["journal"]; assert j["appends"] > 0, j'
+require_metrics "${ADMIN_PORT}" serve_recovered_jobs serve_journal_appends \
+    serve_journal_fsyncs
 
 kill -TERM "${RESTART_PID}"
 RESTART_RC=0
 wait "${RESTART_PID}" || RESTART_RC=$?
 [ "${RESTART_RC}" -eq 143 ] \
     || { echo "restarted tspoptd exit ${RESTART_RC}, expected 143"; exit 1; }
-for series in serve_recovered_jobs serve_journal_appends \
-              serve_journal_fsyncs; do
-  grep -q "tspopt_${series}" "${RECOVER_TMP}/metrics.prom" \
-      || { echo "missing Prometheus series tspopt_${series}"; exit 1; }
-done
 echo "kill -9 -> restart -> resume -> finish verified."
 
 echo
@@ -838,7 +853,7 @@ cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTSPOPT_SANITIZE=undefined >/dev/null
 UBSAN_SUITES="test_engines test_pruned test_pruned_equivalence test_tour \
   test_fuzz test_serve test_ils test_population_ils test_checkpoint \
-  test_batcher test_tsplib"
+  test_batcher test_tsplib test_admin test_journal test_serve_stress"
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target ${UBSAN_SUITES}
 for suite in ${UBSAN_SUITES}; do
   echo "UBSan: ${suite}"

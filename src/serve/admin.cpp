@@ -31,47 +31,6 @@ obs::HttpResponse json_response(const obs::JsonWriter& w) {
   return response;
 }
 
-void write_stats(obs::JsonWriter& w, const Scheduler::Stats& stats) {
-  w.begin_object();
-  w.key("accepted").value(stats.accepted);
-  w.key("rejected_full").value(stats.rejected_full);
-  w.key("rejected_invalid").value(stats.rejected_invalid);
-  w.key("finished").value(stats.finished);
-  w.key("failed").value(stats.failed);
-  w.key("cancelled").value(stats.cancelled);
-  w.key("expired").value(stats.expired);
-  w.key("retries").value(stats.retries);
-  w.key("recovered").value(stats.recovered);
-  w.key("batches").value(stats.batches);
-  w.key("batched_jobs").value(stats.batched_jobs);
-  w.key("queue_depth").value(static_cast<std::uint64_t>(stats.queue_depth));
-  w.key("active_jobs").value(static_cast<std::uint64_t>(stats.active_jobs));
-  w.key("workers").value(static_cast<std::uint64_t>(stats.workers));
-  w.key("devices").value(static_cast<std::uint64_t>(stats.devices));
-  w.key("devices_available")
-      .value(static_cast<std::uint64_t>(stats.devices_available));
-  w.end_object();
-}
-
-void write_journal_stats(obs::JsonWriter& w, const Journal& journal) {
-  Journal::Stats stats = journal.stats();
-  w.begin_object();
-  w.key("dir").value(journal.dir());
-  w.key("appends").value(stats.appends);
-  w.key("append_errors").value(stats.append_errors);
-  w.key("bytes").value(stats.bytes);
-  w.key("fsyncs").value(stats.fsyncs);
-  w.key("fsync_errors").value(stats.fsync_errors);
-  w.key("rotations").value(stats.rotations);
-  w.key("torn_tails").value(stats.torn_tails);
-  w.key("live_jobs").value(stats.live_jobs);
-  w.key("settled_jobs").value(stats.settled_jobs);
-  w.key("active_segment").value(stats.active_segment);
-  w.key("active_bytes").value(stats.active_bytes);
-  w.key("healthy").value(journal.healthy());
-  w.end_object();
-}
-
 // /profilez admission: SIGPROF and ITIMER_PROF are process-wide, so the
 // at-most-one-capture discipline is process-wide too, not per-daemon.
 std::atomic<bool> g_profilez_busy{false};
@@ -164,23 +123,23 @@ void mount_admin(obs::HttpServer& server, AdminContext context) {
     w.key("ready").value(reason.empty());
     if (!reason.empty()) w.key("not_ready_reason").value(reason);
     w.key("queue_oldest_age_ms").value(ctx->scheduler->queue_oldest_age_ms());
+    Scheduler::Stats stats = ctx->scheduler->stats();
     w.key("stats");
-    write_stats(w, ctx->scheduler->stats());
+    write_stats(w, stats);
     // Micro-batcher occupancy: lifetime coalesced batches plus the mean
     // members per batch, so an operator can tell whether the linger window
     // is actually catching the traffic it was sized for.
     {
-      const Batcher& batcher = ctx->scheduler->batcher();
+      const BatcherOptions& batcher = ctx->scheduler->options().batcher;
       w.key("batcher").begin_object();
-      w.key("max_batch")
-          .value(static_cast<std::uint64_t>(batcher.options().max_batch));
-      w.key("max_wait_ms").value(batcher.options().max_wait_ms);
-      w.key("batches").value(batcher.batches());
-      w.key("batched_jobs").value(batcher.batched_jobs());
+      w.key("max_batch").value(static_cast<std::uint64_t>(batcher.max_batch));
+      w.key("max_wait_ms").value(batcher.max_wait_ms);
+      w.key("batches").value(stats.batches);
+      w.key("batched_jobs").value(stats.batched_jobs);
       w.key("mean_occupancy")
-          .value(batcher.batches() > 0
-                     ? static_cast<double>(batcher.batched_jobs()) /
-                           static_cast<double>(batcher.batches())
+          .value(stats.batches > 0
+                     ? static_cast<double>(stats.batched_jobs) /
+                           static_cast<double>(stats.batches)
                      : 0.0);
       w.end_object();
     }
@@ -189,11 +148,11 @@ void mount_admin(obs::HttpServer& server, AdminContext context) {
     // Histogram::quantile). Same bucket layout the scheduler registered,
     // so this lookup returns the live instruments, never fresh ones.
     w.key("phases").begin_object();
-    for (const char* phase : {"wait", "lease", "run", "settle"}) {
+    for (JobPhase phase : kJobPhases) {
       obs::Histogram& h = obs::Registry::global().histogram(
           "serve.job_phase_us", Scheduler::latency_buckets_us(),
-          {{"phase", phase}});
-      w.key(phase).begin_object();
+          {{"phase", to_string(phase)}});
+      w.key(to_string(phase)).begin_object();
       w.key("count").value(h.count());
       w.key("p50_us").value(h.count() > 0 ? h.quantile(0.5) : 0.0);
       w.key("p99_us").value(h.count() > 0 ? h.quantile(0.99) : 0.0);
@@ -235,10 +194,10 @@ void mount_admin(obs::HttpServer& server, AdminContext context) {
       if (!s.trace_id.empty()) w.key("trace_id").value(s.trace_id);
       w.key("engine").value(s.engine);
       w.key("state").value(to_string(s.state));
-      w.key("wait_ms").value(s.wait_ms);
-      w.key("lease_ms").value(s.lease_ms);
-      w.key("run_ms").value(s.run_ms);
-      w.key("settle_ms").value(s.settle_ms);
+      for (JobPhase phase : kJobPhases) {
+        w.key(std::string(to_string(phase)) + "_ms")
+            .value(s.phase_ms[static_cast<std::size_t>(phase)]);
+      }
       w.key("total_ms").value(s.total_ms());
       if (s.best_length >= 0) w.key("best").value(s.best_length);
       // Batch membership: which coalesced pass this job rode in and how

@@ -21,8 +21,7 @@
 //               with their per-phase wait/lease/run/settle breakdown;
 //               `?n=` limits the count.
 //   /metrics  — the live Prometheus text exposition of the global
-//               registry (same bytes a TSPOPT_PROM file scrape gets, but
-//               pull-based and always current).
+//               registry, pull-based and always current.
 //   /profilez — on-demand CPU profile of the live daemon:
 //               `?seconds=N[&hz=H]` runs a sampling-profiler capture
 //               (obs/profiler) and answers with collapsed stacks,

@@ -62,15 +62,13 @@ std::string batch_key(const JobSpec& spec) {
   return key;
 }
 
-Batcher::Batcher(JobQueue& queue, BatcherOptions options)
-    : queue_(queue), options_(options) {}
-
-std::vector<std::shared_ptr<Job>> Batcher::collect(
-    std::shared_ptr<Job> lead) {
+std::vector<std::shared_ptr<Job>> collect_batch(JobQueue& queue,
+                                                const BatcherOptions& options,
+                                                std::shared_ptr<Job> lead) {
   std::vector<std::shared_ptr<Job>> batch;
   batch.push_back(std::move(lead));
   const JobSpec& spec = batch.front()->spec();
-  if (options_.max_batch <= 1 || !spec_batchable(spec)) return batch;
+  if (options.max_batch <= 1 || !spec_batchable(spec)) return batch;
 
   const std::string key = batch_key(spec);
   auto matches = [&](const Job& job) {
@@ -80,10 +78,10 @@ std::vector<std::shared_ptr<Job>> Batcher::collect(
   WallTimer timer;
   for (;;) {
     std::vector<std::shared_ptr<Job>> more =
-        queue_.try_pop_matching(matches, options_.max_batch - batch.size());
+        queue.try_pop_matching(matches, options.max_batch - batch.size());
     for (std::shared_ptr<Job>& job : more) batch.push_back(std::move(job));
-    if (batch.size() >= options_.max_batch) break;
-    double remaining_ms = options_.max_wait_ms - timer.millis();
+    if (batch.size() >= options.max_batch) break;
+    double remaining_ms = options.max_wait_ms - timer.millis();
     if (remaining_ms <= 0.0) break;
     // The queue has no "wait for a matching push" primitive; the linger
     // window is small (single-digit ms), so a short poll keeps the lead
@@ -91,10 +89,6 @@ std::vector<std::shared_ptr<Job>> Batcher::collect(
     // through the scheduler's hot path.
     std::this_thread::sleep_for(std::chrono::microseconds(
         static_cast<std::int64_t>(std::min(remaining_ms, 0.25) * 1e3)));
-  }
-  if (batch.size() > 1) {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batched_jobs_.fetch_add(batch.size(), std::memory_order_relaxed);
   }
   return batch;
 }

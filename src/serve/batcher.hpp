@@ -2,7 +2,7 @@
 //
 // The batch engines (solver/batch/) amortize per-pass overhead across
 // many tours of ONE instance, but serve traffic arrives as individual
-// jobs. The Batcher bridges the two: when a worker dequeues a job whose
+// jobs. collect_batch() bridges the two: when a worker dequeues a job whose
 // spec opted in (`batchable`) and whose engine class has a batch
 // implementation, it lingers up to `max_wait_ms` collecting other queued
 // jobs with the same *batch key* — identical instance bytes, same engine
@@ -21,7 +21,6 @@
 // error rather than padding tours of different lengths together.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -61,32 +60,15 @@ bool spec_batchable(const JobSpec& spec);
 // the same label coalesce).
 std::string batch_key(const JobSpec& spec);
 
-class Batcher {
- public:
-  Batcher(JobQueue& queue, BatcherOptions options);
-
-  // Grow a batch around the already-popped lead job: pull queued jobs
-  // matching the lead's batch key until the batch is full or max_wait_ms
-  // elapses. Returns lead + followers (lead first; followers in
-  // priority-then-FIFO order). Never blocks past max_wait_ms; a
-  // non-batchable lead returns {lead} immediately.
-  std::vector<std::shared_ptr<Job>> collect(std::shared_ptr<Job> lead);
-
-  const BatcherOptions& options() const { return options_; }
-
-  // Lifetime totals for /statusz and the stats verb.
-  std::uint64_t batches() const {
-    return batches_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t batched_jobs() const {
-    return batched_jobs_.load(std::memory_order_relaxed);
-  }
-
- private:
-  JobQueue& queue_;
-  BatcherOptions options_;
-  std::atomic<std::uint64_t> batches_{0};       // coalesced (>= 2) batches
-  std::atomic<std::uint64_t> batched_jobs_{0};  // members of those batches
-};
+// Grow a batch around the already-popped lead job: pull queued jobs
+// matching the lead's batch key until the batch is full or max_wait_ms
+// elapses. Returns lead + followers (lead first; followers in
+// priority-then-FIFO order). Never blocks past max_wait_ms; a
+// non-batchable lead returns {lead} immediately. Counts nothing: members
+// may still drop out before they run, so the scheduler counts the batches
+// that actually ran.
+std::vector<std::shared_ptr<Job>> collect_batch(JobQueue& queue,
+                                                const BatcherOptions& options,
+                                                std::shared_ptr<Job> lead);
 
 }  // namespace tspopt::serve

@@ -38,28 +38,6 @@ std::uint64_t id_field(const obs::JsonValue& request) {
   return static_cast<std::uint64_t>(id.number);
 }
 
-void write_stats(obs::JsonWriter& w, const Scheduler::Stats& s) {
-  w.begin_object();
-  w.key("accepted").value(s.accepted);
-  w.key("rejected_full").value(s.rejected_full);
-  w.key("rejected_invalid").value(s.rejected_invalid);
-  w.key("finished").value(s.finished);
-  w.key("failed").value(s.failed);
-  w.key("cancelled").value(s.cancelled);
-  w.key("expired").value(s.expired);
-  w.key("retries").value(s.retries);
-  w.key("recovered").value(s.recovered);
-  w.key("batches").value(s.batches);
-  w.key("batched_jobs").value(s.batched_jobs);
-  w.key("queue_depth").value(static_cast<std::uint64_t>(s.queue_depth));
-  w.key("active_jobs").value(static_cast<std::uint64_t>(s.active_jobs));
-  w.key("workers").value(static_cast<std::uint64_t>(s.workers));
-  w.key("devices").value(static_cast<std::uint64_t>(s.devices));
-  w.key("devices_available")
-      .value(static_cast<std::uint64_t>(s.devices_available));
-  w.end_object();
-}
-
 }  // namespace
 
 std::string handle_request(Scheduler& scheduler, const std::string& line) {
@@ -152,19 +130,8 @@ std::string handle_request(Scheduler& scheduler, const std::string& line) {
       w.key("stats");
       write_stats(w, scheduler.stats());
       if (const Journal* journal = scheduler.journal()) {
-        Journal::Stats js = journal->stats();
-        w.key("journal").begin_object();
-        w.key("dir").value(journal->dir());
-        w.key("appends").value(js.appends);
-        w.key("append_errors").value(js.append_errors);
-        w.key("bytes").value(js.bytes);
-        w.key("fsyncs").value(js.fsyncs);
-        w.key("fsync_errors").value(js.fsync_errors);
-        w.key("rotations").value(js.rotations);
-        w.key("torn_tails").value(js.torn_tails);
-        w.key("live_jobs").value(js.live_jobs);
-        w.key("settled_jobs").value(js.settled_jobs);
-        w.end_object();
+        w.key("journal");
+        write_journal_stats(w, *journal);
       }
       w.end_object();
       return w.str();

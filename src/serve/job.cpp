@@ -289,14 +289,12 @@ void write_job_status(obs::JsonWriter& w, const Job& job) {
   if (!job.spec().trace_id.empty()) {
     w.key("trace_id").value(job.spec().trace_id);
   }
-  double wait = job.wait_seconds.load(std::memory_order_relaxed);
-  if (wait >= 0.0) w.key("wait_seconds").value(wait);
-  double lease = job.lease_seconds.load(std::memory_order_relaxed);
-  if (lease >= 0.0) w.key("lease_seconds").value(lease);
-  double run = job.run_seconds.load(std::memory_order_relaxed);
-  if (run >= 0.0) w.key("run_seconds").value(run);
-  double settle = job.settle_seconds.load(std::memory_order_relaxed);
-  if (settle >= 0.0) w.key("settle_seconds").value(settle);
+  for (JobPhase phase : kJobPhases) {
+    double seconds = job.phase_seconds(phase);
+    if (seconds >= 0.0) {
+      w.key(std::string(to_string(phase)) + "_seconds").value(seconds);
+    }
+  }
   if (job.has_deadline()) w.key("deadline_ms").value(job.spec().deadline_ms);
   std::string error = job.error();
   if (!error.empty()) w.key("error").value(error);

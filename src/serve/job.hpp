@@ -17,6 +17,7 @@
 // number of status readers touch one concurrently.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -43,6 +44,20 @@ enum class JobState : int {
 
 const char* to_string(JobState state);
 bool is_terminal(JobState state);
+
+// The pipeline phases a job passes through, in order: queue wait,
+// device-lease acquisition, the run itself, and settle (journal append +
+// accounting). Every phase-keyed output loops over kJobPhases and spells
+// the phase with to_string(): the status verb's <phase>_seconds, /tracez's
+// <phase>_ms, /statusz's phase table and serve.job_phase_us{phase}.
+enum class JobPhase : std::size_t { kWait, kLease, kRun, kSettle };
+inline constexpr std::array<JobPhase, 4> kJobPhases = {
+    JobPhase::kWait, JobPhase::kLease, JobPhase::kRun, JobPhase::kSettle};
+inline constexpr std::array<const char*, kJobPhases.size()> kJobPhaseNames = {
+    "wait", "lease", "run", "settle"};
+inline const char* to_string(JobPhase phase) {
+  return kJobPhaseNames[static_cast<std::size_t>(phase)];
+}
 
 struct JobSpec {
   // Exactly one instance source: a catalog name ("kroA200", "berlin52",
@@ -208,14 +223,16 @@ class Job {
   std::atomic<std::uint64_t> batch_id{0};
   std::atomic<std::int32_t> batch_occupancy{0};
 
-  // Per-phase durations, recorded by the scheduler as the job moves
-  // through its pipeline: queue wait, device-lease acquisition, the run
-  // itself, and settle (journal append + accounting). -1 = not reached.
-  // These feed the serve.job_phase_us histograms and the /tracez ring.
-  std::atomic<double> wait_seconds{-1.0};
-  std::atomic<double> lease_seconds{-1.0};
-  std::atomic<double> run_seconds{-1.0};
-  std::atomic<double> settle_seconds{-1.0};
+  // Per-phase durations in seconds, recorded by the scheduler as the job
+  // moves through its pipeline. -1 = not reached.
+  double phase_seconds(JobPhase phase) const {
+    return phase_seconds_[static_cast<std::size_t>(phase)].load(
+        std::memory_order_relaxed);
+  }
+  void set_phase_seconds(JobPhase phase, double seconds) {
+    phase_seconds_[static_cast<std::size_t>(phase)].store(
+        seconds, std::memory_order_relaxed);
+  }
 
   void set_result(JobResult result) {
     std::lock_guard lock(mu_);
@@ -242,14 +259,17 @@ class Job {
   std::atomic<bool> cancel_requested_{false};
   std::atomic<bool> recovered_{false};
   std::atomic<bool> resume_{false};
+  std::array<std::atomic<double>, kJobPhases.size()> phase_seconds_{
+      -1.0, -1.0, -1.0, -1.0};
   mutable std::mutex mu_;
   JobResult result_;
   std::string error_;
 };
 
 // Append the job's status object (id, state, instance, engine, priority,
-// live progress, wait/run times, error when failed) to `w` — the payload
-// of the daemon's "status" verb and of test assertions.
+// live progress, each reached phase's <phase>_seconds, error when failed)
+// to `w` — the payload of the daemon's "status" verb and of test
+// assertions.
 void write_job_status(obs::JsonWriter& w, const Job& job);
 
 }  // namespace tspopt::serve

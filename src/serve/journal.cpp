@@ -672,4 +672,23 @@ bool Journal::healthy() const {
   return !wedged_ && last_append_ok_ && last_fsync_ok_;
 }
 
+void write_journal_stats(obs::JsonWriter& w, const Journal& journal) {
+  Journal::Stats stats = journal.stats();
+  w.begin_object();
+  w.key("dir").value(journal.dir());
+  w.key("appends").value(stats.appends);
+  w.key("append_errors").value(stats.append_errors);
+  w.key("bytes").value(stats.bytes);
+  w.key("fsyncs").value(stats.fsyncs);
+  w.key("fsync_errors").value(stats.fsync_errors);
+  w.key("rotations").value(stats.rotations);
+  w.key("torn_tails").value(stats.torn_tails);
+  w.key("live_jobs").value(stats.live_jobs);
+  w.key("settled_jobs").value(stats.settled_jobs);
+  w.key("active_segment").value(stats.active_segment);
+  w.key("active_bytes").value(stats.active_bytes);
+  w.key("healthy").value(journal.healthy());
+  w.end_object();
+}
+
 }  // namespace tspopt::serve

@@ -192,4 +192,8 @@ class Journal {
   std::unique_ptr<Metrics> m_;
 };
 
+// Append the journal's directory, Stats counters and health as one JSON
+// object: the "journal" member of both the stats verb and /statusz.
+void write_journal_stats(obs::JsonWriter& w, const Journal& journal);
+
 }  // namespace tspopt::serve

@@ -23,7 +23,7 @@ namespace tspopt::serve {
 
 namespace {
 
-// One shared bucket layout for both serve latency histograms: queue waits
+// One shared bucket layout for every serve phase histogram: queue waits
 // are sub-millisecond under light load, job runs are seconds under heavy.
 const std::vector<double> kLatencyBucketsUs = {
     100,    250,    500,     1000,    2500,    5000,     10000,    25000,
@@ -95,14 +95,9 @@ struct Scheduler::Instruments {
   obs::Gauge& queue_depth;
   obs::Gauge& active_jobs;
   obs::Gauge& queue_oldest_age_ms;
-  obs::Histogram& job_wait_us;
-  obs::Histogram& job_run_us;
-  // Per-phase pipeline latency, one labeled series per phase — the
+  // Per-phase pipeline latency, one labeled series per JobPhase — the
   // Prometheus-side mirror of the /tracez per-job breakdown.
-  obs::Histogram& phase_wait_us;
-  obs::Histogram& phase_lease_us;
-  obs::Histogram& phase_run_us;
-  obs::Histogram& phase_settle_us;
+  std::array<obs::Histogram*, kJobPhases.size()> phase_us{};
   obs::Counter& accepted;
   obs::Counter& rejected_full;
   obs::Counter& rejected_invalid;
@@ -113,24 +108,12 @@ struct Scheduler::Instruments {
   obs::Counter& expired;
   obs::Counter& retries;
   obs::Counter& recovered;
-  obs::Counter& batches;
-  obs::Counter& batched_jobs;
   obs::Histogram& batch_occupancy;
 
   explicit Instruments(obs::Registry& r)
       : queue_depth(r.gauge("serve.queue_depth")),
         active_jobs(r.gauge("serve.active_jobs")),
         queue_oldest_age_ms(r.gauge("serve.queue_oldest_age_ms")),
-        job_wait_us(r.histogram("serve.job_wait_us", kLatencyBucketsUs)),
-        job_run_us(r.histogram("serve.job_run_us", kLatencyBucketsUs)),
-        phase_wait_us(r.histogram("serve.job_phase_us", kLatencyBucketsUs,
-                                  {{"phase", "wait"}})),
-        phase_lease_us(r.histogram("serve.job_phase_us", kLatencyBucketsUs,
-                                   {{"phase", "lease"}})),
-        phase_run_us(r.histogram("serve.job_phase_us", kLatencyBucketsUs,
-                                 {{"phase", "run"}})),
-        phase_settle_us(r.histogram("serve.job_phase_us", kLatencyBucketsUs,
-                                    {{"phase", "settle"}})),
         accepted(r.counter("serve.jobs_accepted")),
         rejected_full(r.counter("serve.jobs_rejected", {{"reason", "full"}})),
         rejected_invalid(
@@ -142,17 +125,20 @@ struct Scheduler::Instruments {
         expired(r.counter("serve.jobs_expired")),
         retries(r.counter("serve.job_retries")),
         recovered(r.counter("serve.recovered_jobs")),
-        batches(r.counter("serve.batches")),
-        batched_jobs(r.counter("serve.batched_jobs")),
         batch_occupancy(r.histogram("serve.batch_occupancy",
-                                    {1, 2, 4, 8, 16, 32, 64})) {}
+                                    {1, 2, 4, 8, 16, 32, 64})) {
+    for (JobPhase phase : kJobPhases) {
+      phase_us[static_cast<std::size_t>(phase)] =
+          &r.histogram("serve.job_phase_us", kLatencyBucketsUs,
+                       {{"phase", to_string(phase)}});
+    }
+  }
 };
 
 Scheduler::Scheduler(simt::DevicePool& pool, SchedulerOptions options)
     : pool_(pool),
       options_(options),
       queue_(std::max<std::size_t>(1, options.queue_capacity)),
-      batcher_(queue_, options.batcher),
       m_(std::make_unique<Instruments>(obs::Registry::global())) {
   TSPOPT_CHECK_MSG(options_.workers >= 1, "Scheduler needs >= 1 worker");
   TSPOPT_CHECK(options_.max_attempts >= 1);
@@ -492,6 +478,11 @@ void Scheduler::note_run_seconds(double seconds) {
                     std::memory_order_relaxed);
 }
 
+void Scheduler::record_phase(Job& job, JobPhase phase, double seconds) {
+  job.set_phase_seconds(phase, seconds);
+  m_->phase_us[static_cast<std::size_t>(phase)]->observe(seconds * 1e6);
+}
+
 void Scheduler::settle(const std::shared_ptr<Job>& job, JobState terminal) {
   WallTimer settle_timer;
   const char* event = "job.finished";
@@ -560,27 +551,22 @@ void Scheduler::settle(const std::shared_ptr<Job>& job, JobState terminal) {
 
   // Settle phase ends here: everything after is reporting, not work the
   // next job waits on.
-  double settle_seconds = settle_timer.seconds();
-  job->settle_seconds.store(settle_seconds, std::memory_order_relaxed);
-  m_->phase_settle_us.observe(settle_seconds * 1e6);
+  record_phase(*job, JobPhase::kSettle, settle_timer.seconds());
   m_->queue_oldest_age_ms.set(queue_.oldest_age_ms());
 
   // Feed the /tracez ring: keep this job if the ring has room or it is
   // slower than the current fastest entry.
   {
-    auto phase_ms = [](double seconds) {
-      return seconds > 0.0 ? seconds * 1e3 : 0.0;
-    };
     JobTraceSummary summary;
     summary.id = job->id();
     summary.trace_id = job->spec().trace_id;
     summary.engine = job->spec().engine;
     summary.state = terminal;
-    summary.wait_ms = phase_ms(job->wait_seconds.load(std::memory_order_relaxed));
-    summary.lease_ms =
-        phase_ms(job->lease_seconds.load(std::memory_order_relaxed));
-    summary.run_ms = phase_ms(job->run_seconds.load(std::memory_order_relaxed));
-    summary.settle_ms = phase_ms(settle_seconds);
+    for (JobPhase phase : kJobPhases) {
+      double seconds = job->phase_seconds(phase);
+      summary.phase_ms[static_cast<std::size_t>(phase)] =
+          seconds > 0.0 ? seconds * 1e3 : 0.0;
+    }
     summary.best_length = job->best_length.load(std::memory_order_relaxed);
     summary.batch_id = job->batch_id.load(std::memory_order_relaxed);
     summary.batch_occupancy =
@@ -610,10 +596,9 @@ void Scheduler::settle(const std::shared_ptr<Job>& job, JobState terminal) {
       std::int64_t best = job->best_length.load(std::memory_order_relaxed);
       if (best >= 0) e.arg("best", best);
       e.arg("iterations", job->iteration.load(std::memory_order_relaxed));
-      double run = job->run_seconds.load(std::memory_order_relaxed);
+      double run = job->phase_seconds(JobPhase::kRun);
       if (run >= 0.0) e.arg("run_seconds", run);
-      double settle = job->settle_seconds.load(std::memory_order_relaxed);
-      if (settle >= 0.0) e.arg("settle_seconds", settle);
+      e.arg("settle_seconds", job->phase_seconds(JobPhase::kSettle));
       std::string error = job->error();
       if (!error.empty()) e.arg("error", error);
     }
@@ -636,19 +621,13 @@ void Scheduler::worker_loop(std::size_t worker_index) {
       continue;
     }
     if (out.job == nullptr) return;  // closed and drained
-    run(batcher_.collect(std::move(out.job)));
+    run(collect_batch(queue_, options_.batcher, std::move(out.job)));
   }
 }
 
 bool Scheduler::begin_running(const std::shared_ptr<Job>& job) {
   m_->queue_depth.set(static_cast<double>(queue_.depth()));
   m_->queue_oldest_age_ms.set(queue_.oldest_age_ms());
-
-  double wait_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() -
-                            job->accepted_at())
-                            .count();
-  job->wait_seconds.store(wait_seconds, std::memory_order_relaxed);
 
   // Resolve races that landed between dequeue and start.
   if (job->cancel_requested() &&
@@ -665,8 +644,13 @@ bool Scheduler::begin_running(const std::shared_ptr<Job>& job) {
     return false;  // someone else already resolved it
   }
 
-  m_->job_wait_us.observe(wait_seconds * 1e6);
-  m_->phase_wait_us.observe(wait_seconds * 1e6);
+  // Only a started job records its wait, so serve.job_phase_us{wait}
+  // counts exactly the jobs serve.jobs_started counts.
+  double wait_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() -
+                            job->accepted_at())
+                            .count();
+  record_phase(*job, JobPhase::kWait, wait_seconds);
   m_->started.add();
   active_.fetch_add(1, std::memory_order_relaxed);
   m_->active_jobs.set(static_cast<double>(active_.load()));
@@ -738,8 +722,6 @@ void Scheduler::run(std::vector<std::shared_ptr<Job>> jobs) {
     }
     n_batches_.fetch_add(1, std::memory_order_relaxed);
     n_batched_jobs_.fetch_add(members.size(), std::memory_order_relaxed);
-    m_->batches.add();
-    m_->batched_jobs.add(members.size());
     m_->batch_occupancy.observe(static_cast<double>(members.size()));
     span = obs::Tracer::global().span("serve.batch", "serve");
     if (span) {
@@ -766,9 +748,7 @@ void Scheduler::run(std::vector<std::shared_ptr<Job>> jobs) {
 
   for (std::size_t b = 0; b < members.size(); ++b) {
     const std::shared_ptr<Job>& job = members[b];
-    job->run_seconds.store(run_seconds, std::memory_order_relaxed);
-    m_->job_run_us.observe(run_seconds * 1e6);
-    m_->phase_run_us.observe(run_seconds * 1e6);
+    record_phase(*job, JobPhase::kRun, run_seconds);
     active_.fetch_sub(1, std::memory_order_relaxed);
     m_->active_jobs.set(static_cast<double>(active_.load()));
     job->try_transition(JobState::kRunning, terminals[b]);
@@ -880,10 +860,8 @@ std::vector<JobState> Scheduler::execute(
     lease_span.finish();
     double lease_seconds = lease_timer.seconds();
     for (std::size_t b : live) {
-      members[b]->lease_seconds.store(lease_seconds,
-                                      std::memory_order_relaxed);
+      record_phase(*members[b], JobPhase::kLease, lease_seconds);
     }
-    m_->phase_lease_us.observe(lease_seconds * 1e6);
     TSPOPT_CHECK_MSG(lease, "device pool closed");
   }
   EngineFactory factory(
@@ -1071,6 +1049,28 @@ Scheduler::Stats Scheduler::stats() const {
   s.devices = pool_.size();
   s.devices_available = pool_.available();
   return s;
+}
+
+void write_stats(obs::JsonWriter& w, const Scheduler::Stats& stats) {
+  w.begin_object();
+  w.key("accepted").value(stats.accepted);
+  w.key("rejected_full").value(stats.rejected_full);
+  w.key("rejected_invalid").value(stats.rejected_invalid);
+  w.key("finished").value(stats.finished);
+  w.key("failed").value(stats.failed);
+  w.key("cancelled").value(stats.cancelled);
+  w.key("expired").value(stats.expired);
+  w.key("retries").value(stats.retries);
+  w.key("recovered").value(stats.recovered);
+  w.key("batches").value(stats.batches);
+  w.key("batched_jobs").value(stats.batched_jobs);
+  w.key("queue_depth").value(static_cast<std::uint64_t>(stats.queue_depth));
+  w.key("active_jobs").value(static_cast<std::uint64_t>(stats.active_jobs));
+  w.key("workers").value(static_cast<std::uint64_t>(stats.workers));
+  w.key("devices").value(static_cast<std::uint64_t>(stats.devices));
+  w.key("devices_available")
+      .value(static_cast<std::uint64_t>(stats.devices_available));
+  w.end_object();
 }
 
 std::vector<Scheduler::JobTraceSummary> Scheduler::slowest_settled() const {

@@ -17,11 +17,11 @@
 // their Job record plus a per-job RunReport.
 //
 // Observability: the scheduler publishes serve.queue_depth /
-// serve.active_jobs / serve.queue_oldest_age_ms gauges, the
-// serve.job_wait_us / serve.job_run_us histograms plus the per-phase
-// serve.job_phase_us{phase=wait|lease|run|settle} family, and per-outcome
-// counters to the global registry (visible via the existing Prometheus
-// exposition and the /metrics admin endpoint). It emits job.accepted /
+// serve.active_jobs / serve.queue_oldest_age_ms gauges, one latency
+// histogram family serve.job_phase_us{phase} (one series per JobPhase),
+// the serve.batch_occupancy histogram, and per-outcome counters to the
+// global registry (visible via the /metrics admin endpoint and any
+// Prometheus exposition of the registry). It emits job.accepted /
 // job.started / job.finished / job.rejected / job.cancelled / job.expired
 // JSONL lifecycle events — each stamped with the job's distributed trace
 // id when the client supplied one — and, when tracing is on, per-phase
@@ -31,12 +31,14 @@
 // with their per-phase breakdown; readiness() is the /readyz signal.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -136,8 +138,10 @@ class Scheduler {
     std::uint64_t expired = 0;
     std::uint64_t retries = 0;
     std::uint64_t recovered = 0;  // jobs re-queued by journal replay
-    std::uint64_t batches = 0;       // coalesced (>= 2 member) batch passes
-    std::uint64_t batched_jobs = 0;  // jobs that ran inside those batches
+    // Coalesced (>= 2 member) batch passes that ran, and the jobs that ran
+    // inside them; members that settled before starting do not count.
+    std::uint64_t batches = 0;
+    std::uint64_t batched_jobs = 0;
     std::size_t queue_depth = 0;
     std::size_t active_jobs = 0;
     std::size_t workers = 0;
@@ -154,16 +158,15 @@ class Scheduler {
     std::string trace_id;  // empty when the client sent none
     std::string engine;
     JobState state = JobState::kFinished;
-    double wait_ms = 0.0;
-    double lease_ms = 0.0;
-    double run_ms = 0.0;
-    double settle_ms = 0.0;
+    std::array<double, kJobPhases.size()> phase_ms{};  // by JobPhase
     std::int64_t best_length = -1;
     // Micro-batch membership: 0 = ran solo, otherwise the coalesced batch
     // this job was a member of and how many members it carried.
     std::uint64_t batch_id = 0;
     std::int32_t batch_occupancy = 0;
-    double total_ms() const { return wait_ms + lease_ms + run_ms + settle_ms; }
+    double total_ms() const {
+      return std::accumulate(phase_ms.begin(), phase_ms.end(), 0.0);
+    }
   };
   // The slowest settled jobs by total pipeline time, slowest first (ring
   // of at most kTracezCapacity entries — slow outliers stay visible even
@@ -171,9 +174,9 @@ class Scheduler {
   static constexpr std::size_t kTracezCapacity = 32;
   std::vector<JobTraceSummary> slowest_settled() const;
 
-  // The bucket layout of the serve.job_wait_us / serve.job_run_us /
-  // serve.job_phase_us histograms, for callers (the /statusz phase table)
-  // that need to look the instruments up in the global registry.
+  // The bucket layout of the serve.job_phase_us histograms, for callers
+  // (the /statusz phase table) that need to look the instruments up in the
+  // global registry.
   static const std::vector<double>& latency_buckets_us();
 
   // Every retained non-terminal job (queued + running), ascending id —
@@ -201,8 +204,6 @@ class Scheduler {
   const SchedulerOptions& options() const { return options_; }
   // The journal, when durability is enabled; nullptr otherwise.
   const Journal* journal() const { return journal_.get(); }
-  // The micro-batcher (always present; max_batch = 1 makes it inert).
-  const Batcher& batcher() const { return batcher_; }
 
  private:
   void worker_loop(std::size_t worker_index);
@@ -232,6 +233,9 @@ class Scheduler {
       std::uint64_t batch_id, bool resume);
   // Account a job that reached `terminal` (log event, counters, drain cv).
   void settle(const std::shared_ptr<Job>& job, JobState terminal);
+  // Store one phase's duration on the job and observe it in
+  // serve.job_phase_us{phase}.
+  void record_phase(Job& job, JobPhase phase, double seconds);
   double estimate_retry_after_ms() const;
   void note_run_seconds(double seconds);
   // Replay the journal into jobs_/queue_ (ctor only, before workers).
@@ -240,7 +244,6 @@ class Scheduler {
   simt::DevicePool& pool_;
   SchedulerOptions options_;
   JobQueue queue_;
-  Batcher batcher_;
   std::unique_ptr<Journal> journal_;  // nullptr = durability off
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::uint64_t> next_batch_id_{1};
@@ -282,5 +285,9 @@ class Scheduler {
 
   std::vector<std::jthread> workers_;  // last member: joins before teardown
 };
+
+// Append the scheduler counters as one JSON object: the "stats" member of
+// both the stats verb and /statusz.
+void write_stats(obs::JsonWriter& w, const Scheduler::Stats& stats);
 
 }  // namespace tspopt::serve

@@ -2,7 +2,8 @@
 // discipline (404/400/405/431, HEAD), the five tspoptd endpoints served
 // from a live in-process daemon, readiness flipping to 503 during a
 // drain and under an injected journal fsync failure, the /tracez phase
-// breakdown of settled jobs, and client→daemon trace-id propagation.
+// breakdown of settled jobs, /statusz's batch counts, and client→daemon
+// trace-id propagation.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -466,6 +467,65 @@ TEST(AdminDaemon, StatuszReportsPhaseQuantiles) {
   const obs::JsonValue& run = statusz.at("phases").at("run");
   EXPECT_GT(run.at("p50_us").number, 0.0);
   EXPECT_GE(run.at("p99_us").number, run.at("p50_us").number);
+
+  daemon.stop(true);
+}
+
+// A batch member that expires before it starts does not count: the lead
+// lingers past its own deadline collecting a follower, expires when the
+// worker claims it, and the follower runs alone. /statusz's batcher
+// object reports the same counts as the scheduler's stats.
+TEST(AdminDaemon, StatuszBatcherCountsOnlyBatchesThatRan) {
+  PoolFixture fixture(1);
+  DaemonOptions options;
+  options.port = 0;
+  options.admin_port = 0;
+  options.scheduler.workers = 1;
+  options.scheduler.batcher.max_batch = 8;
+  options.scheduler.batcher.max_wait_ms = 500.0;
+  Daemon daemon(*fixture.pool, options);
+  daemon.start();
+  ASSERT_GT(daemon.admin_port(), 0);
+  Scheduler& scheduler = daemon.scheduler();
+
+  JobSpec lead = quick_spec();
+  lead.engine = "cpu-simd";
+  lead.batchable = true;
+  lead.deadline_ms = 50.0;
+  JobSpec follower = lead;
+  follower.deadline_ms = -1.0;
+  follower.seed = 8;
+  Scheduler::Admission a = scheduler.submit(lead);
+  Scheduler::Admission b = scheduler.submit(follower);
+  ASSERT_TRUE(a.accepted) << a.error;
+  ASSERT_TRUE(b.accepted) << b.error;
+
+  auto deadline = std::chrono::steady_clock::now() + 10s;
+  auto settled = [&](std::uint64_t id) {
+    std::shared_ptr<const Job> job = scheduler.find(id);
+    return job != nullptr && is_terminal(job->state()) &&
+           job->phase_seconds(JobPhase::kSettle) >= 0.0;
+  };
+  while (!settled(a.id) || !settled(b.id)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_EQ(scheduler.find(a.id)->state(), JobState::kExpired);
+  EXPECT_EQ(scheduler.find(b.id)->state(), JobState::kFinished);
+  EXPECT_EQ(scheduler.find(b.id)->batch_id.load(), 0u);
+
+  Scheduler::Stats stats = scheduler.stats();
+  EXPECT_EQ(stats.batches, 0u);
+  EXPECT_EQ(stats.batched_jobs, 0u);
+  obs::JsonValue statusz =
+      obs::json_parse(http_get(daemon.admin_port(), "/statusz").body);
+  const obs::JsonValue& batcher = statusz.at("batcher");
+  EXPECT_EQ(batcher.at("batches").number,
+            statusz.at("stats").at("batches").number);
+  EXPECT_EQ(batcher.at("batched_jobs").number,
+            statusz.at("stats").at("batched_jobs").number);
+  EXPECT_EQ(batcher.at("batches").number, 0.0);
+  EXPECT_EQ(batcher.at("max_batch").number, 8.0);
 
   daemon.stop(true);
 }

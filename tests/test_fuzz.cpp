@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "obs/http.hpp"
 #include "obs/json.hpp"
 #include "serve/daemon.hpp"
+#include "serve/journal.hpp"
 #include "serve/scheduler.hpp"
 #include "simt/device.hpp"
 #include "simt/device_pool.hpp"
@@ -412,6 +414,122 @@ TEST(Fuzz, MutatedCheckpointsNeverCrashOrLoadUnchecked) {
   EXPECT_LT(validated, loaded);
   std::remove(path.c_str());
   std::remove(damaged_path.c_str());
+}
+
+// What a journal replay recovered, one line per job, for comparing two
+// replays.
+std::string recovered_jobs(const serve::Journal::ReplayResult& rep) {
+  std::ostringstream out;
+  for (const serve::Journal::RecoveredJob& job : rep.jobs) {
+    out << job.id << ' ' << serve::to_string(job.state) << ' ' << job.attempts
+        << ' ' << job.spec.seed << ' ' << job.result.best_length << ' '
+        << job.result.order.size() << ' ' << job.error << '\n';
+  }
+  out << "next_id " << rep.next_id << '\n';
+  return out.str();
+}
+
+// Byte-level mutations and truncations of a real journal segment holding
+// accepted, started, settled and forgotten records. Replay must never
+// crash, never apply a record whose checksum fails, and never lose a
+// valid record before the first damaged byte: it reads exactly the
+// records wholly before that byte and recovers exactly the jobs a replay
+// of those records alone recovers.
+TEST(Fuzz, MutatedJournalSegmentsReplaySafely) {
+  namespace fs = std::filesystem;
+  const std::string root = ::testing::TempDir() + "tspopt_fuzz_journal";
+  fs::remove_all(root);
+  {
+    serve::Journal journal(root + "/source");
+    journal.open_and_replay();
+    std::vector<std::unique_ptr<serve::Job>> jobs;
+    for (std::uint64_t id = 1; id <= 4; ++id) {
+      serve::JobSpec spec;
+      spec.catalog = "berlin52";
+      spec.seed = 10 + id;
+      jobs.push_back(std::make_unique<serve::Job>(id, spec));
+      ASSERT_TRUE(journal.append_accepted(*jobs.back()));
+    }
+    serve::JobResult result;
+    result.best_length = 7542;
+    result.iterations = 3;
+    result.order = {0, 2, 1, 3};
+    jobs[0]->set_result(result);
+    jobs[1]->set_error("engine fault");
+    ASSERT_TRUE(journal.append_started(1, 1));
+    ASSERT_TRUE(journal.append_started(2, 1));
+    ASSERT_TRUE(journal.append_settled(*jobs[0], serve::JobState::kFinished));
+    ASSERT_TRUE(journal.append_settled(*jobs[1], serve::JobState::kFailed));
+    ASSERT_TRUE(journal.append_started(3, 2));
+    ASSERT_TRUE(journal.append_settled(*jobs[2], serve::JobState::kFinished));
+    ASSERT_TRUE(journal.append_forgotten(3));
+  }
+  std::vector<fs::path> segments;
+  for (const fs::directory_entry& e :
+       fs::directory_iterator(root + "/source")) {
+    if (e.path().extension() == ".wal") segments.push_back(e.path());
+  }
+  ASSERT_EQ(segments.size(), 1u);
+  const std::string bytes = read_bytes(segments.front().string());
+
+  // Record boundaries: u32 payload length | u64 checksum | payload.
+  constexpr std::size_t kHeader = 12;
+  std::vector<std::size_t> ends;
+  for (std::size_t pos = 0; pos < bytes.size();) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, bytes.data() + pos, sizeof(len));
+    pos += kHeader + len;
+    ends.push_back(pos);
+  }
+  ASSERT_EQ(ends.size(), 11u);
+  ASSERT_EQ(ends.back(), bytes.size());
+
+  const std::string dir = root + "/replay";
+  auto replay = [&](const std::string& segment) {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    write_bytes(dir + "/segment-000001.wal", segment);
+    serve::Journal journal(dir);
+    return journal.open_and_replay();
+  };
+  // prefix[k]: what the first k records alone recover.
+  std::vector<std::string> prefix;
+  for (std::size_t k = 0; k <= ends.size(); ++k) {
+    serve::Journal::ReplayResult rep =
+        replay(bytes.substr(0, k == 0 ? 0 : ends[k - 1]));
+    ASSERT_EQ(rep.records_read, k);
+    prefix.push_back(recovered_jobs(rep));
+  }
+
+  Pcg32 rng(20261018);
+  int damaged_replays = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string damaged = bytes;
+    if (trial % 4 == 3) {
+      damaged.resize(rng.next_below(static_cast<std::uint32_t>(bytes.size())));
+    } else {
+      mutate_bytes(rng, damaged, 0, damaged.size());
+    }
+    std::size_t first = 0;
+    while (first < damaged.size() && first < bytes.size() &&
+           damaged[first] == bytes[first]) {
+      ++first;
+    }
+    if (damaged == bytes) continue;
+    const auto intact = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), first) - ends.begin());
+
+    serve::Journal::ReplayResult rep = replay(damaged);
+    EXPECT_EQ(rep.records_read, intact)
+        << "trial " << trial << ", first damaged byte " << first;
+    EXPECT_EQ(recovered_jobs(rep), prefix[intact])
+        << "trial " << trial << ", first damaged byte " << first;
+    EXPECT_TRUE(rep.torn_tail || rep.corrupt || intact == ends.size())
+        << "trial " << trial;
+    if (intact < ends.size()) ++damaged_replays;
+  }
+  EXPECT_GT(damaged_replays, 300);
+  fs::remove_all(root);
 }
 
 TEST(Fuzz, ParallelEngineStableAcrossPoolSizes) {

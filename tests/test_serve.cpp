@@ -246,8 +246,8 @@ TEST(ServeScheduler, FinishesCpuJobWithReport) {
   Scheduler::Stats stats = scheduler.stats();
   EXPECT_EQ(stats.finished, 1u);
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_GE(job->wait_seconds.load(), 0.0);
-  EXPECT_GT(job->run_seconds.load(), 0.0);
+  EXPECT_GE(job->phase_seconds(JobPhase::kWait), 0.0);
+  EXPECT_GT(job->phase_seconds(JobPhase::kRun), 0.0);
 
   EXPECT_TRUE(scheduler.forget(admission.id));
   EXPECT_EQ(scheduler.find(admission.id), nullptr);
@@ -403,7 +403,7 @@ TEST(ServeScheduler, CancelsQueuedAndRunningJobs) {
   EXPECT_EQ(wait_terminal(scheduler, running.id), JobState::kCancelled);
   std::shared_ptr<const Job> job = scheduler.find(running.id);
   ASSERT_NE(job, nullptr);
-  EXPECT_LT(job->run_seconds.load(), 5.0);
+  EXPECT_LT(job->phase_seconds(JobPhase::kRun), 5.0);
 
   EXPECT_FALSE(scheduler.cancel(999999));  // unknown id
 }
@@ -423,7 +423,7 @@ TEST(ServeScheduler, DeadlineExpiresARunningJob) {
   EXPECT_EQ(wait_terminal(scheduler, admission.id), JobState::kExpired);
   std::shared_ptr<const Job> job = scheduler.find(admission.id);
   ASSERT_NE(job, nullptr);
-  EXPECT_LT(job->run_seconds.load(), 2.0);
+  EXPECT_LT(job->phase_seconds(JobPhase::kRun), 2.0);
   EXPECT_EQ(scheduler.stats().expired, 1u);
 }
 

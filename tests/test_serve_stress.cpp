@@ -53,7 +53,10 @@ struct CounterSnapshot {
     s.expired = r.counter("serve.jobs_expired").value();
     // Bounds only apply on first registration; the scheduler registers
     // this histogram first, so the re-resolve bounds are irrelevant.
-    s.wait_observations = r.histogram("serve.job_wait_us", {1.0}).count();
+    s.wait_observations =
+        r.histogram("serve.job_phase_us", {1.0},
+                    {{"phase", to_string(JobPhase::kWait)}})
+            .count();
     return s;
   }
 };

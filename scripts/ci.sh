@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Continuous-integration driver.
 #
-# Pass 1: Release build + full tier-1 test suite.
+# Pass 1: Release build + full tier-1 test suite, then the allocation-
+#         discipline binary once more as one whole process (ctest runs
+#         each case alone, which hides counts that depend on what ran
+#         earlier in the process).
 # Pass 2: AddressSanitizer build of the fault-injection and checkpoint
 #         suites — the code paths that juggle threads, retries, partial
 #         results, and binary (de)serialization, where memory bugs hide.
@@ -70,7 +73,8 @@
 # Pass 12: UndefinedBehaviorSanitizer build (-fno-sanitize-recover, so
 #         any finding fails its test) of the engine, pruned, pruned-
 #         equivalence, tour, fuzz and serve suites, the ILS, population,
-#         checkpoint and batcher suites that share the one solve path, the
+#         checkpoint, batcher and batch-engine suites that share the one
+#         solve path (TourBatch keeps each slot's length by deltas), the
 #         TSPLIB suite with its coordinate-bound test, and the admin,
 #         journal and serve-stress suites that read the serve instruments —
 #         signed overflow in delta and wrapped-arc index arithmetic,
@@ -101,6 +105,7 @@ echo "== Pass 1: Release build + full test suite =="
 cmake -B "${PREFIX}-release" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "${PREFIX}-release" -j "${JOBS}"
 ctest --test-dir "${PREFIX}-release" --output-on-failure -j "${JOBS}"
+"${PREFIX}-release/tests/test_alloc_reuse" --gtest_brief=1
 
 echo
 echo "== Pass 2: AddressSanitizer build + fault/checkpoint/fuzz suites =="
@@ -853,7 +858,8 @@ cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTSPOPT_SANITIZE=undefined >/dev/null
 UBSAN_SUITES="test_engines test_pruned test_pruned_equivalence test_tour \
   test_fuzz test_serve test_ils test_population_ils test_checkpoint \
-  test_batcher test_tsplib test_admin test_journal test_serve_stress"
+  test_batcher test_batch_twoopt test_tsplib test_admin test_journal \
+  test_serve_stress"
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target ${UBSAN_SUITES}
 for suite in ${UBSAN_SUITES}; do
   echo "UBSan: ${suite}"

@@ -40,7 +40,17 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     TSPOPT_CHECK_MSG(!stop_, "submit on a stopped ThreadPool");
-    queue_.push_back(std::move(packaged));
+    if (count_ == queue_.size()) {
+      std::vector<std::packaged_task<void()>> grown(
+          std::max<std::size_t>(16, 2 * queue_.size()));
+      for (std::size_t t = 0; t < count_; ++t) {
+        grown[t] = std::move(queue_[(head_ + t) % queue_.size()]);
+      }
+      queue_ = std::move(grown);
+      head_ = 0;
+    }
+    queue_[(head_ + count_) % queue_.size()] = std::move(packaged);
+    ++count_;
   }
   cv_.notify_one();
   return fut;
@@ -68,10 +78,11 @@ void ThreadPool::worker_loop() {
     std::packaged_task<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      cv_.wait(lock, [this] { return stop_ || count_ != 0; });
+      if (stop_ && count_ == 0) return;
+      task = std::move(queue_[head_]);
+      head_ = (head_ + 1) % queue_.size();
+      --count_;
     }
     task();  // packaged_task captures exceptions into the future
   }

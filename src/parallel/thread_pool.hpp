@@ -9,7 +9,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <future>
@@ -47,7 +46,13 @@ class ThreadPool {
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::packaged_task<void()>> queue_;
+  // FIFO task ring: queue_[head_], ... (mod capacity), count_ long. It
+  // grows only when full, so a steady launch rate allocates nothing for
+  // queueing (a deque allocates a node every few launches, which made
+  // per-launch allocation counts depend on how many tasks ran before).
+  std::vector<std::packaged_task<void()>> queue_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;

@@ -32,17 +32,15 @@ std::vector<LocalSearchStats> batch_local_search(
       if (!slot.best.improves()) {
         st.reached_local_minimum = true;
         batch.set_active(b, false);
-        batch.refresh_length(b);
         continue;
       }
-      batch.tour_mut(b).apply_two_opt(slot.best.i, slot.best.j);
+      batch.apply_two_opt(b, slot.best.i, slot.best.j);
       ++st.moves_applied;
       st.improvement += -static_cast<std::int64_t>(slot.best.delta);
       st.wall_seconds = timer.seconds();
       if ((member_stop && member_stop(b)) ||
           (options.max_passes >= 0 && st.passes >= options.max_passes)) {
         batch.set_active(b, false);
-        batch.refresh_length(b);
       }
     }
   }
@@ -50,7 +48,6 @@ std::vector<LocalSearchStats> batch_local_search(
   for (std::int32_t b = 0; b < batch.size(); ++b) {
     LocalSearchStats& st = stats[static_cast<std::size_t>(b)];
     if (st.passes > 0) st.wall_seconds = now;
-    if (batch.active(b)) batch.refresh_length(b);  // time-limit cutoff
   }
   return stats;
 }

@@ -211,9 +211,7 @@ PopulationIlsResult run_rounds(
       MemberState& st = ps.members[static_cast<std::size_t>(b)];
       batch.set_active(b, !st.finished);
       if (st.finished) continue;
-      Tour& candidate = batch.tour_mut(b);
-      candidate = st.incumbent;
-      candidate.double_bridge(st.rng);
+      batch.kick(b, st.incumbent, st.incumbent_len, st.rng);
     }
 
     // Local search (line 6), clipped to the remaining global budget.
@@ -261,8 +259,7 @@ PopulationIlsResult run_rounds(
                  st.incumbent_len)) {
         // The slot is overwritten next round, so the descended tour can
         // move into the incumbent instead of being copied.
-        std::swap(st.incumbent, batch.tour_mut(b));
-        st.incumbent_len = length;
+        batch.swap_tour(b, st.incumbent, st.incumbent_len);
         m_accepted.add();
       }
       if (mo.on_progress) {

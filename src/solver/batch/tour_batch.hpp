@@ -8,15 +8,22 @@
 // coordinate slice in a common padded slab (stride = n + 1 rounded up to
 // a lane multiple, so slice starts stay cache-line friendly and every
 // slice carries the +1 wraparound entry the row kernels expect), plus
-// per-tour cached lengths and an active flag (the batch analogue of a
+// per-tour lengths and an active flag (the batch analogue of a
 // don't-look bit: a tour at a local minimum drops out of subsequent
 // passes without shrinking the batch).
+//
+// A slot's length is computed once, at construction, and then kept
+// current by the only mutations the batch offers: an applied 2-opt move
+// adds its four-endpoint delta, a kick its six-edge delta, both through
+// Instance::dist, so they are exact under every coordinate metric. No
+// pass or ILS iteration pays an O(n) Tour::length.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "tsp/instance.hpp"
 #include "tsp/tour.hpp"
 
@@ -40,14 +47,18 @@ class TourBatch {
   std::int32_t stride() const { return stride_; }
 
   const Tour& tour(std::int32_t b) const { return tours_[check_slot(b)]; }
-  // Mutating or replacing a tour invalidates its cached length; a descent
-  // over the slot recomputes it, as does refresh_length().
-  Tour& tour_mut(std::int32_t b) { return tours_[check_slot(b)]; }
-
-  // Cached closed-tour length of slot b (refresh_length to recompute
-  // after a mutation through tour_mut).
+  // Closed-tour length of slot b: always tour(b).length(instance()).
   std::int64_t length(std::int32_t b) const { return lengths_[check_slot(b)]; }
-  std::int64_t refresh_length(std::int32_t b);
+
+  // Applies the 2-opt move (i, j) to slot b's tour.
+  void apply_two_opt(std::int32_t b, std::int32_t i, std::int32_t j);
+  // Overwrites slot b with a double-bridge kick of `from`, whose length is
+  // `from_length`, drawing the cut points from `rng`. Copies into the
+  // slot's existing capacity.
+  void kick(std::int32_t b, const Tour& from, std::int64_t from_length,
+            Pcg32& rng);
+  // Exchanges slot b's tour and length with `tour` and `length`.
+  void swap_tour(std::int32_t b, Tour& tour, std::int64_t& length);
 
   // Active flag: inactive tours are skipped by batch engine passes (the
   // per-tour don't-look state — a converged or budget-exhausted tour

@@ -1,6 +1,7 @@
 #include "solver/pruned_sweep.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "tsp/metric.hpp"
@@ -31,6 +32,7 @@ void PrunedSweep::begin_pass(const Instance& instance, const Tour& tour) {
     adj_lo_.assign(size, -1);
     adj_hi_.assign(size, -1);
     dont_look_.assign(size, 0);
+    row_bits_.assign((size + 63) / 64, 0);
     armed_.resize(size);
     std::iota(armed_.begin(), armed_.end(), 0);
   } else {
@@ -42,17 +44,34 @@ void PrunedSweep::begin_pass(const Instance& instance, const Tour& tour) {
   }
 
   const bool same_state = !fresh && points.data() == points_;
+  const bool child = same_state && tour.parent_version() != 0 &&
+                     tour.parent_version() == version_;
   std::int32_t changed = 0;
   if (same_state && tour.version() == version_) {
     dirty_ = {0, 0};
     dirty_city_lo_ = 0;
     dirty_city_hi_ = -1;
-  } else if (same_state && tour.parent_version() != 0 &&
-             tour.parent_version() == version_) {
+  } else if (child && tour.last_kick().p1 >= 0) {
+    // A double bridge A B C D -> A C B D moves only [p1, p3); the six
+    // cities at the segment joints are the only ones whose neighbors
+    // changed.
+    const Tour::Kick kick = tour.last_kick();
+    restage(points, route, {kick.p1, kick.p3 - kick.p1});
+    for (std::int32_t p : kick.joints()) changed += compare_and_set(route, p);
+  } else if (child) {
+    // One 2-opt move changes the reversed arc; only the four endpoints of
+    // the two replaced edges get new neighbors.
     auto [i, j] = tour.last_move();
-    changed = restage(points, route, Tour::two_opt_arc(n, i, j));
+    const Tour::Arc arc = Tour::two_opt_arc(n, i, j);
+    restage(points, route, arc);
+    const std::int32_t last = arc.first + arc.count - 1;
+    for (std::int32_t p : {arc.first + n - 1, arc.first, last, last + 1}) {
+      changed += compare_and_set(route, p % n);
+    }
   } else {
-    changed = restage(points, route, {0, n});
+    // On the first pass every pair differs from the -1 sentinel.
+    restage(points, route, {0, n});
+    for (std::int32_t p = 0; p < n; ++p) changed += compare_and_set(route, p);
     full_rebuilds_->add();
   }
   version_ = tour.version();
@@ -72,17 +91,27 @@ void PrunedSweep::begin_pass(const Instance& instance, const Tour& tour) {
     active_rows_.resize(armed_.size());
     std::iota(active_rows_.begin(), active_rows_.end(), 0);
   } else {
-    active_rows_.clear();
+    // Ascending positions without a comparison sort: mark each armed
+    // city's position in a bitmap, then read the set bits out word by
+    // word, clearing them for the next pass. O(active + n / 64).
     for (std::int32_t city : armed_) {
-      active_rows_.push_back(positions_[static_cast<std::size_t>(city)]);
+      const auto p =
+          static_cast<std::uint32_t>(positions_[static_cast<std::size_t>(city)]);
+      row_bits_[p >> 6] |= std::uint64_t{1} << (p & 63);
     }
-    std::sort(active_rows_.begin(), active_rows_.end());
+    active_rows_.clear();
+    for (std::size_t w = 0; w < row_bits_.size(); ++w) {
+      for (std::uint64_t bits = row_bits_[w]; bits != 0; bits &= bits - 1) {
+        active_rows_.push_back(
+            static_cast<std::int32_t>(w * 64 + std::countr_zero(bits)));
+      }
+      row_bits_[w] = 0;
+    }
   }
 }
 
-std::int32_t PrunedSweep::restage(std::span<const Point> points,
-                                  std::span<const std::int32_t> route,
-                                  Tour::Arc arc) {
+void PrunedSweep::restage(std::span<const Point> points,
+                          std::span<const std::int32_t> route, Tour::Arc arc) {
   const std::int32_t n = n_;
   const bool whole = arc.count == n;
   // Positions arc.first + s (s < 2n) wrap past n - 1.
@@ -123,34 +152,22 @@ std::int32_t PrunedSweep::restage(std::span<const Point> points,
   stage_succ(behind);
   positions_restaged_->add(static_cast<std::uint64_t>(arc.count) +
                            (whole ? 0 : 1));
+}
 
-  // Compare-and-set the unordered tour-neighbor pair of every city whose
-  // pair can have changed: all of them on a rebuild (on the first pass
-  // every pair differs from the -1 sentinel), else the four endpoints of
-  // the two edges the move replaced.
-  auto compare_and_set = [&](std::int32_t p) {
-    std::int32_t city = route[static_cast<std::size_t>(p)];
-    std::int32_t prev = route[static_cast<std::size_t>(p == 0 ? n - 1 : p - 1)];
-    std::int32_t next = route[static_cast<std::size_t>(p == n - 1 ? 0 : p + 1)];
-    std::int32_t lo = prev < next ? prev : next;
-    std::int32_t hi = prev < next ? next : prev;
-    auto c = static_cast<std::size_t>(city);
-    if (lo == adj_lo_[c] && hi == adj_hi_[c]) return 0;
-    adj_lo_[c] = lo;
-    adj_hi_[c] = hi;
-    arm(city);
-    return 1;
-  };
-  std::int32_t changed = 0;
-  if (whole) {
-    for (std::int32_t p = 0; p < n; ++p) changed += compare_and_set(p);
-  } else {
-    const std::int32_t last = arc.first + arc.count - 1;
-    for (std::int32_t p : {arc.first + n - 1, arc.first, last, last + 1}) {
-      changed += compare_and_set(wrap(p));
-    }
-  }
-  return changed;
+std::int32_t PrunedSweep::compare_and_set(std::span<const std::int32_t> route,
+                                          std::int32_t p) {
+  const std::int32_t n = n_;
+  std::int32_t city = route[static_cast<std::size_t>(p)];
+  std::int32_t prev = route[static_cast<std::size_t>(p == 0 ? n - 1 : p - 1)];
+  std::int32_t next = route[static_cast<std::size_t>(p == n - 1 ? 0 : p + 1)];
+  std::int32_t lo = prev < next ? prev : next;
+  std::int32_t hi = prev < next ? next : prev;
+  auto c = static_cast<std::size_t>(city);
+  if (lo == adj_lo_[c] && hi == adj_hi_[c]) return 0;
+  adj_lo_[c] = lo;
+  adj_hi_[c] = hi;
+  arm(city);
+  return 1;
 }
 
 void PrunedSweep::arm(std::int32_t city) {

@@ -13,8 +13,13 @@
 //   - same version as the staged tour: nothing to restage.
 //   - the staged tour plus one apply_two_opt(i, j): restage the reversed
 //     arc and its predecessor only, O(min(j - i, n - (j - i))).
-//   - anything else (first pass, double bridge, Or-opt, a resumed or
-//     restored tour, another instance): the same restage over [0, n).
+//   - the staged tour plus one double_bridge (p1, p2, p3): restage the
+//     rotated span [p1, p3) and its predecessor only, O(p3 - p1). An ILS
+//     kick from an accepted incumbent takes this path, because the
+//     incumbent is the state the descent left staged.
+//   - anything else (first pass, Or-opt, a resumed or restored tour, a
+//     kick from an incumbent the staging does not describe, another
+//     instance): the same restage over [0, n).
 //
 // Don't-look bits. Classic don't-look bits (Bentley; the `dontLook` array
 // in SNIPPETS.md Snippet 3's opt2 kernel): a city whose candidate row
@@ -28,9 +33,10 @@
 //     sweep, bit-equal to the DLB-free cpu-pruned engine.
 //   - otherwise, exactly the cities whose unordered tour-neighbor pair
 //     {prev, succ} changed are re-activated (4 for an applied 2-opt move,
-//     8 for a double-bridge kick). A rebuild compares and sets every
-//     city's pair; an incremental update only the four endpoints of the
-//     two edges the move replaced, the only pairs a 2-opt move changes.
+//     6 for a double-bridge kick). A rebuild compares and sets every
+//     city's pair; an incremental update only the cities whose pairs the
+//     change can alter: the four endpoints of the two edges a 2-opt move
+//     replaced, or the six cities at a kick's segment joints.
 //   - no pair changed (the same tour searched again, or a no-op move
 //     like (i, i+1) or (0, n-1)): every bit is re-armed, so the pass is
 //     again a full sweep and search() is idempotent.
@@ -39,6 +45,10 @@
 // segment orientation — the standard don't-look approximation; the pruned
 // engines are documented as inexact already, and the equivalence suite
 // pins all backends to the same approximation.
+//
+// The active rows come out in ascending position order (gpu-pruned's
+// per-block slices depend on it) from a position bitmap rather than a
+// comparison sort, so the list costs O(active + n / 64) per pass.
 #pragma once
 
 #include <cstdint>
@@ -75,10 +85,11 @@ class PrunedSweep {
   std::span<const std::uint8_t> dont_look() const { return dont_look_; }
 
   // The positions whose city the last begin_pass restaged: the reversed
-  // arc after one 2-opt move, [0, n) after a rebuild, empty when the tour
-  // was unchanged. Coordinates change over this arc (and the wrap entry
-  // when it holds position 0), successor lengths over the arc and its
-  // predecessor, positions() over the arc's cities.
+  // arc after one 2-opt move, [p1, p3) after a double bridge, [0, n) after
+  // a rebuild, empty when the tour was unchanged. Coordinates change over
+  // this arc (and the wrap entry when it holds position 0), successor
+  // lengths over the arc and its predecessor, positions() over the arc's
+  // cities.
   Tour::Arc dirty() const { return dirty_; }
   // Smallest and largest city id in the dirty arc (lo > hi when empty).
   std::int32_t dirty_city_lo() const { return dirty_city_lo_; }
@@ -96,11 +107,14 @@ class PrunedSweep {
   }
 
  private:
-  // Restages `arc` of `route` (all of it, or one move's reversed arc) and
-  // compares-and-sets the tour-neighbor pairs that can have changed;
-  // returns how many did.
-  std::int32_t restage(std::span<const Point> points,
-                       std::span<const std::int32_t> route, Tour::Arc arc);
+  // Restages `arc` of `route`: all of it, or the positions one move or
+  // kick changed.
+  void restage(std::span<const Point> points,
+               std::span<const std::int32_t> route, Tour::Arc arc);
+  // Compares and sets the tour-neighbor pair of the city at position `p`,
+  // arming its row if the pair changed; returns 1 if it did.
+  std::int32_t compare_and_set(std::span<const std::int32_t> route,
+                               std::int32_t p);
   void arm(std::int32_t city);
 
   std::int32_t n_ = 0;
@@ -125,6 +139,8 @@ class PrunedSweep {
   // of the armed cities until begin_pass drops those set since).
   std::vector<std::int32_t> armed_;
   std::vector<std::int32_t> active_rows_;
+  // One bit per position; all clear between passes.
+  std::vector<std::uint64_t> row_bits_;
 
   // Registry instruments, resolved lazily so steady-state passes are
   // allocation-free.

@@ -22,10 +22,16 @@ Tour::Tour(std::vector<std::int32_t> order)
 }
 
 void Tour::restamp() {
-  version_ = next_version();
+  restamp_child();
   parent_version_ = 0;
+}
+
+void Tour::restamp_child() {
+  parent_version_ = version_;
+  version_ = next_version();
   move_i_ = -1;
   move_j_ = -1;
+  kick_ = Kick{};
 }
 
 Tour Tour::identity(std::int32_t n) {
@@ -104,8 +110,7 @@ void Tour::apply_two_opt(std::int32_t i, std::int32_t j) {
   } else {
     reverse_wrapped(arc.first, i, arc.count);
   }
-  parent_version_ = version_;
-  version_ = next_version();
+  restamp_child();
   move_i_ = i;
   move_j_ = j;
 }
@@ -122,17 +127,17 @@ void Tour::double_bridge(Pcg32& rng) {
   std::int32_t p3 =
       p2 + 1 + static_cast<std::int32_t>(
                    rng.next_below(static_cast<std::uint32_t>(n() - p2 - 1)));
-  std::vector<std::int32_t> next;
-  next.reserve(order_.size());
-  auto append = [&](std::int32_t lo, std::int32_t hi) {
-    next.insert(next.end(), order_.begin() + lo, order_.begin() + hi);
-  };
-  append(0, p1);    // A
-  append(p2, p3);   // C
-  append(p1, p2);   // B
-  append(p3, n());  // D
-  order_ = std::move(next);
-  restamp();
+  double_bridge(Kick{p1, p2, p3});
+}
+
+void Tour::double_bridge(Kick kick) {
+  TSPOPT_CHECK(0 < kick.p1 && kick.p1 < kick.p2 && kick.p2 < kick.p3 &&
+               kick.p3 < n());
+  // A B C D -> A C B D: rotate C ahead of B.
+  std::rotate(order_.begin() + kick.p1, order_.begin() + kick.p2,
+              order_.begin() + kick.p3);
+  restamp_child();
+  kick_ = kick;
 }
 
 void Tour::or_opt_move(std::int32_t from, std::int32_t len, std::int32_t to) {

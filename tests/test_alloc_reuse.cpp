@@ -177,6 +177,21 @@ TEST(AllocReuse, TiledEngineSteadyStateCountIsStable) {
   EXPECT_LT(third, first);
 }
 
+TEST(AllocReuse, ThreadPoolLaunchCountDoesNotDependOnHistory) {
+  // The count the pool-backed engines pin must be the same on every
+  // launch, however many tasks ran before: queueing a task may not
+  // allocate once the queue has held that many.
+  ThreadPool& pool = ThreadPool::shared();
+  auto noop = [](std::size_t) {};
+  pool.run_on_all(noop);
+  const std::uint64_t first =
+      allocations_during([&] { pool.run_on_all(noop); });
+  for (int launch = 0; launch < 64; ++launch) {
+    EXPECT_EQ(allocations_during([&] { pool.run_on_all(noop); }), first)
+        << "launch " << launch;
+  }
+}
+
 // --- launch-arena bounds (ISSUE satellite) -----------------------------
 //
 // The per-worker thread_local launch arenas (simt::SharedMemory) are

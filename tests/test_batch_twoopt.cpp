@@ -95,6 +95,58 @@ TEST(TourBatch, ReplicatedCopiesOneTour) {
   }
 }
 
+// A slot's length is kept by deltas, never recomputed: after every applied
+// move and every kick it must equal the tour's O(n) length, under every
+// coordinate metric (the deltas read Instance::dist, not the engines'
+// EUC_2D arithmetic).
+TEST(TourBatch, LengthFollowsMovesAndKicksUnderEveryMetric) {
+  for (Metric metric : {Metric::kEuc2D, Metric::kCeil2D, Metric::kAtt,
+                        Metric::kGeo, Metric::kMan2D, Metric::kMax2D}) {
+    const std::string what = to_string(metric);
+    Pcg32 rng(51);
+    std::vector<Point> points;
+    for (int c = 0; c < 12; ++c) {
+      // In range for GEO's DDD.MM latitude/longitude reading too.
+      points.push_back({rng.next_float(-60.0f, 60.0f),
+                        rng.next_float(-60.0f, 60.0f)});
+    }
+    Instance instance("len-" + what, metric, std::move(points));
+    const std::int32_t n = instance.n();
+    TourBatch batch(instance, random_tours(instance, 2, 53));
+    auto expect_exact = [&](std::int32_t b, const std::string& step) {
+      ASSERT_EQ(batch.length(b), batch.tour(b).length(instance))
+          << what << " slot " << b << " " << step;
+    };
+    for (int step = 0; step < 300; ++step) {
+      const std::int32_t b = step % 2;
+      if (step % 5 == 4) {
+        // Kick slot b from the other slot's tour: the copy, the cut points
+        // (|B| = 1, |C| = 1 and p3 = n - 1 all come up at n = 12) and the
+        // six-edge delta.
+        const Tour from = batch.tour(1 - b);
+        batch.kick(b, from, batch.length(1 - b), rng);
+        expect_exact(b, "kick " + std::to_string(step));
+        continue;
+      }
+      // Every (i, j), including no-op moves and wrapped outer arcs.
+      const auto i = static_cast<std::int32_t>(
+          rng.next_below(static_cast<std::uint32_t>(n - 1)));
+      const auto j = i + 1 + static_cast<std::int32_t>(rng.next_below(
+                                 static_cast<std::uint32_t>(n - 1 - i)));
+      batch.apply_two_opt(b, i, j);
+      expect_exact(b, "move " + std::to_string(step));
+    }
+    // swap_tour exchanges tour and length together.
+    Tour other = Tour::identity(n);
+    std::int64_t other_length = other.length(instance);
+    const std::int64_t slot_length = batch.length(0);
+    batch.swap_tour(0, other, other_length);
+    expect_exact(0, "swap");
+    EXPECT_EQ(other_length, slot_length) << what;
+    EXPECT_EQ(other.length(instance), slot_length) << what;
+  }
+}
+
 // batch-simd vs cpu-simd, every supported SIMD level: B distinct tours
 // descend in the batch while B solo engines descend the same tours; the
 // selected move must match slot for slot at every pass.
@@ -126,8 +178,7 @@ TEST(BatchTwoOptSimd, DescentMatchesSoloPerSlot) {
         }
         any = true;
         tours[static_cast<std::size_t>(b)].apply_two_opt(want.best.i, want.best.j);
-        batch.tour_mut(b).apply_two_opt(want.best.i, want.best.j);
-        batch.refresh_length(b);
+        batch.apply_two_opt(b, want.best.i, want.best.j);
       }
       if (!any && batch.active_count() == 0) return;
     }
@@ -166,8 +217,7 @@ TEST(BatchTwoOptGpu, DescentMatchesGpuSmallPerSlot) {
       }
       any = true;
       tours[static_cast<std::size_t>(b)].apply_two_opt(want.best.i, want.best.j);
-      batch.tour_mut(b).apply_two_opt(want.best.i, want.best.j);
-      batch.refresh_length(b);
+      batch.apply_two_opt(b, want.best.i, want.best.j);
     }
     if (!any && batch.active_count() == 0) return;
   }

@@ -333,6 +333,76 @@ TEST(PopulationIls, MigrationReplacesWorstIncumbent) {
   }
 }
 
+// Checks, before every pass, that each slot's kept length is its tour's
+// O(n) length: the first pass after a kick sees the kicked tour, every
+// later pass the move applied before it.
+class LengthCheckingEngine : public BatchTwoOptEngine {
+ public:
+  std::string name() const override { return inner_.name(); }
+  BatchSearchResult search(TourBatch& batch) override {
+    for (std::int32_t b = 0; b < batch.size(); ++b) {
+      EXPECT_EQ(batch.length(b), batch.tour(b).length(batch.instance()))
+          << "slot " << b << " pass " << passes;
+    }
+    ++passes;
+    return inner_.search(batch);
+  }
+  std::int64_t passes = 0;
+
+ private:
+  BatchTwoOptSimd inner_;
+};
+
+void expect_lengths_exact(const PopulationIlsResult& pop,
+                          const Instance& instance, const std::string& what) {
+  for (const IlsResult& m : pop.members) {
+    EXPECT_EQ(m.best_length, m.best.length(instance)) << what;
+  }
+}
+
+// The kept lengths under migration and across a checkpoint resume, on a
+// metric the engines' EUC_2D deltas do not measure.
+TEST(PopulationIls, KeptLengthsStayExactWithMigrationAndResume) {
+  std::vector<Point> points;
+  Pcg32 rng(29);
+  for (int c = 0; c < 90; ++c) {
+    points.push_back({rng.next_float(0, 1000), rng.next_float(0, 1000)});
+  }
+  Instance instance("pop-att", Metric::kAtt, std::move(points));
+  Tour initial = Tour::random(instance.n(), rng);
+  constexpr std::int32_t kMembers = 3;
+  const std::string path = temp_path("tspopt_pop_length_test.bin");
+
+  auto make_members = [&](std::int64_t iterations) {
+    std::vector<PopulationMemberOptions> members =
+        population_members(kMembers, /*seed=*/401);
+    for (PopulationMemberOptions& m : members) m.max_iterations = iterations;
+    return members;
+  };
+  PopulationIlsOptions options;
+  options.time_limit_seconds = -1.0;
+  options.migrate_every = 2;
+  options.checkpoint_path = path;
+  options.checkpoint_every = 1;
+
+  LengthCheckingEngine first;
+  PopulationIlsResult cut =
+      population_ils(first, instance, std::vector<Tour>(kMembers, initial),
+                     make_members(5), options);
+  EXPECT_GT(first.passes, 0);
+  EXPECT_GT(cut.migrations, 0);
+  expect_lengths_exact(cut, instance, "cut");
+
+  LengthCheckingEngine resumed;
+  PopulationIlsResult rest = population_ils_resume(
+      resumed, instance, load_population_checkpoint(path), make_members(12),
+      options);
+  EXPECT_GT(resumed.passes, 0);
+  EXPECT_EQ(rest.rounds, 12);
+  expect_lengths_exact(rest, instance, "resumed");
+  std::remove(path.c_str());
+}
+
 // population_members mints consecutive seeds.
 TEST(PopulationIls, PopulationMembersHelper) {
   std::vector<PopulationMemberOptions> members = population_members(4, 100);

@@ -297,6 +297,15 @@ class IncrementalHarness {
     FAIL() << what << ": descent did not converge within 5000 passes";
   }
 
+  // Every stamped engine's last pass restaged exactly `want`.
+  void expect_dirty(Tour::Arc want, const std::string& what) {
+    for (std::size_t e = 0; e < stamped_.size(); ++e) {
+      const Tour::Arc got = sweep_of(*stamped_[e]).dirty();
+      EXPECT_EQ(got.first, want.first) << labels_[e] << " " << what;
+      EXPECT_EQ(got.count, want.count) << labels_[e] << " " << what;
+    }
+  }
+
   const Instance& instance() const { return inst_; }
 
  private:
@@ -383,6 +392,58 @@ TEST(PrunedIncremental, DoubleBridgeThenRestoredCandidate) {
   }
 }
 
+TEST(PrunedIncremental, KickedCandidatesMatchRebuildEveryPass) {
+  // Kicks of the staged incumbent restage only [p1, p3) and arm the six
+  // joint cities; kicks of any other tour rebuild. Both must equal the
+  // rebuilding twins through accepted and rejected candidates, including
+  // the edge cuts: |B| = 1, |C| = 1, p1 = 1 and p3 = n - 1.
+  Instance inst = generate_clustered("c240", 240, 5, 45);
+  IncrementalHarness h(inst, 10);
+  const std::int32_t n = inst.n();
+  Pcg32 rng(46);
+  Tour incumbent = Tour::random(n, rng);
+  h.descend(incumbent, "initial");
+  std::uint64_t staged = incumbent.version();
+  const Tour::Kick cuts[] = {
+      {40, 41, 150},         // |B| = 1
+      {40, 120, 121},        // |C| = 1
+      {60, 130, n - 1},      // p3 = n - 1
+      {n - 3, n - 2, n - 1}, // |B| = |C| = |D| = 1
+      {1, 2, 3},             // |A| = |B| = |C| = 1
+      {1, 100, n - 1},       // the widest span
+      {}, {}, {},            // drawn from the generator
+  };
+  for (std::size_t round = 0; round < std::size(cuts); ++round) {
+    const std::string what = "round " + std::to_string(round);
+    Tour candidate = incumbent;
+    if (cuts[round].p1 >= 0) {
+      candidate.double_bridge(cuts[round]);
+    } else {
+      candidate.double_bridge(rng);
+    }
+    const Tour::Kick kick = candidate.last_kick();
+    SearchResult r = h.search(candidate, what + " kick");
+    h.expect_dirty(staged == incumbent.version()
+                       ? Tour::Arc{kick.p1, kick.p3 - kick.p1}
+                       : Tour::Arc{0, n},
+                   what + " kick");
+    if (r.best.improves()) {
+      candidate.apply_two_opt(r.best.i, r.best.j);
+      h.descend(candidate, what + " candidate");
+    }
+    staged = candidate.version();
+    if (round % 3 == 0) {
+      incumbent = candidate;  // accepted: the staging describes it
+    } else if (round % 3 == 1) {
+      // Rejected, and the incumbent is searched again before the next
+      // kick, so that kick is incremental.
+      h.search(incumbent, what + " restored");
+      staged = incumbent.version();
+    }
+    // round % 3 == 2: rejected; the next kick rebuilds.
+  }
+}
+
 TEST(PrunedIncremental, TwoEnginesAlternateOnTourCopies) {
   // Two harnesses (two engines per backend) step copies of one tour in
   // turn; each engine's staging follows its own copy's lineage.
@@ -415,7 +476,8 @@ TEST(PrunedIncremental, GpuUploadsOnlyTheRestagedArc) {
   // route-indexed arrays (plus the wrap entry when the arc holds position
   // 0, and the predecessor's successor length), the id span of the arc's
   // cities in the city-indexed positions, and the pass's active rows and
-  // their flags — exactly, byte for byte.
+  // their flags — exactly, byte for byte. After a kick the arc is the
+  // rotated span [p1, p3).
   Instance inst = generate_clustered("c400", 400, 8, 39);
   NeighborLists neighbors(inst, 10);
   simt::Device device(simt::gtx680_cuda());
@@ -438,9 +500,9 @@ TEST(PrunedIncremental, GpuUploadsOnlyTheRestagedArc) {
             engine.sweep().active_rows().size() * 5u)
       << "an unchanged tour ships only the active rows";
 
-  for (std::int32_t pass = 0; pass < 5000 && r.best.improves(); ++pass) {
-    tour.apply_two_opt(r.best.i, r.best.j);
-    const Tour::Arc arc = Tour::two_opt_arc(n, r.best.i, r.best.j);
+  // Searches `tour` after it changed over `arc` (positions mod n) and
+  // checks the upload against that arc's share.
+  auto expect_arc_upload = [&](Tour::Arc arc, const std::string& what) {
     std::int32_t lo = n;
     std::int32_t hi = -1;
     for (std::int32_t s = 0; s < arc.count; ++s) {
@@ -458,10 +520,28 @@ TEST(PrunedIncremental, GpuUploadsOnlyTheRestagedArc) {
               static_cast<std::uint64_t>(arc.count) +  // route
               static_cast<std::uint64_t>(hi - lo + 1)) +  // positions
         engine.sweep().active_rows().size() * 5u;  // active rows + flags
-    EXPECT_EQ(h2d() - before, want) << "pass " << pass;
-    expect_device_mirrors_host(engine, "pass " + std::to_string(pass));
+    EXPECT_EQ(h2d() - before, want) << what;
+    expect_device_mirrors_host(engine, what);
+  };
+  auto descend = [&](const std::string& what) {
+    for (std::int32_t pass = 0; pass < 5000 && r.best.improves(); ++pass) {
+      tour.apply_two_opt(r.best.i, r.best.j);
+      expect_arc_upload(Tour::two_opt_arc(n, r.best.i, r.best.j),
+                        what + " pass " + std::to_string(pass));
+    }
+    EXPECT_FALSE(r.best.improves()) << what;
+  };
+  descend("descent");
+
+  // A kick of the staged tour ships the rotated span [p1, p3), counted
+  // the same way, and the descent after it stays incremental.
+  for (int kick = 0; kick < 3; ++kick) {
+    const std::string what = "kick " + std::to_string(kick);
+    tour.double_bridge(rng);
+    const Tour::Kick cut = tour.last_kick();
+    expect_arc_upload({cut.p1, cut.p3 - cut.p1}, what);
+    descend(what);
   }
-  EXPECT_FALSE(r.best.improves());
 }
 
 TEST(PrunedIncremental, IlsEndToEndMatchesRebuildEveryPass) {

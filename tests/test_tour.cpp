@@ -150,6 +150,25 @@ TEST(Tour, DoubleBridgeChangesExactlyThreeEdges) {
   EXPECT_EQ(removed.size(), 3u);
 }
 
+TEST(Tour, DoubleBridgeAtCutPointsRotatesOnlyTheMiddle) {
+  // A = [0, 2), B = [2, 5), C = [5, 7), D = [7, 10) -> A C B D.
+  Tour t = Tour::identity(10);
+  t.double_bridge(Tour::Kick{2, 5, 7});
+  const std::vector<std::int32_t> expect = {0, 1, 5, 6, 2, 3, 4, 7, 8, 9};
+  EXPECT_EQ(std::vector<std::int32_t>(t.order().begin(), t.order().end()),
+            expect);
+  EXPECT_EQ(t.last_kick().p2, 5);
+  // Single-city B and C, and D a single city at position n - 1.
+  Tour u = Tour::identity(8);
+  u.double_bridge(Tour::Kick{5, 6, 7});
+  const std::vector<std::int32_t> swapped = {0, 1, 2, 3, 4, 6, 5, 7};
+  EXPECT_EQ(std::vector<std::int32_t>(u.order().begin(), u.order().end()),
+            swapped);
+  EXPECT_THROW(u.double_bridge(Tour::Kick{0, 2, 4}), CheckError);
+  EXPECT_THROW(u.double_bridge(Tour::Kick{2, 2, 4}), CheckError);
+  EXPECT_THROW(u.double_bridge(Tour::Kick{2, 4, 8}), CheckError);
+}
+
 TEST(Tour, OrOptMoveRelocatesSegment) {
   Tour t = Tour::identity(8);
   t.or_opt_move(1, 2, 5);  // move cities {1,2} after position 5 (city 5)
@@ -210,18 +229,34 @@ TEST(Tour, LineageStampFollowsMutations) {
   EXPECT_EQ(a.last_move(), (std::pair<std::int32_t, std::int32_t>{3, 9}));
   EXPECT_EQ(b.version(), before);  // the copy is untouched
 
-  // Every other mutation or construction draws a fresh, parentless stamp.
+  // A double bridge is stamped like a move: parent plus its cut points,
+  // and the last move is forgotten.
   std::uint64_t seen = a.version();
   a.double_bridge(rng);
   EXPECT_NE(a.version(), seen);
-  EXPECT_EQ(a.parent_version(), 0u);
+  EXPECT_EQ(a.parent_version(), seen);
   EXPECT_EQ(a.last_move(), (std::pair<std::int32_t, std::int32_t>{-1, -1}));
+  const Tour::Kick kick = a.last_kick();
+  EXPECT_TRUE(0 < kick.p1 && kick.p1 < kick.p2 && kick.p2 < kick.p3 &&
+              kick.p3 < a.n());
+  // ... and a move after it forgets the kick.
+  seen = a.version();
+  a.apply_two_opt(1, 4);
+  EXPECT_EQ(a.parent_version(), seen);
+  EXPECT_EQ(a.last_kick().p1, -1);
+
+  // Every other mutation or construction draws a fresh, parentless stamp.
+  a.double_bridge(rng);
   seen = a.version();
   a.or_opt_move(2, 3, 10);
   EXPECT_NE(a.version(), seen);
   EXPECT_EQ(a.parent_version(), 0u);
+  EXPECT_EQ(a.last_move(), (std::pair<std::int32_t, std::int32_t>{-1, -1}));
+  EXPECT_EQ(a.last_kick().p1, -1);
   Tour c(std::vector<std::int32_t>(a.order().begin(), a.order().end()));
   EXPECT_NE(c.version(), a.version());
+  EXPECT_EQ(c.parent_version(), 0u);
+  EXPECT_EQ(Tour::random(20, rng).parent_version(), 0u);
 }
 
 TEST(Tour, TwoOptArcIsTheReversedSide) {

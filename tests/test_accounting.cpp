@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "simt/device.hpp"
+#include "solver/batch/batch_twoopt_gpu.hpp"
 #include "solver/ils.hpp"
 #include "solver/twoopt_gpu.hpp"
 #include "solver/twoopt_generic.hpp"
@@ -86,6 +87,55 @@ TEST(Accounting, SmallKernelTransfersMatchAlgorithm2) {
   EXPECT_EQ(w.checks, static_cast<std::uint64_t>(pair_count(500)));
   // Each of the 28 blocks staged the full coordinate array once.
   EXPECT_EQ(w.global_reads, 28u * 500u);
+}
+
+TEST(Accounting, IndirectSmallKernelShipsAndStagesTheRoute) {
+  // Fig. 5 variant: the city-indexed coordinates and the route array both
+  // go up, and every block stages both.
+  Instance inst = generate_uniform("u500", 500, 4);
+  Pcg32 rng(5);
+  Tour tour = Tour::random(500, rng);
+  simt::Device device(simt::gtx680_cuda());
+  TwoOptGpuSmall engine(device, simt::LaunchConfig{}, false);
+  engine.search(inst, tour);
+  auto w = device.counters().snapshot();
+  EXPECT_EQ(w.kernel_launches, 1u);
+  EXPECT_EQ(w.h2d_transfers, 2u);
+  EXPECT_EQ(w.h2d_bytes, 500u * (sizeof(Point) + sizeof(std::int32_t)));
+  EXPECT_EQ(w.d2h_transfers, 1u);
+  EXPECT_EQ(w.d2h_bytes, 28u * sizeof(BestMove));
+  EXPECT_EQ(w.checks, static_cast<std::uint64_t>(pair_count(500)));
+  EXPECT_EQ(w.global_reads, 28u * (500u + 500u));
+}
+
+TEST(Accounting, BatchKernelTransfersScaleWithActiveTours) {
+  // One launch sweeps every active tour: one concatenated upload of B
+  // route-ordered coordinate arrays, one block per tour staging its own
+  // n, one record per tour read back. The inactive slot costs nothing.
+  constexpr std::uint64_t n = 300;
+  Instance inst = generate_uniform("u300", static_cast<std::int32_t>(n), 8);
+  Pcg32 rng(9);
+  std::vector<Tour> tours;
+  for (int b = 0; b < 5; ++b) {
+    tours.push_back(Tour::random(static_cast<std::int32_t>(n), rng));
+  }
+  TourBatch batch(inst, std::move(tours));
+  batch.set_active(2, false);
+  constexpr std::uint64_t kActive = 4;
+  simt::Device device(simt::gtx680_cuda());
+  BatchTwoOptGpu engine(device);
+  BatchSearchResult result = engine.search(batch);
+  auto w = device.counters().snapshot();
+  const auto pairs = static_cast<std::uint64_t>(
+      pair_count(static_cast<std::int32_t>(n)));
+  EXPECT_EQ(w.kernel_launches, 1u);
+  EXPECT_EQ(w.h2d_transfers, 1u);
+  EXPECT_EQ(w.h2d_bytes, kActive * n * sizeof(Point));
+  EXPECT_EQ(w.d2h_transfers, 1u);
+  EXPECT_EQ(w.d2h_bytes, kActive * sizeof(BestMove));
+  EXPECT_EQ(w.checks, kActive * pairs);
+  EXPECT_EQ(result.checks, kActive * pairs);
+  EXPECT_EQ(w.global_reads, kActive * n);
 }
 
 TEST(Accounting, GeoInstanceEndToEndThroughParserAndGenericSolver) {

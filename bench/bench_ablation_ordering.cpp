@@ -62,7 +62,7 @@ int main() {
 
   // The same ablation on the simulated GPU kernel: the Fig.-5 (indirect)
   // variant ships and stages the route array as well, and its 12 B/city
-  // shared footprint lowers the instance limit from ~6134 to ~4089.
+  // shared footprint lowers the instance limit from ~6136 to ~4090.
   std::cout << "\n--- on the simulated GTX 680 kernel ---\n";
   simt::Device probe(simt::gtx680_cuda());
   std::cout << "city limit: ordered "

@@ -293,7 +293,7 @@ int bench_population(bool smoke, std::vector<BenchResult>& report) {
   simt::PerfModel model(simt::gtx680_cuda());
 
   simt::Device pop_device(simt::gtx680_cuda());
-  TSPOPT_CHECK(n <= BatchTwoOptGpu::max_cities(pop_device));
+  TSPOPT_CHECK(n <= TwoOptGpuSmall::max_cities(pop_device));
   BatchTwoOptGpu pop_engine(pop_device);
 
   // Both strategies start from the same 2-opt local minimum (constructive

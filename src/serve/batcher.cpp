@@ -28,10 +28,10 @@ bool batchable_engine(const std::string& engine) {
 }
 
 std::string batch_engine_for(const std::string& engine) {
-  // Pairings are bit-identical by construction: BatchTwoOptSimd runs
-  // TwoOptSimd's exact row sweep per slot, and BatchTwoOptGpu's
-  // block-per-tour reduction computes the same lexicographic-min BestMove
-  // as gpu-small's grid-stride kernel (the equivalence tests pin both).
+  // Pairings are bit-identical by construction: batch-simd IS cpu-simd,
+  // run per slot, and batch-gpu launches gpu-small's block kernel with
+  // one block per tour instead of gridDim blocks on one tour, folding the
+  // same lexicographic-min BestMove (the equivalence tests pin it).
   if (engine == "batch-simd" || engine == "cpu-simd") return "batch-simd";
   if (engine == "batch-gpu" || engine == "gpu-small") return "batch-gpu";
   return "";

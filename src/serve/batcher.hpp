@@ -14,7 +14,7 @@
 // same specs.
 //
 // The key is deliberately strict — jobs that differ in anything that
-// could change the staged coordinate slab (instance identity, n, k) or
+// could change what a coalesced pass stages (instance identity, n, k) or
 // the engine class never coalesce, so a shape mismatch inside a batch is
 // a bug, not a policy decision; the scheduler still re-verifies member
 // shapes before running and fails mismatches with a typed "batch shape:"
@@ -40,9 +40,9 @@ struct BatcherOptions {
 };
 
 // True when `engine` belongs to a class the micro-batcher can coalesce:
-// the batch-* engines themselves plus the single-tour classes with a
-// bit-identical batch implementation (cpu-simd -> batch-simd, gpu-small
-// -> batch-gpu).
+// the batch-* engines themselves plus the single-tour classes they pair
+// with (cpu-simd -> batch-simd, which is cpu-simd run per slot; gpu-small
+// -> batch-gpu, the same block kernel with one block per tour).
 bool batchable_engine(const std::string& engine);
 
 // The batch-* engine the coalesced pass runs for `engine`; "" when the

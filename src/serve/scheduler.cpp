@@ -11,12 +11,12 @@
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "solver/batch/batch_twoopt_gpu.hpp"
 #include "solver/batch/population_ils.hpp"
 #include "solver/checkpoint.hpp"
 #include "solver/constructive.hpp"
 #include "solver/engine_factory.hpp"
 #include "solver/obs_adapters.hpp"
+#include "solver/twoopt_gpu.hpp"
 #include "tsp/catalog.hpp"
 
 namespace tspopt::serve {
@@ -66,21 +66,24 @@ bool is_pruned_engine(const std::string& name) {
   return name.find("pruned") != std::string::npos;
 }
 
-// Admission-time cap for batchable inline payloads: the TourBatch slab is
-// max_batch padded tours of n+1 floats per coordinate axis, and a spec
-// that cannot be staged at full occupancy must be rejected at the door,
-// not when a batch happens to fill up. 2^24 floats (64 MiB per axis)
-// comfortably covers the paper's largest instances at max_batch = 1 while
-// bounding what one coalesced pass may pin.
+// Admission-time cap for batchable inline payloads. It bounds a batch's
+// B x n footprint (the tours it holds and what one coalesced pass stages,
+// e.g. batch-gpu's concatenated upload) at full occupancy, so a spec too
+// wide for a full batch is rejected at the door, not when a batch happens
+// to fill up. The measure is max_batch tours of n + 1 floats padded to 16,
+// per coordinate axis; 2^24 floats comfortably covers the paper's largest
+// instances at max_batch = 1.
 constexpr std::size_t kMaxBatchSlabFloats = std::size_t{1} << 24;
 
-// batch-gpu stages one tour per block in shared memory; its n cap is a
-// device property. Admission validates against the pool's device model
-// (one simulated device class per process today).
+// gpu-small and batch-gpu run one block kernel that stages a tour per
+// block in shared memory, so they share one n cap, a device property:
+// a batchable job admitted here runs whether it coalesces or runs alone.
+// Admission validates against the pool's device model (one simulated
+// device class per process today).
 std::int32_t batch_gpu_city_cap() {
   static const std::int32_t cap = [] {
     simt::Device probe(simt::gtx680_cuda());
-    return BatchTwoOptGpu::max_cities(probe);
+    return TwoOptGpuSmall::max_cities(probe);
   }();
   return cap;
 }
@@ -279,8 +282,7 @@ Scheduler::Admission Scheduler::submit(JobSpec spec) {
           std::to_string(batch_gpu_city_cap()) + " cities)");
     }
     std::size_t max_batch = std::max<std::size_t>(1, options_.batcher.max_batch);
-    // TourBatch pads every tour slice to a 16-float boundary with a +1
-    // wrap entry; mirror that here so admission matches staging exactly.
+    // n + 1 floats padded to 16 per tour (see kMaxBatchSlabFloats).
     std::size_t stride = ((n + 1 + 15) / 16) * 16;
     if (stride * max_batch > kMaxBatchSlabFloats) {
       return reject_invalid(

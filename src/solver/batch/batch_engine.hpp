@@ -44,13 +44,12 @@ class BatchTwoOptEngine {
 // pass_span so trace tooling sees one span family, plus `batch_size` (the
 // number of active tours this pass sweeps).
 inline obs::Span batch_pass_span(const BatchTwoOptEngine& engine,
-                                 const TourBatch& batch,
-                                 std::int32_t simd_width = 1) {
+                                 const TourBatch& batch) {
   obs::Span span = obs::Tracer::global().span("engine.pass", "engine");
   if (span) {
     span.arg("engine", engine.name());
     span.arg("n", batch.n());
-    span.arg("simd_width", static_cast<std::int64_t>(simd_width));
+    span.arg("simd_width", std::int64_t{1});
     span.arg("batch_size", static_cast<std::int64_t>(batch.active_count()));
   }
   return span;
@@ -59,8 +58,9 @@ inline obs::Span batch_pass_span(const BatchTwoOptEngine& engine,
 // Presents any single-tour engine as a batch engine: one engine.search per
 // active slot, on the slot's own Tour, so lineage stamps (and with them
 // the pruned engines' incremental pass staging) carry across passes
-// exactly as in a solo descent. This is how a solo ILS runs as a
-// population of one and a solo serve job as a batch of one.
+// exactly as in a solo descent. This is how a solo descent runs as a batch
+// of one, a solo ILS as a population of one, a solo serve job as a batch
+// of one, and batch-simd as cpu-simd per slot.
 class PerSlotBatchEngine : public BatchTwoOptEngine {
  public:
   explicit PerSlotBatchEngine(TwoOptEngine& engine) : engine_(&engine) {}
@@ -90,7 +90,7 @@ class PerSlotBatchEngine : public BatchTwoOptEngine {
 };
 
 // The reverse adapter: a batch engine as a single-tour TwoOptEngine,
-// running batches of one. This is how the factory's `batch-*` names serve
+// running batches of one. This is how the factory's batch-gpu name serves
 // single-tour call sites (the CLI tools, bench_report's engine sweep);
 // hosts that actually hold many tours should use the batch interface
 // directly.

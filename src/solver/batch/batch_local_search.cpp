@@ -12,6 +12,11 @@ std::vector<LocalSearchStats> batch_local_search(
   std::vector<LocalSearchStats> stats(static_cast<std::size_t>(batch.size()));
   std::int64_t round = 0;
   while (batch.active_count() > 0) {
+    // Every active slot has run exactly `round` passes.
+    if (options.max_passes >= 0 && round >= options.max_passes) {
+      batch.set_all_active(false);
+      break;
+    }
     if (options.time_limit_seconds >= 0.0 &&
         timer.seconds() >= options.time_limit_seconds) {
       break;
@@ -38,10 +43,7 @@ std::vector<LocalSearchStats> batch_local_search(
       ++st.moves_applied;
       st.improvement += -static_cast<std::int64_t>(slot.best.delta);
       st.wall_seconds = timer.seconds();
-      if ((member_stop && member_stop(b)) ||
-          (options.max_passes >= 0 && st.passes >= options.max_passes)) {
-        batch.set_active(b, false);
-      }
+      if (member_stop && member_stop(b)) batch.set_active(b, false);
     }
   }
   double now = timer.seconds();

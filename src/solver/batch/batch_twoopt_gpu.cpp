@@ -1,89 +1,10 @@
 #include "solver/batch/batch_twoopt_gpu.hpp"
 
-#include <cstring>
-
 #include "common/timer.hpp"
-#include "simt/buffer.hpp"
-#include "solver/delta.hpp"
-#include "solver/ordering.hpp"
 #include "solver/pair_index.hpp"
+#include "solver/twoopt_gpu.hpp"
 
 namespace tspopt {
-
-namespace {
-
-// Per-block state living in the shared-memory arena: one tour's staged
-// coordinates plus the block reduction slot.
-struct BatchBlockState {
-  std::span<Point> coords;
-  BestMove block_best;
-  std::uint64_t block_checks;
-};
-
-// One block per tour. block_begin stages the block's own slice of the
-// concatenated coordinate buffer; threads block-stride that tour's pair
-// triangle (stride = blockDim, since the block owns the whole tour);
-// block_end writes the per-tour best back to results[block].
-class BatchKernel {
- public:
-  BatchKernel(std::span<const Point> global_coords, std::int32_t n,
-              std::span<BestMove> results)
-      : global_coords_(global_coords), n_(n), results_(results) {}
-
-  void block_begin(simt::BlockCtx& ctx) const {
-    auto* state = ctx.shared->alloc<BatchBlockState>(1).data();
-    auto count = static_cast<std::size_t>(n_);
-    state->coords = ctx.shared->alloc<Point>(count);
-    state->block_best = BestMove{};
-    state->block_checks = 0;
-    // Cooperative load of this block's tour only — the batch buffer holds
-    // num_tours * n coordinates; block b reads its own n-slice once.
-    std::memcpy(state->coords.data(),
-                global_coords_.data() + static_cast<std::size_t>(ctx.block_idx) * count,
-                count * sizeof(Point));
-    ctx.counters->global_reads.fetch_add(count, std::memory_order_relaxed);
-    ctx.state = state;
-  }
-
-  void thread(simt::BlockCtx& ctx, std::uint32_t tid) const {
-    auto* state = static_cast<BatchBlockState*>(ctx.state);
-    std::span<const Point> coords = state->coords;
-    const std::int64_t total = pair_count(n_);
-    // Block-stride, not grid-stride: the block owns its tour's whole
-    // triangle, so threads jump blockDim cells.
-    const std::uint64_t stride = ctx.cfg.block_dim;
-    BestMove local;
-    std::uint64_t evaluated = 0;
-    std::uint64_t first = tid;
-    if (first < static_cast<std::uint64_t>(total)) {
-      PairIJ p = pair_from_index(static_cast<std::int64_t>(first));
-      for (std::uint64_t k = first;;) {
-        std::int32_t d = two_opt_delta(coords, p.i, p.j);
-        consider_move(local, d, static_cast<std::int64_t>(k), p.i, p.j);
-        ++evaluated;
-        k += stride;
-        if (k >= static_cast<std::uint64_t>(total)) break;
-        pair_advance(p, static_cast<std::int64_t>(stride));
-      }
-    }
-    state->block_checks += evaluated;
-    if (local.better_than(state->block_best)) state->block_best = local;
-  }
-
-  void block_end(simt::BlockCtx& ctx) const {
-    auto* state = static_cast<BatchBlockState*>(ctx.state);
-    results_[ctx.block_idx] = state->block_best;
-    ctx.counters->checks.fetch_add(state->block_checks,
-                                   std::memory_order_relaxed);
-  }
-
- private:
-  std::span<const Point> global_coords_;
-  std::int32_t n_;
-  std::span<BestMove> results_;
-};
-
-}  // namespace
 
 BatchTwoOptGpu::BatchTwoOptGpu(simt::Device& device, simt::LaunchConfig config)
     : device_(device), config_(config) {
@@ -92,23 +13,17 @@ BatchTwoOptGpu::BatchTwoOptGpu(simt::Device& device, simt::LaunchConfig config)
   }
 }
 
-std::int32_t BatchTwoOptGpu::max_cities(const simt::Device& device) {
-  auto capacity = static_cast<std::int64_t>(device.spec().shared_mem_bytes);
-  std::int64_t overhead =
-      static_cast<std::int64_t>(sizeof(BatchBlockState)) +
-      2 * static_cast<std::int64_t>(alignof(BatchBlockState));
-  return static_cast<std::int32_t>(
-      (capacity - overhead) / static_cast<std::int64_t>(sizeof(Point)));
-}
-
 BatchSearchResult BatchTwoOptGpu::search(TourBatch& batch) {
   WallTimer timer;
   obs::Span span = batch_pass_span(*this, batch);
   const std::int32_t n = batch.n();
-  TSPOPT_CHECK_MSG(n <= max_cities(device_),
+  const Instance& instance = batch.instance();
+  TSPOPT_CHECK_MSG(n <= TwoOptGpuSmall::max_cities(device_),
                    "tour too large for the batch kernel ("
-                       << n << " > " << max_cities(device_)
+                       << n << " > " << TwoOptGpuSmall::max_cities(device_)
                        << " cities per block)");
+  TSPOPT_CHECK_MSG(instance.has_coordinates(),
+                   "batch-gpu requires a coordinate-based instance");
 
   BatchSearchResult out;
   out.per_tour.resize(static_cast<std::size_t>(batch.size()));
@@ -124,32 +39,25 @@ BatchSearchResult BatchTwoOptGpu::search(TourBatch& batch) {
     return out;
   }
   ordered_.resize(slots_.size() * static_cast<std::size_t>(n));
+  std::span<const Point> pts = instance.points();
   for (std::size_t block = 0; block < slots_.size(); ++block) {
-    const Tour& t = batch.tour(slots_[block]);
-    std::span<const Point> pts = batch.instance().points();
-    std::span<const std::int32_t> route = t.order();
+    std::span<const std::int32_t> route = batch.tour(slots_[block]).order();
     Point* dst = ordered_.data() + block * static_cast<std::size_t>(n);
     for (std::size_t p = 0; p < route.size(); ++p) {
       dst[p] = pts[static_cast<std::size_t>(route[p])];
     }
   }
 
-  simt::Buffer<Point> coords(device_, ordered_.size());
-  coords.copy_from_host(ordered_);
-  simt::Buffer<BestMove> results(device_, slots_.size());
-
   simt::LaunchConfig cfg = config_;
   cfg.grid_dim = static_cast<std::uint32_t>(slots_.size());  // block = tour
-  BatchKernel kernel(coords.device_view(), n, results.device_view_mutable());
-  device_.launch(cfg, kernel);
+  best_.resize(slots_.size());
+  launch_block_kernel(device_, cfg, ordered_, {}, n, best_);
 
-  host_results_.resize(slots_.size());
-  results.copy_to_host(host_results_);
   const auto total = static_cast<std::uint64_t>(pair_count(n));
   for (std::size_t block = 0; block < slots_.size(); ++block) {
     SearchResult& slot =
         out.per_tour[static_cast<std::size_t>(slots_[block])];
-    slot.best = host_results_[block];
+    slot.best = best_[block];
     slot.checks = total;
     out.checks += total;
   }

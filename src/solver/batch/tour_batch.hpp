@@ -1,22 +1,21 @@
-// A batch of tours over one instance, laid out for many-tour engines.
+// A batch of tours over one instance, for many-tour engines.
 //
 // The paper's engines are one-tour-per-launch; at small/medium n that
-// shape starves the hardware (a single n=1000 pass cannot fill a device
-// or even keep the AVX2 lanes busy). TourBatch is the container the
-// batched engines (batch_twoopt_simd.hpp, batch_twoopt_gpu.hpp) sweep in
-// one launch: B tours over a single instance, each with its own SoA
-// coordinate slice in a common padded slab (stride = n + 1 rounded up to
-// a lane multiple, so slice starts stay cache-line friendly and every
-// slice carries the +1 wraparound entry the row kernels expect), plus
-// per-tour lengths and an active flag (the batch analogue of a
-// don't-look bit: a tour at a local minimum drops out of subsequent
-// passes without shrinking the batch).
+// shape starves the hardware (a single n=1000 pass cannot fill a device).
+// TourBatch is the container a batch engine sweeps in one call: B tours
+// over a single instance, plus per-tour lengths and an active flag (the
+// batch analogue of a don't-look bit: a tour at a local minimum drops out
+// of subsequent passes without shrinking the batch). Engines stage what
+// they sweep themselves — batch-gpu concatenates the active tours'
+// route-ordered coordinates for one upload, a per-slot engine stages each
+// tour as its solo pass does — so any instance, coordinate or EXPLICIT
+// matrix, can be batched.
 //
 // A slot's length is computed once, at construction, and then kept
 // current by the only mutations the batch offers: an applied 2-opt move
 // adds its four-endpoint delta, a kick its six-edge delta, both through
-// Instance::dist, so they are exact under every coordinate metric. No
-// pass or ILS iteration pays an O(n) Tour::length.
+// Instance::dist, so they are exact under every metric. No pass or ILS
+// iteration pays an O(n) Tour::length.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +30,7 @@ namespace tspopt {
 
 class TourBatch {
  public:
-  // All tours must have the instance's n. The slab is sized on the first
-  // stage() (engines that never stage, like the per-slot adapter, never
-  // pay for it); steady-state restaging allocates nothing.
+  // All tours must have the instance's n.
   TourBatch(const Instance& instance, std::vector<Tour> tours);
 
   // B independent copies of one tour (the equivalence suite's shape).
@@ -43,8 +40,6 @@ class TourBatch {
   const Instance& instance() const { return *instance_; }
   std::int32_t size() const { return static_cast<std::int32_t>(tours_.size()); }
   std::int32_t n() const { return n_; }
-  // Slice stride in floats: n + 1 (wrap entry) padded up to kPad.
-  std::int32_t stride() const { return stride_; }
 
   const Tour& tour(std::int32_t b) const { return tours_[check_slot(b)]; }
   // Closed-tour length of slot b: always tour(b).length(instance()).
@@ -68,24 +63,7 @@ class TourBatch {
   void set_all_active(bool on);
   std::int32_t active_count() const;
 
-  // Restage slot b's SoA slice from its current tour order (the per-pass
-  // host work of the paper's Optimization 2, one slice at a time) and
-  // seal the +1 wrap entry.
-  void stage(std::int32_t b);
-
-  // Slice views into the staged slab (stride() floats apart).
-  const float* xs(std::int32_t b) const {
-    return xs_.data() + static_cast<std::size_t>(check_slot(b)) * stride_;
-  }
-  const float* ys(std::int32_t b) const {
-    return ys_.data() + static_cast<std::size_t>(check_slot(b)) * stride_;
-  }
-
  private:
-  // Slice padding in floats; keeps slice starts 64-byte aligned when the
-  // slab base is.
-  static constexpr std::int32_t kPad = 16;
-
   std::int32_t check_slot(std::int32_t b) const {
     TSPOPT_DCHECK(b >= 0 && b < size());
     return b;
@@ -93,12 +71,9 @@ class TourBatch {
 
   const Instance* instance_;
   std::int32_t n_ = 0;
-  std::int32_t stride_ = 0;
   std::vector<Tour> tours_;
   std::vector<std::int64_t> lengths_;
   std::vector<std::uint8_t> active_;
-  std::vector<float> xs_;  // size() * stride() floats
-  std::vector<float> ys_;
 };
 
 }  // namespace tspopt

@@ -2,7 +2,6 @@
 
 #include "solver/batch/batch_engine.hpp"
 #include "solver/batch/batch_twoopt_gpu.hpp"
-#include "solver/batch/batch_twoopt_simd.hpp"
 #include "solver/twoopt_generic.hpp"
 #include "solver/twoopt_gpu.hpp"
 #include "solver/twoopt_gpu_pruned.hpp"
@@ -16,6 +15,17 @@
 #include "solver/twoopt_tiled.hpp"
 
 namespace tspopt {
+
+namespace {
+
+// batch-simd is cpu-simd run on each slot of a batch, under its own
+// roster name.
+class BatchSimd : public TwoOptSimd {
+ public:
+  std::string name() const override { return "batch-simd"; }
+};
+
+}  // namespace
 
 EngineFactory::EngineFactory(const Instance* instance, std::int32_t k,
                              MultiDeviceOptions multi)
@@ -56,7 +66,7 @@ const std::vector<EngineFactory::EngineInfo>& EngineFactory::roster() {
       {"gpu-multi",
        "fault-tolerant tiled 2-opt across several devices (paper SVI)"},
       {"batch-simd",
-       "many-tour 2-opt: one SIMD sweep walks every tour in a TourBatch"},
+       "many-tour 2-opt: cpu-simd's sweep run on each tour of a TourBatch"},
       {"batch-gpu",
        "many-tour GPU 2-opt, one block per tour with coords in shared "
        "memory"},
@@ -87,6 +97,9 @@ std::unique_ptr<TwoOptEngine> EngineFactory::create(
   }
   if (name == "cpu-simd") {
     return std::make_unique<TwoOptSimd>();
+  }
+  if (name == "batch-simd") {
+    return std::make_unique<BatchSimd>();
   }
   if (name == "cpu-parallel") {
     return std::make_unique<TwoOptCpuParallel>();
@@ -129,7 +142,7 @@ std::unique_ptr<TwoOptEngine> EngineFactory::create(
     if (spanned.empty()) spanned = {&device_, &second_device_};
     return std::make_unique<TwoOptMultiDevice>(std::move(spanned), 0, multi_);
   }
-  if (is_batch_engine(name)) {
+  if (name == "batch-gpu") {
     return std::make_unique<BatchSingleTourAdapter>(create_batch(name, devices));
   }
   TSPOPT_CHECK_MSG(false, "unknown engine: " << name);
@@ -142,9 +155,6 @@ bool EngineFactory::is_batch_engine(const std::string& name) {
 
 std::unique_ptr<BatchTwoOptEngine> EngineFactory::create_batch(
     const std::string& name, std::span<simt::Device* const> devices) {
-  if (name == "batch-simd") {
-    return std::make_unique<BatchTwoOptSimd>();
-  }
   if (name == "batch-gpu") {
     return std::make_unique<BatchTwoOptGpu>(devices.empty() ? device_
                                                             : *devices.front());

@@ -54,8 +54,9 @@ class EngineFactory {
   static const std::vector<EngineInfo>& roster();
 
   // Throws CheckError for unknown names or when a required resource is
-  // missing (e.g. cpu-lut without an instance). The batch-* names resolve
-  // to a BatchSingleTourAdapter, so batch engines slot into single-tour
+  // missing (e.g. cpu-lut without an instance). batch-simd is cpu-simd
+  // run per slot, so it resolves to a TwoOptSimd under that name; batch-gpu
+  // resolves to a BatchSingleTourAdapter, so it slots into single-tour
   // call sites (the CLI tools, bench sweeps) unchanged.
   //
   // `devices` are the devices the gpu engines run on — the serve
@@ -69,9 +70,10 @@ class EngineFactory {
   static bool is_batch_engine(const std::string& name);
 
   // Many-tour engines for TourBatch users (PopulationIls, the serve
-  // scheduler). The batch-* names build their native batch engine; every
-  // other name builds create(name, devices) behind a PerSlotBatchEngine,
-  // which searches each slot with it in turn. `devices` as for create().
+  // scheduler). batch-gpu builds its native block-per-tour engine; every
+  // other name, batch-simd included, builds create(name, devices) behind a
+  // PerSlotBatchEngine, which searches each slot with it in turn.
+  // `devices` as for create().
   std::unique_ptr<BatchTwoOptEngine> create_batch(
       const std::string& name, std::span<simt::Device* const> devices = {});
 

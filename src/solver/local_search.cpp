@@ -1,36 +1,24 @@
 #include "solver/local_search.hpp"
 
-#include "common/timer.hpp"
+#include <utility>
+#include <vector>
+
+#include "solver/batch/batch_local_search.hpp"
 
 namespace tspopt {
 
 LocalSearchStats local_search(TwoOptEngine& engine, const Instance& instance,
-                              Tour& tour, const LocalSearchOptions& options,
-                              const LocalSearchObserver& observer) {
-  WallTimer timer;
-  LocalSearchStats stats;
-  for (;;) {
-    if (options.max_passes >= 0 && stats.passes >= options.max_passes) break;
-    if (options.time_limit_seconds >= 0.0 &&
-        timer.seconds() >= options.time_limit_seconds) {
-      break;
-    }
-    obs::Span span = obs::Tracer::global().span("ls.pass", "solver");
-    if (span) span.arg("pass", stats.passes);
-    SearchResult pass = engine.search(instance, tour);
-    ++stats.passes;
-    stats.checks += pass.checks;
-    if (!pass.best.improves()) {
-      stats.reached_local_minimum = true;
-      break;
-    }
-    tour.apply_two_opt(pass.best.i, pass.best.j);
-    ++stats.moves_applied;
-    stats.improvement += -static_cast<std::int64_t>(pass.best.delta);
-    stats.wall_seconds = timer.seconds();
-    if (observer && !observer(stats)) break;
-  }
-  stats.wall_seconds = timer.seconds();
+                              Tour& tour, const LocalSearchOptions& options) {
+  // A solo descent is a batch of one. The tour moves into the slot and
+  // back, lineage stamp included, so a pruned engine's staging stays
+  // incremental across calls.
+  std::vector<Tour> tours;
+  tours.push_back(std::move(tour));
+  TourBatch batch(instance, std::move(tours));
+  PerSlotBatchEngine slot(engine);
+  LocalSearchStats stats = batch_local_search(slot, batch, options).front();
+  std::int64_t length = 0;
+  batch.swap_tour(0, tour, length);
   return stats;
 }
 

@@ -2,11 +2,12 @@
 // improving move, until a local minimum (or a pass/time budget) is reached.
 // This is lines 3/6 of the paper's Algorithm 1 — the part the GPU
 // accelerates — factored out of ILS so Table II's "time to first minimum"
-// column can be measured in isolation.
+// column can be measured in isolation. The loop itself is
+// batch_local_search's (solver/batch/batch_local_search.hpp); a solo
+// descent runs it on a batch of one.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "solver/engine.hpp"
 #include "tsp/instance.hpp"
@@ -28,12 +29,8 @@ struct LocalSearchStats {
   bool reached_local_minimum = false;
 };
 
-// Progress callback, invoked after every applied move with the running
-// stats; return false to stop early (used by convergence traces).
-using LocalSearchObserver = std::function<bool(const LocalSearchStats&)>;
-
 LocalSearchStats local_search(TwoOptEngine& engine, const Instance& instance,
-                              Tour& tour, const LocalSearchOptions& options = {},
-                              const LocalSearchObserver& observer = {});
+                              Tour& tour,
+                              const LocalSearchOptions& options = {});
 
 }  // namespace tspopt

@@ -9,20 +9,38 @@
 // is reduced per block and finally on the host.
 //
 // The shared-memory capacity bounds the instance size exactly as on the
-// paper's GTX 680: 48 kB holds ~6140 float2 coordinates plus the block
+// paper's GTX 680: 48 kB holds ~6136 float2 coordinates plus the block
 // reduction record (the paper quotes 6144 ignoring the reduction storage).
 // Larger instances must use TwoOptGpuTiled.
+//
+// The same block kernel also serves batch-gpu (batch_twoopt_gpu.hpp):
+// block-per-tour is a launch geometry, not a second kernel. A launch
+// covers T tours with K blocks per tour; block b stages tour b / K and its
+// threads start at (b % K) * blockDim + tid, striding K * blockDim.
+// gpu-small is T = 1, K = gridDim (the paper's grid stride); batch-gpu is
+// T = B, K = 1 (a block stride over the block's own tour).
 #pragma once
 
-#include <memory>
+#include <span>
 #include <vector>
 
-#include "simt/buffer.hpp"
 #include "simt/device.hpp"
 #include "solver/engine.hpp"
 #include "tsp/point.hpp"
 
 namespace tspopt {
+
+// One launch of the block kernel over T = best.size() tours of n cities
+// each, K = config.grid_dim / T blocks per tour. With an empty `route`,
+// `coords` holds the T tours' route-ordered coordinates back to back
+// (Optimization 2); otherwise it holds the n city-indexed coordinates and
+// `route` the T tour orders back to back, read through on every access
+// (Fig. 5). Uploads both arrays, launches once, reads back one record per
+// block and writes tour t's best move to best[t].
+void launch_block_kernel(simt::Device& device, const simt::LaunchConfig& config,
+                         std::span<const Point> coords,
+                         std::span<const std::int32_t> route, std::int32_t n,
+                         std::span<BestMove> best);
 
 class TwoOptGpuSmall : public TwoOptEngine {
  public:
@@ -33,7 +51,7 @@ class TwoOptGpuSmall : public TwoOptEngine {
   // is the paper's Fig. 5 variant: it stages BOTH the route array and the
   // city-indexed coordinate array in shared memory and dereferences
   // route[p] on every read — 12 bytes/city instead of 8, which lowers the
-  // shared-memory city limit from ~6140 to ~4090 and adds the extra
+  // shared-memory city limit from ~6136 to ~4090 and adds the extra
   // indirection the paper's four Opt.-2 benefits eliminate. Results are
   // identical either way.
   explicit TwoOptGpuSmall(simt::Device& device, simt::LaunchConfig config = {},
@@ -45,8 +63,9 @@ class TwoOptGpuSmall : public TwoOptEngine {
 
   SearchResult search(const Instance& instance, const Tour& tour) override;
 
-  // Largest instance this kernel accepts on `device` (shared-memory
-  // bound); the indirect (non-preordered) variant fits fewer cities.
+  // Largest per-tour n the block kernel accepts on `device` (shared-memory
+  // bound), for gpu-small and batch-gpu alike; the indirect
+  // (non-preordered) variant fits fewer cities.
   static std::int32_t max_cities(const simt::Device& device,
                                  bool preorder_coordinates = true);
 
@@ -55,7 +74,6 @@ class TwoOptGpuSmall : public TwoOptEngine {
   simt::LaunchConfig config_;
   bool preorder_;
   std::vector<Point> ordered_;
-  std::vector<BestMove> host_results_;
 };
 
 }  // namespace tspopt

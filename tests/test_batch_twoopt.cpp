@@ -1,14 +1,15 @@
 // Batch-vs-sequential equivalence for the many-tour engines.
 //
 // The contract the serve-side micro-batcher rests on: running B tours
-// through one BatchTwoOpt* pass is bit-identical — per slot, pass for
-// pass, through whole descents — to B solo runs of the corresponding
+// through one batch pass is bit-identical — per slot, pass for pass,
+// through whole descents — to B solo runs of the corresponding
 // single-tour engine (batch-simd vs cpu-simd at every SIMD level,
-// batch-gpu vs gpu-small). Also pins TourBatch's layout/staging
-// invariants and batch_local_search's stats-for-stats match with the solo
-// descent driver.
+// batch-gpu vs gpu-small). Also pins TourBatch's kept lengths and
+// batch_local_search's stats-for-stats match with the solo descent
+// driver.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +18,6 @@
 #include "simt/device.hpp"
 #include "solver/batch/batch_local_search.hpp"
 #include "solver/batch/batch_twoopt_gpu.hpp"
-#include "solver/batch/batch_twoopt_simd.hpp"
 #include "solver/engine_factory.hpp"
 #include "solver/local_search.hpp"
 #include "solver/simd.hpp"
@@ -49,38 +49,6 @@ void expect_moves_equal(const SearchResult& got, const SearchResult& want,
   EXPECT_EQ(got.best.i, want.best.i) << what;
   EXPECT_EQ(got.best.j, want.best.j) << what;
   EXPECT_EQ(got.checks, want.checks) << what;
-}
-
-TEST(TourBatch, LayoutAndStaging) {
-  Instance instance = generate_uniform("batch-layout", 100, 7);
-  std::vector<Tour> tours = random_tours(instance, 3, 11);
-  TourBatch batch(instance, tours);
-
-  EXPECT_EQ(batch.size(), 3);
-  EXPECT_EQ(batch.n(), 100);
-  EXPECT_GE(batch.stride(), batch.n() + 1);
-  EXPECT_EQ(batch.stride() % 16, 0);
-  EXPECT_EQ(batch.active_count(), 3);
-
-  for (std::int32_t b = 0; b < batch.size(); ++b) {
-    EXPECT_EQ(batch.length(b), tours[static_cast<std::size_t>(b)].length(instance));
-    batch.stage(b);
-    const float* xs = batch.xs(b);
-    const float* ys = batch.ys(b);
-    const Tour& tour = batch.tour(b);
-    for (std::int32_t p = 0; p < batch.n(); ++p) {
-      Point city = instance.points()[static_cast<std::size_t>(tour.order()[static_cast<std::size_t>(p)])];
-      EXPECT_EQ(xs[p], city.x);
-      EXPECT_EQ(ys[p], city.y);
-    }
-    // The +1 wrap entry closes the tour for the row kernels.
-    EXPECT_EQ(xs[batch.n()], xs[0]);
-    EXPECT_EQ(ys[batch.n()], ys[0]);
-  }
-
-  batch.set_active(1, false);
-  EXPECT_EQ(batch.active_count(), 2);
-  EXPECT_FALSE(batch.active(1));
 }
 
 TEST(TourBatch, ReplicatedCopiesOneTour) {
@@ -157,7 +125,7 @@ TEST(BatchTwoOptSimd, DescentMatchesSoloPerSlot) {
     const simd::Kernels& kernels = simd::kernels(level);
     std::vector<Tour> tours = random_tours(instance, kCopies, 31);
     TourBatch batch(instance, tours);
-    BatchTwoOptSimd batch_engine(&kernels);
+    PerSlotBatchEngine batch_engine(std::make_unique<TwoOptSimd>(&kernels));
     TwoOptSimd solo(&kernels);
 
     std::vector<bool> converged(kCopies, false);
@@ -193,7 +161,7 @@ TEST(BatchTwoOptGpu, DescentMatchesGpuSmallPerSlot) {
   constexpr std::int32_t kCopies = 4;
   simt::Device batch_device(simt::gtx680_cuda());
   simt::Device solo_device(simt::gtx680_cuda());
-  ASSERT_LE(instance.n(), BatchTwoOptGpu::max_cities(batch_device));
+  ASSERT_LE(instance.n(), TwoOptGpuSmall::max_cities(batch_device));
 
   std::vector<Tour> tours = random_tours(instance, kCopies, 17);
   TourBatch batch(instance, tours);
@@ -232,8 +200,9 @@ TEST(BatchTwoOptSimd, InactiveSlotsAreSkipped) {
   TourBatch batch(instance, tours);
   batch.set_active(1, false);
 
-  BatchTwoOptSimd engine;
-  BatchSearchResult result = engine.search(batch);
+  EngineFactory factory;
+  std::unique_ptr<BatchTwoOptEngine> engine = factory.create_batch("batch-simd");
+  BatchSearchResult result = engine->search(batch);
   EXPECT_EQ(result.per_tour[1].checks, 0u);
   EXPECT_FALSE(result.per_tour[1].best.improves());
   EXPECT_GT(result.per_tour[0].checks, 0u);
@@ -249,8 +218,10 @@ TEST(BatchLocalSearch, MatchesSoloDriverPerSlot) {
   std::vector<Tour> tours = random_tours(instance, kCopies, 37);
 
   TourBatch batch(instance, tours);
-  BatchTwoOptSimd batch_engine;
-  std::vector<LocalSearchStats> stats = batch_local_search(batch_engine, batch);
+  EngineFactory factory;
+  std::unique_ptr<BatchTwoOptEngine> batch_engine =
+      factory.create_batch("batch-simd");
+  std::vector<LocalSearchStats> stats = batch_local_search(*batch_engine, batch);
 
   for (std::int32_t b = 0; b < kCopies; ++b) {
     TwoOptSimd solo;
@@ -264,6 +235,51 @@ TEST(BatchLocalSearch, MatchesSoloDriverPerSlot) {
     EXPECT_EQ(order_of(batch.tour(b)), order_of(tour)) << "slot " << b;
     EXPECT_FALSE(batch.active(b)) << "slot " << b;
   }
+}
+
+// A zero-pass budget runs no pass: every slot keeps its tour and length,
+// and its stats report 0 passes.
+TEST(BatchLocalSearch, ZeroPassBudgetLeavesEverySlotUntouched) {
+  Instance instance = generate_uniform("batch-ls-zero", 90, 47);
+  std::vector<Tour> tours = random_tours(instance, 3, 53);
+  TourBatch batch(instance, tours);
+  EngineFactory factory;
+  std::unique_ptr<BatchTwoOptEngine> engine = factory.create_batch("batch-simd");
+  LocalSearchOptions options;
+  options.max_passes = 0;
+  std::vector<LocalSearchStats> stats =
+      batch_local_search(*engine, batch, options);
+  ASSERT_EQ(stats.size(), tours.size());
+  for (std::int32_t b = 0; b < batch.size(); ++b) {
+    const LocalSearchStats& st = stats[static_cast<std::size_t>(b)];
+    EXPECT_EQ(st.passes, 0) << "slot " << b;
+    EXPECT_EQ(st.moves_applied, 0) << "slot " << b;
+    EXPECT_EQ(st.checks, 0u) << "slot " << b;
+    EXPECT_EQ(order_of(batch.tour(b)),
+              order_of(tours[static_cast<std::size_t>(b)]))
+        << "slot " << b;
+    EXPECT_EQ(batch.length(b),
+              tours[static_cast<std::size_t>(b)].length(instance))
+        << "slot " << b;
+  }
+}
+
+// batch-gpu stages coordinates; a coordinate-free (EXPLICIT matrix)
+// instance is refused before anything is staged, not read out of bounds.
+TEST(BatchTwoOptGpu, RejectsCoordinateFreeInstances) {
+  std::vector<std::int32_t> m(25);
+  for (std::int32_t a = 0; a < 5; ++a) {
+    for (std::int32_t b = 0; b < 5; ++b) {
+      m[static_cast<std::size_t>(a * 5 + b)] = std::abs(a - b);
+    }
+  }
+  Instance instance("line5", m, 5);
+  TourBatch batch(instance, {Tour({0, 2, 4, 1, 3}), Tour::identity(5)});
+  simt::Device device(simt::gtx680_cuda());
+  BatchTwoOptGpu engine(device);
+  EXPECT_THROW(engine.search(batch), CheckError);
+  EXPECT_EQ(device.counters().kernel_launches.load(), 0u);
+  EXPECT_EQ(device.counters().h2d_bytes.load(), 0u);
 }
 
 // The factory's batch-* names behave as single-tour engines through the

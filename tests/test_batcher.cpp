@@ -17,7 +17,6 @@
 #include "simt/device.hpp"
 #include "simt/device_pool.hpp"
 #include "simt/fault.hpp"
-#include "solver/batch/batch_twoopt_gpu.hpp"
 #include "solver/constructive.hpp"
 #include "solver/ils.hpp"
 #include "solver/twoopt_gpu.hpp"
@@ -213,7 +212,7 @@ TEST(ServeScheduler, BatchShapeAdmission) {
   // batch-gpu with more cities than a block can stage: rejected up front
   // rather than failing after a lease.
   simt::Device probe(simt::gtx680_cuda());
-  std::int32_t cap = BatchTwoOptGpu::max_cities(probe);
+  std::int32_t cap = TwoOptGpuSmall::max_cities(probe);
   Instance big = generate_uniform("too-big-gpu", cap + 1, 3);
   JobSpec bad_gpu;
   bad_gpu.instance_name = big.name();
@@ -240,6 +239,48 @@ TEST(ServeScheduler, BatchShapeAdmission) {
   bad_slab.batchable = false;
   Scheduler::Admission d = scheduler.submit(bad_slab);
   EXPECT_TRUE(d.accepted) << d.error;
+
+  scheduler.shutdown(/*drain_first=*/false);
+}
+
+// gpu-small and batch-gpu run one block kernel with one city cap, so a
+// batchable gpu-small job admitted at the cap runs even when it finds no
+// batch to join and runs gpu-small alone; one city more is refused at
+// admission.
+TEST(ServeScheduler, LoneBatchableGpuJobAtTheCityCapRuns) {
+  std::vector<std::unique_ptr<simt::Device>> owned;
+  owned.push_back(std::make_unique<simt::Device>(simt::gtx680_cuda()));
+  std::vector<simt::Device*> devices{owned[0].get()};
+  simt::DevicePool pool(devices);
+
+  SchedulerOptions options;
+  options.workers = 1;
+  options.batcher.max_wait_ms = 0.0;
+  Scheduler scheduler(pool, options);
+
+  auto gpu_spec = [](std::int32_t n) {
+    Instance instance = generate_uniform("gpu-cap", n, 7);
+    JobSpec spec;
+    spec.instance_name = instance.name();
+    spec.points.assign(instance.points().begin(), instance.points().end());
+    spec.engine = "gpu-small";
+    spec.batchable = true;
+    spec.time_limit_seconds = 0.05;
+    return spec;
+  };
+  simt::Device probe(simt::gtx680_cuda());
+  const std::int32_t cap = TwoOptGpuSmall::max_cities(probe);
+
+  Scheduler::Admission at_cap = scheduler.submit(gpu_spec(cap));
+  ASSERT_TRUE(at_cap.accepted) << at_cap.error;
+  EXPECT_EQ(wait_terminal(scheduler, at_cap.id, 60.0), JobState::kFinished);
+  std::shared_ptr<const Job> job = scheduler.find(at_cap.id);
+  ASSERT_NE(job, nullptr);
+  EXPECT_EQ(job->batch_id.load(), 0u);  // ran alone, as gpu-small
+
+  Scheduler::Admission over = scheduler.submit(gpu_spec(cap + 1));
+  EXPECT_FALSE(over.accepted);
+  EXPECT_NE(over.error.find("batch shape"), std::string::npos) << over.error;
 
   scheduler.shutdown(/*drain_first=*/false);
 }

@@ -24,10 +24,10 @@
 #include "serve/scheduler.hpp"
 #include "simt/device.hpp"
 #include "simt/device_pool.hpp"
-#include "solver/batch/batch_twoopt_simd.hpp"
 #include "solver/batch/population_ils.hpp"
 #include "solver/checkpoint.hpp"
 #include "solver/delta.hpp"
+#include "solver/engine_factory.hpp"
 #include "solver/ordering.hpp"
 #include "solver/twoopt_gpu.hpp"
 #include "solver/twoopt_multi.hpp"
@@ -350,14 +350,15 @@ TEST(Fuzz, MutatedCheckpointsNeverCrashOrLoadUnchecked) {
   Tour start = Tour::random(inst.n(), start_rng);
   const std::string path = ::testing::TempDir() + "tspopt_fuzz.ckpt";
   const std::string damaged_path = ::testing::TempDir() + "tspopt_fuzz_m.ckpt";
-  BatchTwoOptSimd engine;
+  std::unique_ptr<BatchTwoOptEngine> engine =
+      EngineFactory().create_batch("batch-simd");
   std::vector<PopulationMemberOptions> members = population_members(2, 9);
   for (PopulationMemberOptions& m : members) m.max_iterations = 6;
   PopulationIlsOptions options;
   options.time_limit_seconds = -1.0;
   options.checkpoint_path = path;
   options.checkpoint_every = 3;
-  population_ils(engine, inst, {start, start}, members, options);
+  population_ils(*engine, inst, {start, start}, members, options);
   const std::string bytes = read_bytes(path);
   constexpr std::size_t kHeader = 20;  // magic, version, payload length
   constexpr std::size_t kChecksum = 8;

@@ -107,33 +107,29 @@ TEST(LocalSearch, TimeLimitStopsTheDescent) {
   EXPECT_LT(stats.wall_seconds, 2.0);  // generous slack for slow machines
 }
 
-TEST(LocalSearch, ObserverSeesEveryMoveAndCanStop) {
-  Instance inst = berlin52();
-  Pcg32 rng(10);
-  Tour tour = Tour::random(inst.n(), rng);
-  TwoOptSequential engine;
-  std::int64_t observed = 0;
-  local_search(engine, inst, tour, {},
-               [&](const LocalSearchStats& s) {
-                 observed = s.moves_applied;
-                 return s.moves_applied < 5;  // stop after 5 moves
-               });
-  EXPECT_EQ(observed, 5);
-}
-
 TEST(LocalSearch, MovesNeverIncreaseLength) {
   Instance inst = generate_clustered("c120", 120, 4, 3);
   Pcg32 rng(11);
   Tour tour = Tour::random(120, rng);
   TwoOptSequential engine;
   std::int64_t last = tour.length(inst);
-  // Observe lengths move by move.
-  local_search(engine, inst, tour, {}, [&](const LocalSearchStats&) {
+  // Step one pass at a time and observe lengths move by move.
+  LocalSearchOptions one_pass;
+  one_pass.max_passes = 1;
+  for (int step = 0; step < 10000; ++step) {
+    LocalSearchStats stats = local_search(engine, inst, tour, one_pass);
+    ASSERT_EQ(stats.passes, 1);
     std::int64_t now = tour.length(inst);
+    EXPECT_EQ(last - now, stats.improvement);
+    if (stats.reached_local_minimum) {
+      EXPECT_EQ(now, last);
+      return;
+    }
+    EXPECT_EQ(stats.moves_applied, 1);
     EXPECT_LT(now, last);
     last = now;
-    return true;
-  });
+  }
+  FAIL() << "descent did not reach a local minimum";
 }
 
 }  // namespace

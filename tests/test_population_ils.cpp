@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "solver/batch/batch_twoopt_simd.hpp"
 #include "solver/checkpoint.hpp"
+#include "solver/engine_factory.hpp"
 #include "solver/batch/population_ils.hpp"
 #include "solver/ils.hpp"
 #include "solver/twoopt_simd.hpp"
@@ -59,7 +59,8 @@ TEST(PopulationIls, IndependentMemberMatchesSoloIls) {
   constexpr std::int64_t kIterations = 12;
   constexpr std::int32_t kMembers = 4;
 
-  BatchTwoOptSimd batch_engine;
+  std::unique_ptr<BatchTwoOptEngine> batch_engine =
+      EngineFactory().create_batch("batch-simd");
   std::vector<PopulationMemberOptions> members =
       population_members(kMembers, /*seed=*/11);
   for (PopulationMemberOptions& m : members) {
@@ -69,7 +70,7 @@ TEST(PopulationIls, IndependentMemberMatchesSoloIls) {
   popts.time_limit_seconds = -1.0;
   popts.migrate_every = 0;
   PopulationIlsResult pop = population_ils(
-      batch_engine, instance, std::vector<Tour>(kMembers, initial), members,
+      *batch_engine, instance, std::vector<Tour>(kMembers, initial), members,
       popts);
   ASSERT_EQ(pop.members.size(), static_cast<std::size_t>(kMembers));
   EXPECT_EQ(pop.migrations, 0);
@@ -99,7 +100,8 @@ TEST(PopulationIls, StopHookMemberMatchesSoloIls) {
     return static_cast<std::int64_t>(5 + 3 * b);
   };
 
-  BatchTwoOptSimd batch_engine;
+  std::unique_ptr<BatchTwoOptEngine> batch_engine =
+      EngineFactory().create_batch("batch-simd");
   std::vector<std::int64_t> done(kMembers, 0);
   std::vector<PopulationMemberOptions> members =
       population_members(kMembers, /*seed=*/41);
@@ -114,7 +116,7 @@ TEST(PopulationIls, StopHookMemberMatchesSoloIls) {
   PopulationIlsOptions popts;
   popts.time_limit_seconds = -1.0;  // only the hooks end this run
   PopulationIlsResult pop = population_ils(
-      batch_engine, instance, std::vector<Tour>(kMembers, initial), members,
+      *batch_engine, instance, std::vector<Tour>(kMembers, initial), members,
       popts);
 
   for (std::size_t b = 0; b < members.size(); ++b) {
@@ -138,9 +140,10 @@ TEST(PopulationIls, StopHookMemberMatchesSoloIls) {
   one[0].on_progress = [&](const IlsProgress& p) { global_done = p.iteration; };
   PopulationIlsOptions global = popts;
   global.should_stop = [&] { return global_done >= stop_after(0); };
-  BatchTwoOptSimd engine_one;
+  std::unique_ptr<BatchTwoOptEngine> engine_one =
+      EngineFactory().create_batch("batch-simd");
   PopulationIlsResult single =
-      population_ils(engine_one, instance, {initial}, one, global);
+      population_ils(*engine_one, instance, {initial}, one, global);
   EXPECT_TRUE(single.stopped);
   EXPECT_TRUE(single.members[0].stopped);
   expect_results_equal(single.members[0], pop.members[0], "global hook");
@@ -195,9 +198,10 @@ TEST(PopulationIls, TimeBudgetMemberMatchesSoloIls) {
   // The population-wide budget on a population of one.
   PopulationIlsOptions global;
   global.time_limit_seconds = 0.05;
-  BatchTwoOptSimd engine_one;
+  std::unique_ptr<BatchTwoOptEngine> engine_one =
+      EngineFactory().create_batch("batch-simd");
   PopulationIlsResult single = population_ils(
-      engine_one, instance, {initial}, population_members(1, kSeed), global);
+      *engine_one, instance, {initial}, population_members(1, kSeed), global);
   expect_solo_trajectory_cut_short(single.members[0], instance, initial,
                                    kSeed, "global budget");
 
@@ -210,9 +214,10 @@ TEST(PopulationIls, TimeBudgetMemberMatchesSoloIls) {
   }
   PopulationIlsOptions unbounded;
   unbounded.time_limit_seconds = -1.0;
-  BatchTwoOptSimd engine_many;
+  std::unique_ptr<BatchTwoOptEngine> engine_many =
+      EngineFactory().create_batch("batch-simd");
   PopulationIlsResult pop =
-      population_ils(engine_many, instance,
+      population_ils(*engine_many, instance,
                      std::vector<Tour>(kMembers, initial), members, unbounded);
   for (std::size_t b = 0; b < members.size(); ++b) {
     expect_solo_trajectory_cut_short(pop.members[b], instance, initial,
@@ -229,14 +234,15 @@ TEST(PopulationIls, MigrationRunsAreDeterministic) {
   constexpr std::int32_t kMembers = 6;
 
   auto run = [&] {
-    BatchTwoOptSimd engine;
+    std::unique_ptr<BatchTwoOptEngine> engine =
+        EngineFactory().create_batch("batch-simd");
     std::vector<PopulationMemberOptions> members =
         population_members(kMembers, /*seed=*/101);
     for (PopulationMemberOptions& m : members) m.max_iterations = 10;
     PopulationIlsOptions popts;
     popts.time_limit_seconds = -1.0;
     popts.migrate_every = 3;
-    return population_ils(engine, instance,
+    return population_ils(*engine, instance,
                           std::vector<Tour>(kMembers, initial), members,
                           popts);
   };
@@ -276,9 +282,10 @@ TEST(PopulationIls, CheckpointResumeIsBitIdentical) {
   base.migrate_every = 0;
 
   // The reference: straight through, no interruption.
-  BatchTwoOptSimd engine_a;
+  std::unique_ptr<BatchTwoOptEngine> engine_a =
+      EngineFactory().create_batch("batch-simd");
   PopulationIlsResult want = population_ils(
-      engine_a, instance, std::vector<Tour>(kMembers, initial),
+      *engine_a, instance, std::vector<Tour>(kMembers, initial),
       make_members(kTotalRounds), base);
 
   // The interrupted run: members retire at kCutRounds with a checkpoint
@@ -286,17 +293,19 @@ TEST(PopulationIls, CheckpointResumeIsBitIdentical) {
   PopulationIlsOptions cut = base;
   cut.checkpoint_path = path;
   cut.checkpoint_every = 1;
-  BatchTwoOptSimd engine_b;
-  population_ils(engine_b, instance, std::vector<Tour>(kMembers, initial),
+  std::unique_ptr<BatchTwoOptEngine> engine_b =
+      EngineFactory().create_batch("batch-simd");
+  population_ils(*engine_b, instance, std::vector<Tour>(kMembers, initial),
                  make_members(kCutRounds), cut);
 
   PopulationCheckpoint ckpt = load_population_checkpoint(path);
   validate_population_checkpoint(ckpt, instance);
   EXPECT_EQ(ckpt.rounds, kCutRounds);
 
-  BatchTwoOptSimd engine_c;
+  std::unique_ptr<BatchTwoOptEngine> engine_c =
+      EngineFactory().create_batch("batch-simd");
   PopulationIlsResult got = population_ils_resume(
-      engine_c, instance, ckpt, make_members(kTotalRounds), base);
+      *engine_c, instance, ckpt, make_members(kTotalRounds), base);
 
   EXPECT_EQ(got.rounds, want.rounds);
   EXPECT_EQ(got.best_member, want.best_member);
@@ -315,7 +324,8 @@ TEST(PopulationIls, MigrationReplacesWorstIncumbent) {
   Tour initial = Tour::random(instance.n(), rng);
   constexpr std::int32_t kMembers = 8;
 
-  BatchTwoOptSimd engine;
+  std::unique_ptr<BatchTwoOptEngine> engine =
+      EngineFactory().create_batch("batch-simd");
   std::vector<PopulationMemberOptions> members =
       population_members(kMembers, /*seed=*/301);
   for (PopulationMemberOptions& m : members) m.max_iterations = 12;
@@ -323,7 +333,7 @@ TEST(PopulationIls, MigrationReplacesWorstIncumbent) {
   popts.time_limit_seconds = -1.0;
   popts.migrate_every = 2;
   PopulationIlsResult pop = population_ils(
-      engine, instance, std::vector<Tour>(kMembers, initial), members, popts);
+      *engine, instance, std::vector<Tour>(kMembers, initial), members, popts);
 
   EXPECT_GT(pop.migrations, 0);
   EXPECT_EQ(pop.rounds, 12);
@@ -338,19 +348,20 @@ TEST(PopulationIls, MigrationReplacesWorstIncumbent) {
 // later pass the move applied before it.
 class LengthCheckingEngine : public BatchTwoOptEngine {
  public:
-  std::string name() const override { return inner_.name(); }
+  std::string name() const override { return inner_->name(); }
   BatchSearchResult search(TourBatch& batch) override {
     for (std::int32_t b = 0; b < batch.size(); ++b) {
       EXPECT_EQ(batch.length(b), batch.tour(b).length(batch.instance()))
           << "slot " << b << " pass " << passes;
     }
     ++passes;
-    return inner_.search(batch);
+    return inner_->search(batch);
   }
   std::int64_t passes = 0;
 
  private:
-  BatchTwoOptSimd inner_;
+  std::unique_ptr<BatchTwoOptEngine> inner_ =
+      EngineFactory().create_batch("batch-simd");
 };
 
 void expect_lengths_exact(const PopulationIlsResult& pop,

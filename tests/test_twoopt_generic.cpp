@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "solver/batch/population_ils.hpp"
+#include "solver/ils.hpp"
 #include "solver/local_search.hpp"
 #include "solver/twoopt_generic.hpp"
 #include "solver/twoopt_sequential.hpp"
@@ -9,6 +11,19 @@
 
 namespace tspopt {
 namespace {
+
+// An n-city EXPLICIT instance with a known unique optimum: cities on a
+// line, distance = |i-j| (optimal tour 0-1-...-(n-1), length 2(n-1)).
+Instance line_instance(std::int32_t n) {
+  std::vector<std::int32_t> m(static_cast<std::size_t>(n * n));
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = 0; b < n; ++b) {
+      m[static_cast<std::size_t>(a * n + b)] = std::abs(a - b);
+    }
+  }
+  return Instance("line" + std::to_string(n), m,
+                  static_cast<std::size_t>(n));
+}
 
 TEST(Generic, BitEquivalentToCoordinateEngineOnEuc2D) {
   Pcg32 rng(1);
@@ -48,20 +63,42 @@ TEST(Generic, DeltaMatchesLengthDifferenceOnGeoInstances) {
 }
 
 TEST(Generic, SolvesExplicitMatrixInstances) {
-  // A 5-city EXPLICIT instance with a known unique optimum: cities on a
-  // line, distance = |i-j| (optimal tour 0-1-2-3-4, length 8).
-  std::vector<std::int32_t> m(25);
-  for (std::int32_t a = 0; a < 5; ++a) {
-    for (std::int32_t b = 0; b < 5; ++b) {
-      m[static_cast<std::size_t>(a * 5 + b)] = std::abs(a - b);
-    }
-  }
-  Instance inst("line5", m, 5);
+  Instance inst = line_instance(5);
   Tour tour({0, 2, 4, 1, 3});  // scrambled
   TwoOptGeneric engine;
   LocalSearchStats stats = local_search(engine, inst, tour);
   EXPECT_TRUE(stats.reached_local_minimum);
   EXPECT_EQ(tour.length(inst), 8);
+}
+
+// ILS and a population run hold their tours in a TourBatch, which must
+// take a matrix instance as readily as a coordinate one. Five cities are
+// too few for a double bridge, so line5 runs the initial descent only;
+// line12 also runs kicks, whose kept lengths read the matrix.
+TEST(Generic, IlsAndPopulationSolveExplicitMatrixInstances) {
+  for (std::int32_t n : {5, 12}) {
+    Instance inst = line_instance(n);
+    const std::int64_t optimum = 2 * (n - 1);
+    Pcg32 rng(static_cast<std::uint64_t>(n));
+    Tour start = Tour::random(n, rng);
+    IlsOptions options;
+    options.time_limit_seconds = -1.0;
+    options.max_iterations = n < 8 ? 0 : 30;
+    TwoOptGeneric engine;
+    IlsResult solo = iterated_local_search(engine, inst, start, options);
+    EXPECT_EQ(solo.best_length, optimum) << inst.name();
+    EXPECT_EQ(solo.best.length(inst), optimum) << inst.name();
+
+    PerSlotBatchEngine slots(engine);
+    PopulationIlsResult pop =
+        population_ils(slots, inst, {start, start}, population_members(2, 3),
+                       population_options(options));
+    ASSERT_EQ(pop.members.size(), 2u);
+    for (const IlsResult& member : pop.members) {
+      EXPECT_EQ(member.best_length, optimum) << inst.name();
+      EXPECT_EQ(member.best.length(inst), optimum) << inst.name();
+    }
+  }
 }
 
 TEST(Generic, AttMetricDescends) {

@@ -67,14 +67,14 @@ int main(int argc, char** argv) {
   std::cout << "solving " << instance.name() << " (" << n << " cities), "
             << seconds << " s budget  [run " << obs::run_id() << "]\n";
 
-  Tour initial = multiple_fragment(instance);
+  // Any roster engine by name: the parallel-CPU 2-opt by default, the
+  // candidate-list engines for large n, the gpu-* classes to run on the
+  // SIMT simulator. The factory's k-NN lists also seed the MF start.
+  EngineFactory factory(&instance);
+  Tour initial = multiple_fragment(instance, factory.neighbor_lists());
   std::cout << "multiple-fragment start: " << initial.length(instance)
             << "\n";
 
-  // Any roster engine by name: the parallel-CPU 2-opt by default, the
-  // candidate-list engines for large n, the gpu-* classes to run on the
-  // SIMT simulator.
-  EngineFactory factory(&instance);
   std::unique_ptr<TwoOptEngine> engine = factory.create(engine_name);
   std::cout << "engine: " << engine->name() << "\n";
   IlsOptions opts;

@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
   std::cout << "instance: " << inst.name() << " (" << n << " cities, "
             << pair_count(n) << " 2-opt pairs per pass)\n";
 
-  Tour tour = multiple_fragment(inst, k);
+  NeighborLists nl(inst, k);
+  Tour tour = multiple_fragment(inst, nl);
   std::cout << "multiple fragment: " << tour.length(inst) << "  ["
             << total.seconds() << " s]\n";
 
-  NeighborLists nl(inst, k);
   FirstImprovementStats warm = first_improvement_descent(inst, tour, nl);
   std::cout << "pruned warm start:  " << tour.length(inst) << "  ("
             << warm.moves_applied << " moves, " << warm.checks

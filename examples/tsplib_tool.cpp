@@ -131,15 +131,16 @@ int main(int argc, char** argv) {
   report.set_config("source", target);
   report.set_summary("parse_seconds", parse_seconds);
 
+  // The factory's k-NN lists seed the MF start and any pruned engine.
+  EngineFactory factory(&instance);
   Tour tour = instance.metric() == Metric::kExplicit
                   ? nearest_neighbor(instance)
-                  : multiple_fragment(instance);
+                  : multiple_fragment(instance, factory.neighbor_lists());
   std::cout << "constructive tour: " << tour.length(instance) << "\n";
   report.set_summary("constructive_length",
                      static_cast<double>(tour.length(instance)));
 
   if (solve) {
-    EngineFactory factory(&instance);
     std::unique_ptr<TwoOptEngine> engine;
     if (instance.euclidean_like()) {
       engine = factory.create(cli.get("engine"));

@@ -10,7 +10,9 @@
 #         results, and binary (de)serialization, where memory bugs hide —
 #         plus the batch-engine, accounting and local-search suites, which
 #         drive the one block kernel's per-block slice offsets (gpu-small,
-#         gpu-small-indirect, batch-gpu) and the batch-of-one descent.
+#         gpu-small-indirect, batch-gpu) and the batch-of-one descent, and
+#         the neighbor-list and constructive suites, which index the one
+#         spatial grid (k-NN build and fragment stitch).
 # Pass 3: Observability smoke — run a small traced ILS with
 #         TSPOPT_TRACE/TSPOPT_REPORT set and validate that both emitted
 #         files are well-formed JSON.
@@ -80,8 +82,10 @@
 #         solve path (TourBatch keeps each slot's length by deltas), the
 #         local-search and accounting suites that run the one descent
 #         loop and the one block kernel's T x K index arithmetic, the
-#         TSPLIB suite with its coordinate-bound test, and the admin,
-#         journal and serve-stress suites that read the serve instruments —
+#         TSPLIB suite with its coordinate-bound test, the neighbor-list
+#         and constructive suites that share the spatial grid's cell and
+#         ring index arithmetic, and the admin, journal and serve-stress
+#         suites that read the serve instruments —
 #         signed overflow in delta and wrapped-arc index arithmetic,
 #         misaligned or out-of-range accesses, invalid casts.
 #
@@ -118,10 +122,12 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTSPOPT_SANITIZE=address >/dev/null
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target test_fault test_checkpoint test_fuzz \
-               test_batch_twoopt test_accounting test_local_search
+               test_batch_twoopt test_accounting test_local_search \
+               test_neighbor_lists test_constructive
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
       -R 'Fault|Checkpoint|Fuzz'
-for suite in test_batch_twoopt test_accounting test_local_search; do
+for suite in test_batch_twoopt test_accounting test_local_search \
+             test_neighbor_lists test_constructive; do
   echo "ASan: ${suite}"
   "${PREFIX}-asan/tests/${suite}" --gtest_brief=1
 done
@@ -869,7 +875,8 @@ cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 UBSAN_SUITES="test_engines test_pruned test_pruned_equivalence test_tour \
   test_fuzz test_serve test_ils test_population_ils test_checkpoint \
   test_batcher test_batch_twoopt test_local_search test_accounting \
-  test_tsplib test_admin test_journal test_serve_stress"
+  test_tsplib test_admin test_journal test_serve_stress \
+  test_neighbor_lists test_constructive"
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target ${UBSAN_SUITES}
 for suite in ${UBSAN_SUITES}; do
   echo "UBSan: ${suite}"

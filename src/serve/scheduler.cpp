@@ -964,10 +964,11 @@ std::vector<JobState> Scheduler::execute(
     run = population_ils_resume(*engine, instance, *checkpoint, mopts, popts);
   } else {
     // The same constructive start for every member (it is deterministic
-    // per instance); the seeds diverge the perturbations.
+    // per instance); the seeds diverge the perturbations. MF reads the
+    // factory's lists, so a job builds one set of k-NN lists.
     Tour tour = instance.metric() == Metric::kExplicit
                     ? nearest_neighbor(instance)
-                    : multiple_fragment(instance);
+                    : multiple_fragment(instance, factory.neighbor_lists());
     constructive_length = tour.length(instance);
     for (std::size_t b : live) {
       members[b]->best_length.store(constructive_length,

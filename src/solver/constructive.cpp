@@ -1,14 +1,14 @@
 #include "solver/constructive.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <limits>
 #include <numeric>
 #include <vector>
 
 #include "common/check.hpp"
 #include "obs/trace.hpp"
-#include "tsp/neighbor_lists.hpp"
+#include "tsp/spatial_grid.hpp"
 
 namespace tspopt {
 
@@ -42,200 +42,106 @@ Tour nearest_neighbor(const Instance& instance, std::int32_t start) {
   return Tour(std::move(order));
 }
 
-namespace {
+// Multiple fragment reads at most this many nearest neighbors per city.
+constexpr std::int32_t kFragmentCandidates = 12;
 
-// Union-find over cities, used to reject premature cycles.
-class DisjointSets {
- public:
-  explicit DisjointSets(std::int32_t n) : parent_(static_cast<std::size_t>(n)) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  std::int32_t find(std::int32_t x) {
-    while (parent_[static_cast<std::size_t>(x)] != x) {
-      parent_[static_cast<std::size_t>(x)] =
-          parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(x)])];
-      x = parent_[static_cast<std::size_t>(x)];
-    }
-    return x;
-  }
-  void unite(std::int32_t a, std::int32_t b) {
-    parent_[static_cast<std::size_t>(find(a))] = find(b);
-  }
+Tour multiple_fragment(const Instance& instance) {
+  return multiple_fragment(instance,
+                           NeighborLists(instance, kFragmentCandidates));
+}
 
- private:
-  std::vector<std::int32_t> parent_;
-};
-
-struct CandidateEdge {
-  std::int32_t d;
-  std::int32_t a;
-  std::int32_t b;
-};
-
-}  // namespace
-
-Tour multiple_fragment(const Instance& instance, std::int32_t k) {
+Tour multiple_fragment(const Instance& instance, const NeighborLists& lists) {
   const std::int32_t n = instance.n();
-  TSPOPT_CHECK(k >= 1);
+  TSPOPT_CHECK_MSG(lists.n() == n,
+                   "neighbor lists for " << lists.n() << " cities, instance has "
+                                         << n);
   obs::Span span =
       obs::Tracer::global().span("construct.multiple_fragment", "solver");
   if (span) span.arg("n", n);
 
-  // Candidate edges: each city to its k nearest neighbors (deduplicated by
-  // keeping a < b), sorted by length.
-  NeighborLists nl(instance, std::min(k, n - 1));
-  std::vector<CandidateEdge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(nl.k()));
+  // Candidate edges (length, a, b): each city to its nearest neighbors,
+  // deduplicated by keeping a < b, sorted by length, then a, then b.
+  const auto k = static_cast<std::size_t>(
+      std::min(kFragmentCandidates, lists.k()));
+  std::vector<std::array<std::int32_t, 3>> edges;
+  edges.reserve(static_cast<std::size_t>(n) * k);
   for (std::int32_t a = 0; a < n; ++a) {
-    for (std::int32_t b : nl.neighbors(a)) {
+    for (std::int32_t b : lists.neighbors(a).first(k)) {
       if (a < b) edges.push_back({instance.dist(a, b), a, b});
     }
   }
-  std::sort(edges.begin(), edges.end(),
-            [](const CandidateEdge& x, const CandidateEdge& y) {
-              if (x.d != y.d) return x.d < y.d;
-              if (x.a != y.a) return x.a < y.a;
-              return x.b < y.b;
-            });
+  std::sort(edges.begin(), edges.end());
 
   std::vector<std::int32_t> degree(static_cast<std::size_t>(n), 0);
   std::vector<std::array<std::int32_t, 2>> adj(
       static_cast<std::size_t>(n), {-1, -1});
-  DisjointSets sets(n);
+  // other_end[c] is the far end of the path fragment c ends (c itself
+  // while isolated), kept current for fragment ends only. An edge between
+  // two ends closes a premature cycle exactly when they end one fragment.
+  std::vector<std::int32_t> other_end(static_cast<std::size_t>(n));
+  std::iota(other_end.begin(), other_end.end(), 0);
   auto link = [&](std::int32_t a, std::int32_t b) {
     adj[static_cast<std::size_t>(a)][static_cast<std::size_t>(
         degree[static_cast<std::size_t>(a)]++)] = b;
     adj[static_cast<std::size_t>(b)][static_cast<std::size_t>(
         degree[static_cast<std::size_t>(b)]++)] = a;
-    sets.unite(a, b);
+    const std::int32_t ea = other_end[static_cast<std::size_t>(a)];
+    const std::int32_t eb = other_end[static_cast<std::size_t>(b)];
+    other_end[static_cast<std::size_t>(ea)] = eb;
+    other_end[static_cast<std::size_t>(eb)] = ea;
   };
 
   std::int32_t links = 0;
-  for (const CandidateEdge& e : edges) {
+  for (const auto& [d, a, b] : edges) {
     if (links == n - 1) break;
-    if (degree[static_cast<std::size_t>(e.a)] >= 2 ||
-        degree[static_cast<std::size_t>(e.b)] >= 2) {
+    if (degree[static_cast<std::size_t>(a)] >= 2 ||
+        degree[static_cast<std::size_t>(b)] >= 2 ||
+        other_end[static_cast<std::size_t>(a)] == b) {
       continue;
     }
-    if (sets.find(e.a) == sets.find(e.b)) continue;
-    link(e.a, e.b);
+    link(a, b);
     ++links;
   }
 
   // Stitch remaining fragments into one Hamiltonian path by greedy
   // nearest-endpoint chaining: one growing chain links its free end to a
-  // near-nearest free endpoint of another fragment, found by ring search
-  // over a uniform grid of the endpoint set (same bucket scheme as
-  // tsp/neighbor_lists). The previous closest-global-pair rule rescanned
-  // every endpoint pair per link — O(fragments * endpoints^2), minutes
-  // of wall time at n=100k on clustered inputs — where the chain is
-  // near-linear and starts the descent from the same quality
-  // neighborhood.
+  // near-nearest free end of another fragment, found by ring search over
+  // a spatial grid of the fragment ends. Near-linear, where rescanning
+  // every pair of ends per link took minutes at n=100k on clustered
+  // inputs.
   if (links < n - 1) {
     std::vector<std::int32_t> endpoints;
-    std::vector<std::int32_t> partner(static_cast<std::size_t>(n), -1);
     for (std::int32_t c = 0; c < n; ++c) {
       if (degree[static_cast<std::size_t>(c)] < 2) endpoints.push_back(c);
     }
-    // Pair each endpoint with its fragment's other end (itself for an
-    // isolated city) by walking each fragment once.
-    for (std::int32_t e : endpoints) {
-      if (partner[static_cast<std::size_t>(e)] != -1) continue;
-      std::int32_t prev = -1;
-      std::int32_t cur = e;
-      for (;;) {
-        std::int32_t next = -1;
-        for (std::int32_t nb : adj[static_cast<std::size_t>(cur)]) {
-          if (nb != -1 && nb != prev) {
-            next = nb;
-            break;
-          }
-        }
-        if (next == -1) break;
-        prev = cur;
-        cur = next;
-      }
-      partner[static_cast<std::size_t>(e)] = cur;
-      partner[static_cast<std::size_t>(cur)] = e;
-    }
-
-    float lo_x = std::numeric_limits<float>::max(), lo_y = lo_x;
-    float hi_x = std::numeric_limits<float>::lowest(), hi_y = hi_x;
-    for (std::int32_t e : endpoints) {
-      const Point& p = instance.point(e);
-      lo_x = std::min(lo_x, p.x);
-      lo_y = std::min(lo_y, p.y);
-      hi_x = std::max(hi_x, p.x);
-      hi_y = std::max(hi_y, p.y);
-    }
-    const float w = std::max(hi_x - lo_x, 1.0f);
-    const float h = std::max(hi_y - lo_y, 1.0f);
-    const auto target = static_cast<float>(
-        std::sqrt(static_cast<double>(endpoints.size())));
-    float cell = std::max(w, h) / std::max(1.0f, target);
-    if (!(cell > 0.0f) || !std::isfinite(cell)) cell = 1.0f;
-    const std::int32_t cells_x =
-        std::max(1, static_cast<std::int32_t>(w / cell) + 1);
-    const std::int32_t cells_y =
-        std::max(1, static_cast<std::int32_t>(h / cell) + 1);
-    auto clampi = [](std::int32_t v, std::int32_t hi) {
-      return std::clamp(v, 0, hi - 1);
-    };
-    auto cell_x = [&](float x) {
-      return clampi(static_cast<std::int32_t>((x - lo_x) / cell), cells_x);
-    };
-    auto cell_y = [&](float y) {
-      return clampi(static_cast<std::int32_t>((y - lo_y) / cell), cells_y);
-    };
-    std::vector<std::vector<std::int32_t>> buckets(
-        static_cast<std::size_t>(cells_x) * static_cast<std::size_t>(cells_y));
-    auto bucket = [&](std::int32_t gx, std::int32_t gy)
-        -> std::vector<std::int32_t>& {
-      return buckets[static_cast<std::size_t>(gy) *
-                         static_cast<std::size_t>(cells_x) +
-                     static_cast<std::size_t>(gx)];
-    };
+    const SpatialGrid grid(instance, endpoints);
     std::vector<char> alive(static_cast<std::size_t>(n), 0);
-    for (std::int32_t e : endpoints) {
-      const Point& p = instance.point(e);
-      bucket(cell_x(p.x), cell_y(p.y)).push_back(e);
-      alive[static_cast<std::size_t>(e)] = 1;
-    }
+    for (std::int32_t e : endpoints) alive[static_cast<std::size_t>(e)] = 1;
 
     std::int32_t tail = endpoints[0];
     alive[static_cast<std::size_t>(tail)] = 0;
-    const std::int32_t max_ring = cells_x + cells_y;
     while (links < n - 1) {
       const Point& tp = instance.point(tail);
-      const std::int32_t cx = cell_x(tp.x);
-      const std::int32_t cy = cell_y(tp.y);
+      const std::int32_t cx = grid.cell_x(tp.x);
+      const std::int32_t cy = grid.cell_y(tp.y);
       std::int32_t best = -1;
       std::int64_t best_d = std::numeric_limits<std::int64_t>::max();
       std::int32_t found_ring = -1;
-      for (std::int32_t ring = 0; ring <= max_ring; ++ring) {
-        std::int32_t x0 = clampi(cx - ring, cells_x);
-        std::int32_t x1 = clampi(cx + ring, cells_x);
-        std::int32_t y0 = clampi(cy - ring, cells_y);
-        std::int32_t y1 = clampi(cy + ring, cells_y);
-        for (std::int32_t gy = y0; gy <= y1; ++gy) {
-          for (std::int32_t gx = x0; gx <= x1; ++gx) {
-            bool on_ring = (gx == cx - ring || gx == cx + ring ||
-                            gy == cy - ring || gy == cy + ring);
-            if (ring > 0 && !on_ring) continue;  // interior already visited
-            for (std::int32_t c : bucket(gx, gy)) {
-              if (alive[static_cast<std::size_t>(c)] == 0) continue;
-              if (sets.find(c) == sets.find(tail)) continue;
+      for (std::int32_t ring = 0; ring <= grid.max_ring(); ++ring) {
+        const bool covers_whole_grid =
+            grid.visit_ring(cx, cy, ring, [&](std::int32_t c) {
+              // The chain's own far end would close it into a cycle.
+              if (alive[static_cast<std::size_t>(c)] == 0 ||
+                  c == other_end[static_cast<std::size_t>(tail)]) {
+                return;
+              }
               std::int64_t d = instance.dist(tail, c);
               if (d < best_d || (d == best_d && c < best)) {
                 best_d = d;
                 best = c;
               }
-            }
-          }
-        }
+            });
         if (best != -1 && found_ring < 0) found_ring = ring;
-        bool covers_whole_grid = x0 == 0 && y0 == 0 && x1 == cells_x - 1 &&
-                                 y1 == cells_y - 1;
         // One extra ring past the first hit: a heuristic stitch edge, so
         // near-nearest is enough — the descent repairs the rest.
         if ((found_ring >= 0 && ring > found_ring) || covers_whole_grid) {
@@ -243,12 +149,12 @@ Tour multiple_fragment(const Instance& instance, std::int32_t k) {
         }
       }
       TSPOPT_CHECK_MSG(best >= 0, "fragment stitching found no joinable pair");
+      // The consumed fragment's far end is the chain's new free end and
+      // leaves the search pool (an isolated city is its own far end).
+      const std::int32_t next_tail = other_end[static_cast<std::size_t>(best)];
       link(tail, best);
       ++links;
       alive[static_cast<std::size_t>(best)] = 0;
-      // The consumed fragment's other end is the chain's new free end and
-      // leaves the search pool (an isolated city is its own partner).
-      std::int32_t next_tail = partner[static_cast<std::size_t>(best)];
       alive[static_cast<std::size_t>(next_tail)] = 0;
       tail = next_tail;
     }

@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "tsp/instance.hpp"
+#include "tsp/neighbor_lists.hpp"
 #include "tsp/tour.hpp"
 
 namespace tspopt {
@@ -17,10 +18,16 @@ namespace tspopt {
 // instance sizes the benches run at.
 Tour nearest_neighbor(const Instance& instance, std::int32_t start = 0);
 
-// Multiple Fragment: consider short candidate edges (k nearest neighbors
-// per city) in increasing length order, accept an edge when both endpoints
-// have degree < 2 and it closes no premature cycle, then stitch any
-// remaining fragments greedily. Returns a valid closed tour.
-Tour multiple_fragment(const Instance& instance, std::int32_t k = 12);
+// Multiple Fragment: consider short candidate edges (each city to the
+// first min(12, lists.k()) entries of its k-NN list) in increasing length
+// order, accept an edge when both endpoints have degree < 2 and it closes
+// no premature cycle, then stitch any remaining fragments greedily.
+// Returns a valid closed tour. `lists` must be built over `instance`; a
+// shorter list is a prefix of a longer one, so any k >= 12 gives the same
+// tour.
+Tour multiple_fragment(const Instance& instance, const NeighborLists& lists);
+
+// The same over 12-lists built here, for callers that hold no lists.
+Tour multiple_fragment(const Instance& instance);
 
 }  // namespace tspopt

@@ -30,17 +30,15 @@ class EngineFactory {
   // same vector work, so take the full move set the hardware pays for.
   static constexpr std::int32_t kDefaultNeighbors = 16;
 
-  // `instance` is needed only for the instance-bound engines (cpu-lut,
-  // cpu-pruned); pass nullptr when those are not used. `k` sizes the
-  // pruned engines' neighbor lists; `multi` is gpu-multi's fault policy.
+  // `instance` is needed by the instance-bound engines (cpu-lut and the
+  // pruned cpu-pruned, cpu-simd-pruned, gpu-pruned) and by
+  // neighbor_lists(); pass nullptr when none is used. `k` sizes the
+  // neighbor lists; `multi` is gpu-multi's fault policy.
   explicit EngineFactory(const Instance* instance = nullptr,
                          std::int32_t k = kDefaultNeighbors,
                          MultiDeviceOptions multi = {});
 
-  // Known names, in the order they print in help text:
-  //   cpu-sequential, cpu-sequential-indirect, cpu-generic, cpu-parallel,
-  //   cpu-lut, cpu-pruned, cpu-simd-pruned, gpu-small, gpu-small-indirect,
-  //   gpu-tiled, gpu-pruned, gpu-multi
+  // Known names, in roster() order (the order help text prints them).
   static const std::vector<std::string>& available();
 
   // One-line description per engine, same order as available(). This is
@@ -81,8 +79,10 @@ class EngineFactory {
   simt::Device& device() { return device_; }
 
   // The factory's k-NN candidate lists, built lazily from the factory's
-  // instance with list size k (CheckError without an instance). Shared by
-  // every pruned engine the factory creates.
+  // instance with list size k (CheckError without an instance). The one
+  // list build per instance: shared by every pruned engine the factory
+  // creates and by the multiple-fragment start, which reads each row's
+  // first min(12, k) entries.
   const NeighborLists& neighbor_lists();
 
  private:

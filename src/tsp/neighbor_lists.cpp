@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "common/check.hpp"
@@ -10,116 +11,68 @@
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tsp/metric.hpp"
+#include "tsp/spatial_grid.hpp"
 
 namespace tspopt {
 
 namespace {
 
-// Uniform bucket grid over the bounding box.
-struct Grid {
-  std::int32_t cells_x = 1;
-  std::int32_t cells_y = 1;
-  float cell = 1.0f;
-  Point lo;
-  std::vector<std::vector<std::int32_t>> buckets;
-
-  std::int32_t clamp_x(std::int32_t cx) const {
-    return std::clamp(cx, 0, cells_x - 1);
+// A lower bound, in metric m's units, on the distance between two points
+// more than `apart` coordinate units apart along x or y. GEO has none
+// (longitude wraps, and east-west distances shrink toward the poles), nor
+// has EXPLICIT, whose matrix ignores the display coordinates.
+double dist_lower_bound(Metric m, double apart) {
+  switch (m) {
+    case Metric::kEuc2D:  // the nearest integer to a length > apart
+    case Metric::kMan2D:
+    case Metric::kMax2D:
+      return apart - 0.5;
+    case Metric::kCeil2D:
+      return apart;
+    case Metric::kAtt:  // at least the length / sqrt(10)
+      return apart / std::sqrt(10.0);
+    case Metric::kGeo:
+    case Metric::kExplicit:
+      break;
   }
-  std::int32_t clamp_y(std::int32_t cy) const {
-    return std::clamp(cy, 0, cells_y - 1);
-  }
-  std::int32_t cell_of_x(float x) const {
-    return clamp_x(static_cast<std::int32_t>((x - lo.x) / cell));
-  }
-  std::int32_t cell_of_y(float y) const {
-    return clamp_y(static_cast<std::int32_t>((y - lo.y) / cell));
-  }
-  const std::vector<std::int32_t>& bucket(std::int32_t cx,
-                                          std::int32_t cy) const {
-    return buckets[static_cast<std::size_t>(cy) *
-                       static_cast<std::size_t>(cells_x) +
-                   static_cast<std::size_t>(cx)];
-  }
-  std::vector<std::int32_t>& bucket(std::int32_t cx, std::int32_t cy) {
-    return buckets[static_cast<std::size_t>(cy) *
-                       static_cast<std::size_t>(cells_x) +
-                   static_cast<std::size_t>(cx)];
-  }
-};
-
-Grid build_grid(const Instance& instance) {
-  Grid g;
-  auto [lo, hi] = instance.bounding_box();
-  TSPOPT_CHECK_MSG(std::isfinite(lo.x) && std::isfinite(lo.y) &&
-                       std::isfinite(hi.x) && std::isfinite(hi.y),
-                   "NeighborLists requires finite coordinates");
-  g.lo = lo;
-  // Degenerate extents (all-identical points, collinear sets, zero-area
-  // bounding boxes) clamp to a 1x1 span: every point then lands in a small
-  // grid and the ring search degenerates to a near-exhaustive scan, which
-  // is still correct and still terminates.
-  float w = std::max(hi.x - lo.x, 1.0f);
-  float h = std::max(hi.y - lo.y, 1.0f);
-  // Aim for ~1-2 points per cell.
-  auto target = static_cast<float>(
-      std::sqrt(static_cast<double>(instance.n())));
-  g.cell = std::max(w, h) / std::max(1.0f, target);
-  if (!(g.cell > 0.0f) || !std::isfinite(g.cell)) g.cell = 1.0f;
-  g.cells_x = std::max(1, static_cast<std::int32_t>(w / g.cell) + 1);
-  g.cells_y = std::max(1, static_cast<std::int32_t>(h / g.cell) + 1);
-  g.buckets.resize(static_cast<std::size_t>(g.cells_x) *
-                   static_cast<std::size_t>(g.cells_y));
-  for (std::int32_t i = 0; i < instance.n(); ++i) {
-    const Point& p = instance.point(i);
-    g.bucket(g.cell_of_x(p.x), g.cell_of_y(p.y)).push_back(i);
-  }
-  return g;
+  return -std::numeric_limits<double>::infinity();
 }
 
 // Collects the k nearest neighbors of `city` by expanding grid rings.
 // `candidates` is caller-owned scratch so parallel workers reuse capacity.
-void build_row(const Instance& instance, const Grid& grid, std::int32_t city,
-               std::int32_t k,
+void build_row(const Instance& instance, const SpatialGrid& grid,
+               std::int32_t city, std::int32_t k,
                std::vector<std::pair<std::int64_t, std::int32_t>>& candidates) {
   const Point& p = instance.point(city);
-  std::int32_t cx = grid.cell_of_x(p.x);
-  std::int32_t cy = grid.cell_of_y(p.y);
+  const std::int32_t cx = grid.cell_x(p.x);
+  const std::int32_t cy = grid.cell_y(p.y);
   candidates.clear();
-  // Expand the search ring until we have enough candidates AND the ring
-  // distance already exceeds the k-th best, guaranteeing correctness. The
-  // ring index is bounded: once it spans the clamped grid the
-  // covers_whole_grid break fires, so the loop terminates for any input
-  // the grid accepted (the fuzz test drives the degenerate shapes).
-  const std::int32_t max_ring = grid.cells_x + grid.cells_y;
+  // Expand rings until k candidates are in hand and no unvisited city can
+  // tie or beat the k-th: after ring r every unvisited city is more than
+  // r * cell coordinate units away along x or y, which dist_lower_bound
+  // turns into the metric's units. Ties at the k-th distance are then all
+  // in hand for the (distance, id) order. The ring index is bounded: the
+  // loop ends once a ring spans the clamped grid (the fuzz test drives the
+  // degenerate shapes).
   for (std::int32_t ring = 0;; ++ring) {
-    TSPOPT_CHECK_MSG(ring <= max_ring,
+    TSPOPT_CHECK_MSG(ring <= grid.max_ring(),
                      "NeighborLists ring expansion failed to terminate");
-    std::int32_t x0 = grid.clamp_x(cx - ring), x1 = grid.clamp_x(cx + ring);
-    std::int32_t y0 = grid.clamp_y(cy - ring), y1 = grid.clamp_y(cy + ring);
-    for (std::int32_t gy = y0; gy <= y1; ++gy) {
-      for (std::int32_t gx = x0; gx <= x1; ++gx) {
-        bool on_ring = (gx == cx - ring || gx == cx + ring ||
-                        gy == cy - ring || gy == cy + ring);
-        if (ring > 0 && !on_ring) continue;  // interior already visited
-        for (std::int32_t other : grid.bucket(gx, gy)) {
-          if (other == city) continue;
-          candidates.emplace_back(instance.dist(city, other), other);
-        }
-      }
-    }
-    bool covers_whole_grid =
-        x0 == 0 && y0 == 0 && x1 == grid.cells_x - 1 && y1 == grid.cells_y - 1;
+    const bool covers_whole_grid =
+        grid.visit_ring(cx, cy, ring, [&](std::int32_t other) {
+          if (other != city) {
+            candidates.emplace_back(instance.dist(city, other), other);
+          }
+        });
+    if (covers_whole_grid) break;
     if (static_cast<std::int32_t>(candidates.size()) >= k) {
-      // Points further than `ring * cell` from the query cannot beat the
-      // current k-th candidate once the ring radius passes it.
-      std::nth_element(candidates.begin(),
-                       candidates.begin() + (k - 1), candidates.end());
-      double kth = static_cast<double>(candidates[static_cast<std::size_t>(k - 1)].first);
-      double ring_guarantee = static_cast<double>(ring) * grid.cell;
-      if (ring_guarantee >= kth || covers_whole_grid) break;
-    } else if (covers_whole_grid) {
-      break;
+      std::nth_element(candidates.begin(), candidates.begin() + (k - 1),
+                       candidates.end());
+      const auto kth = static_cast<double>(
+          candidates[static_cast<std::size_t>(k - 1)].first);
+      if (dist_lower_bound(instance.metric(),
+                           static_cast<double>(ring) * grid.cell()) > kth) {
+        break;
+      }
     }
   }
   TSPOPT_CHECK(static_cast<std::int32_t>(candidates.size()) >= k);
@@ -138,7 +91,9 @@ NeighborLists::NeighborLists(const Instance& instance, std::int32_t k)
   // Pool workers inherit this span's name via ThreadPool::submit's
   // snapshot, so profiler samples in build_row attribute here too.
   obs::Span span = obs::Tracer::global().span("tsp.neighbor_lists", "tsp");
-  const Grid grid = build_grid(instance);
+  std::vector<std::int32_t> cities(static_cast<std::size_t>(n_));
+  std::iota(cities.begin(), cities.end(), 0);
+  const SpatialGrid grid(instance, cities);
   flat_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(k_));
   cand_dist_.resize(static_cast<std::size_t>(n_) *
                     static_cast<std::size_t>(k_));

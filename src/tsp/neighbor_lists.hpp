@@ -3,10 +3,11 @@
 // This backs the neighborhood-pruning extension the paper lists as future
 // work (§VII): restricting 2-opt candidates to each city's k nearest
 // neighbors trades a little tour quality for a large reduction in checks.
-// Built with a uniform spatial grid, so construction is O(n * k) expected
-// for non-degenerate point sets rather than O(n^2); rows are independent,
-// so the build parallelizes over the shared thread pool and stays
-// negligible next to even a single pruned pass at n = 100k+.
+// The multiple-fragment start reads the same lists' first 12 entries.
+// Built with a uniform spatial grid (tsp/spatial_grid), so construction is
+// O(n * k) expected for non-degenerate point sets rather than O(n^2) (GEO
+// and EXPLICIT rows scan the grid); rows are independent, so the build
+// parallelizes over the shared thread pool.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,8 @@ class NeighborLists {
   std::int32_t k() const { return k_; }
   std::int32_t n() const { return n_; }
 
-  // The k neighbors of `city`, sorted by increasing distance.
+  // The k neighbors of `city`, sorted by (distance, id): exactly the
+  // first k of any longer list over the same instance.
   std::span<const std::int32_t> neighbors(std::int32_t city) const {
     TSPOPT_DCHECK(city >= 0 && city < n_);
     return {flat_.data() + static_cast<std::size_t>(city) *

@@ -11,12 +11,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/job.hpp"
@@ -339,6 +341,34 @@ TEST(ServeScheduler, PrunedKAdmissionRules) {
   Scheduler::Admission d = scheduler.submit(good);
   ASSERT_TRUE(d.accepted) << d.error;
   EXPECT_EQ(wait_terminal(scheduler, d.id), JobState::kFinished);
+}
+
+TEST(ServeScheduler, EachJobBuildsOneSetOfNeighborLists) {
+  // The MF start reads the engine factory's k-NN lists, so a job runs one
+  // list build whether its engine prunes or sweeps every pair.
+  PoolFixture fixture(1);
+  SchedulerOptions options;
+  options.workers = 1;
+  Scheduler scheduler(*fixture.pool, options);
+  obs::Tracer& tracer = obs::Tracer::global();
+  for (const char* engine : {"cpu-simd-pruned", "cpu-simd"}) {
+    tracer.clear();
+    tracer.enable(true);
+    JobSpec spec;
+    spec.catalog = "kroA200";
+    spec.engine = engine;
+    spec.max_iterations = 2;
+    Scheduler::Admission a = scheduler.submit(spec);
+    ASSERT_TRUE(a.accepted) << a.error;
+    EXPECT_EQ(wait_terminal(scheduler, a.id), JobState::kFinished);
+    tracer.enable(false);
+    int builds = 0;
+    for (const obs::TraceEvent& e : tracer.events()) {
+      if (std::strcmp(e.name, "tsp.neighbor_lists") == 0) ++builds;
+    }
+    EXPECT_EQ(builds, 1) << engine;
+  }
+  tracer.clear();
 }
 
 TEST(ServeScheduler, FullQueueRejectsWithRetryAfter) {

@@ -12,7 +12,9 @@
 #         drive the one block kernel's per-block slice offsets (gpu-small,
 #         gpu-small-indirect, batch-gpu) and the batch-of-one descent, and
 #         the neighbor-list and constructive suites, which index the one
-#         spatial grid (k-NN build and fragment stitch).
+#         spatial grid (k-NN build and fragment stitch), and the pruned,
+#         pruned-equivalence and tour suites, which reverse and rotate the
+#         pruned engines' staged route-indexed arrays in place.
 # Pass 3: Observability smoke — run a small traced ILS with
 #         TSPOPT_TRACE/TSPOPT_REPORT set and validate that both emitted
 #         files are well-formed JSON.
@@ -120,14 +122,14 @@ echo
 echo "== Pass 2: AddressSanitizer build + fault/checkpoint/fuzz suites =="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTSPOPT_SANITIZE=address >/dev/null
+ASAN_SUITES="test_batch_twoopt test_accounting test_local_search \
+  test_neighbor_lists test_constructive test_pruned \
+  test_pruned_equivalence test_tour"
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
-      --target test_fault test_checkpoint test_fuzz \
-               test_batch_twoopt test_accounting test_local_search \
-               test_neighbor_lists test_constructive
+      --target test_fault test_checkpoint test_fuzz ${ASAN_SUITES}
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
       -R 'Fault|Checkpoint|Fuzz'
-for suite in test_batch_twoopt test_accounting test_local_search \
-             test_neighbor_lists test_constructive; do
+for suite in ${ASAN_SUITES}; do
   echo "ASan: ${suite}"
   "${PREFIX}-asan/tests/${suite}" --gtest_brief=1
 done

@@ -56,21 +56,23 @@ void PrunedSweep::begin_pass(const Instance& instance, const Tour& tour) {
     // cities at the segment joints are the only ones whose neighbors
     // changed.
     const Tour::Kick kick = tour.last_kick();
-    restage(points, route, {kick.p1, kick.p3 - kick.p1});
+    rotate(kick);
+    scatter(route, {kick.p1, kick.p3 - kick.p1});
     for (std::int32_t p : kick.joints()) changed += compare_and_set(route, p);
   } else if (child) {
     // One 2-opt move changes the reversed arc; only the four endpoints of
     // the two replaced edges get new neighbors.
     auto [i, j] = tour.last_move();
     const Tour::Arc arc = Tour::two_opt_arc(n, i, j);
-    restage(points, route, arc);
+    reverse(arc);
+    scatter(route, arc);
     const std::int32_t last = arc.first + arc.count - 1;
     for (std::int32_t p : {arc.first + n - 1, arc.first, last, last + 1}) {
       changed += compare_and_set(route, p % n);
     }
   } else {
     // On the first pass every pair differs from the -1 sentinel.
-    restage(points, route, {0, n});
+    restage(points, route);
     for (std::int32_t p = 0; p < n; ++p) changed += compare_and_set(route, p);
     full_rebuilds_->add();
   }
@@ -111,45 +113,85 @@ void PrunedSweep::begin_pass(const Instance& instance, const Tour& tour) {
 }
 
 void PrunedSweep::restage(std::span<const Point> points,
-                          std::span<const std::int32_t> route, Tour::Arc arc) {
+                          std::span<const std::int32_t> route) {
   const std::int32_t n = n_;
-  const bool whole = arc.count == n;
-  // Positions arc.first + s (s < 2n) wrap past n - 1.
-  auto wrap = [n](std::int32_t p) { return p >= n ? p - n : p; };
   float* xs = coords_.xs();
   float* ys = coords_.ys();
-  // Successor length and candidate record of position q, whose own and
-  // successor coordinates are current.
-  auto stage_succ = [&](std::int32_t q) {
-    std::int32_t len =
-        dist_euc2d(Point{xs[q], ys[q]}, Point{xs[q + 1], ys[q + 1]});
-    succ_len_[static_cast<std::size_t>(q)] = len;
-    records_[static_cast<std::size_t>(route[static_cast<std::size_t>(q)])] =
-        simd::CandRecord{xs[q + 1], ys[q + 1], len, q};
+  for (std::int32_t p = 0; p < n; ++p) {
+    const Point& pt =
+        points[static_cast<std::size_t>(route[static_cast<std::size_t>(p)])];
+    xs[p] = pt.x;
+    ys[p] = pt.y;
+  }
+  coords_.close();
+  for (std::int32_t p = 0; p < n; ++p) measure(p);
+  scatter(route, {0, n});
+}
+
+void PrunedSweep::reverse(Tour::Arc arc) {
+  const std::int32_t n = n_;
+  const auto size = static_cast<std::size_t>(n);
+  Tour::reverse_arc(std::span<float>(coords_.xs(), size), arc);
+  Tour::reverse_arc(std::span<float>(coords_.ys(), size), arc);
+  coords_.close();
+  // The arc's interior edges are the same edges in reverse order, and
+  // dist_euc2d is symmetric bit for bit; only the edges into and out of
+  // the arc are new.
+  Tour::reverse_arc(std::span<std::int32_t>(succ_len_),
+                    {arc.first, arc.count - 1});
+  measure(arc.first == 0 ? n - 1 : arc.first - 1);
+  measure((arc.first + arc.count - 1) % n);
+}
+
+void PrunedSweep::rotate(Tour::Kick kick) {
+  // [p1, p3) holds neither position 0 nor the wrap entry.
+  for (float* a : {coords_.xs(), coords_.ys()}) {
+    std::rotate(a + kick.p1, a + kick.p2, a + kick.p3);
+  }
+  std::rotate(succ_len_.begin() + kick.p1, succ_len_.begin() + kick.p2,
+              succ_len_.begin() + kick.p3);
+  // Each segment keeps its interior edges; the three joint edges of
+  // A C B D are new.
+  measure(kick.p1 - 1);
+  measure(kick.p1 + (kick.p3 - kick.p2) - 1);
+  measure(kick.p3 - 1);
+}
+
+void PrunedSweep::measure(std::int32_t p) {
+  const float* xs = coords_.xs();
+  const float* ys = coords_.ys();
+  succ_len_[static_cast<std::size_t>(p)] =
+      dist_euc2d(Point{xs[p], ys[p]}, Point{xs[p + 1], ys[p + 1]});
+}
+
+void PrunedSweep::scatter(std::span<const std::int32_t> route, Tour::Arc arc) {
+  const std::int32_t n = n_;
+  const bool whole = arc.count == n;
+  const float* xs = coords_.xs();
+  const float* ys = coords_.ys();
+  auto record = [&](std::int32_t p, std::int32_t city) {
+    records_[static_cast<std::size_t>(city)] = simd::CandRecord{
+        xs[p + 1], ys[p + 1], succ_len_[static_cast<std::size_t>(p)], p};
   };
 
-  // Coordinates and positions over the arc (with the wrap entry when it
-  // holds position 0). Successor lengths and records trail one position
-  // behind, starting at the arc's predecessor, whose successor changed
-  // too.
+  // The predecessor keeps its position but not its successor.
+  if (!whole) {
+    const std::int32_t pred = arc.first == 0 ? n - 1 : arc.first - 1;
+    record(pred, route[static_cast<std::size_t>(pred)]);
+  }
   dirty_ = arc;
   dirty_city_lo_ = n;
   dirty_city_hi_ = -1;
-  std::int32_t behind = whole ? -1 : wrap(arc.first + n - 1);
   for (std::int32_t s = 0; s < arc.count; ++s) {
-    std::int32_t p = wrap(arc.first + s);
+    // Positions arc.first + s (s < n) wrap past n - 1.
+    std::int32_t p = arc.first + s;
+    if (p >= n) p -= n;
     std::int32_t city = route[static_cast<std::size_t>(p)];
-    const Point& pt = points[static_cast<std::size_t>(city)];
-    xs[p] = pt.x;
-    ys[p] = pt.y;
-    if (p == 0) coords_.close();
+    record(p, city);
     positions_[static_cast<std::size_t>(city)] = p;
     dirty_city_lo_ = std::min(dirty_city_lo_, city);
     dirty_city_hi_ = std::max(dirty_city_hi_, city);
-    if (behind >= 0) stage_succ(behind);
-    behind = p;
   }
-  stage_succ(behind);
   positions_restaged_->add(static_cast<std::uint64_t>(arc.count) +
                            (whole ? 0 : 1));
 }

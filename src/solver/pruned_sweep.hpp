@@ -8,18 +8,29 @@
 // such a pre-ordering on the host before every pass, which is free next to
 // an O(n^2) sweep but dominates a don't-look candidate sweep that examines
 // a handful of rows. So this state lives across passes and follows the
-// tour's lineage stamp (tsp/tour.hpp):
+// tour's lineage stamp (tsp/tour.hpp), changing the staged route-indexed
+// arrays the way the tour changed its order:
 //
 //   - same version as the staged tour: nothing to restage.
-//   - the staged tour plus one apply_two_opt(i, j): restage the reversed
-//     arc and its predecessor only, O(min(j - i, n - (j - i))).
-//   - the staged tour plus one double_bridge (p1, p2, p3): restage the
-//     rotated span [p1, p3) and its predecessor only, O(p3 - p1). An ILS
+//   - the staged tour plus one apply_two_opt(i, j): reverse the staged
+//     coordinates over the arc (Tour::reverse_arc) and the successor
+//     lengths over its interior, then measure the two new edges, into and
+//     out of the arc. O(min(j - i, n - (j - i))).
+//   - the staged tour plus one double_bridge (p1, p2, p3): rotate the
+//     staged coordinates and successor lengths over [p1, p3) as the tour
+//     did, then measure the three new joint edges. O(p3 - p1). An ILS
 //     kick from an accepted incumbent takes this path, because the
 //     incumbent is the state the descent left staged.
 //   - anything else (first pass, Or-opt, a resumed or restored tour, a
 //     kick from an incumbent the staging does not describe, another
-//     instance): the same restage over [0, n).
+//     instance): gather the coordinates over [0, n) from the instance
+//     and measure every edge.
+//
+// Each path then scatters the changed positions' records and positions
+// to their city-indexed slots in one sequential pass over the arc and its
+// predecessor. The incremental paths copy staged floats and reuse
+// measured lengths (dist_euc2d is symmetric bit for bit), so their
+// staging is bit-identical to a rebuild's.
 //
 // Don't-look bits. Classic don't-look bits (Bentley; the `dontLook` array
 // in SNIPPETS.md Snippet 3's opt2 kernel): a city whose candidate row
@@ -107,10 +118,20 @@ class PrunedSweep {
   }
 
  private:
-  // Restages `arc` of `route`: all of it, or the positions one move or
-  // kick changed.
+  // Rebuilds the staging of the whole tour from the instance's points.
   void restage(std::span<const Point> points,
-               std::span<const std::int32_t> route, Tour::Arc arc);
+               std::span<const std::int32_t> route);
+  // Apply one 2-opt move's reversal, or one double bridge's rotation, to
+  // the staged coordinates and successor lengths, measuring only the
+  // edges the change created.
+  void reverse(Tour::Arc arc);
+  void rotate(Tour::Kick kick);
+  // succ_len_[p] from the staged coordinates of p and p + 1.
+  void measure(std::int32_t p);
+  // Writes the records and positions of the arc's cities, and the record
+  // of its predecessor, from the staged route-ordered arrays; sets the
+  // dirty arc and its city span.
+  void scatter(std::span<const std::int32_t> route, Tour::Arc arc);
   // Compares and sets the tour-neighbor pair of the city at position `p`,
   // arming its row if the pair changed; returns 1 if it did.
   std::int32_t compare_and_set(std::span<const std::int32_t> route,

@@ -251,7 +251,8 @@ SearchResult TwoOptGpuPruned::search(const Instance& instance,
   const auto m = sweep_.active_rows().size();
 
   // Device state mirrors the sweep's staging: only what the sweep
-  // restaged crosses the bus (everything after a rebuild, O(reversed arc)
+  // restaged crosses the bus (everything after a rebuild, the reversed
+  // arc's route-indexed entries and its cities' id span of positions
   // after an applied move, nothing for an unchanged tour). The NN lists
   // are already resident.
   const Tour::Arc dirty = sweep_.dirty();

@@ -21,9 +21,10 @@
 //
 // NN lists are uploaded once at construction (they are per-instance
 // constants). The position-indexed arrays stay device-resident too: per
-// pass the host ships only what PrunedSweep restaged — O(reversed arc)
-// after an applied 2-opt move, all of it after a rebuild — plus the
-// active-row list.
+// pass the host ships only what PrunedSweep restaged — the route-indexed
+// arrays over the reversed arc after an applied 2-opt move, all of it
+// after a rebuild, and the id span of the restaged cities' positions
+// (~n ids on unordered city ids) — plus the active-row list.
 // Launches go through the normal Device plumbing — launch spans, fault
 // injection, transfer/read counters — and device buffers are grow-only,
 // so steady-state passes do not allocate.

@@ -74,24 +74,6 @@ std::int64_t Tour::length(const Instance& instance) const {
   return total;
 }
 
-void Tour::reverse_inner(std::int32_t first, std::int32_t last) {
-  std::reverse(order_.begin() + first, order_.begin() + last + 1);
-}
-
-void Tour::reverse_wrapped(std::int32_t first, std::int32_t last,
-                           std::int32_t count) {
-  // Reverse the cyclic segment first..last (wrapping past n-1) by swapping
-  // from both ends, moving the indices modularly.
-  std::int32_t a = first;
-  std::int32_t b = last;
-  for (std::int32_t s = 0; s < count / 2; ++s) {
-    std::swap(order_[static_cast<std::size_t>(a)],
-              order_[static_cast<std::size_t>(b)]);
-    a = (a + 1 == n()) ? 0 : a + 1;
-    b = (b == 0) ? n() - 1 : b - 1;
-  }
-}
-
 Tour::Arc Tour::two_opt_arc(std::int32_t n, std::int32_t i, std::int32_t j) {
   // Inner arc: positions i+1..j (length j-i). Outer arc: positions
   // (j+1)%n .. i wrapping (length n-(j-i)). Reversing either applies the
@@ -104,12 +86,7 @@ Tour::Arc Tour::two_opt_arc(std::int32_t n, std::int32_t i, std::int32_t j) {
 
 void Tour::apply_two_opt(std::int32_t i, std::int32_t j) {
   TSPOPT_CHECK(0 <= i && i < j && j <= n() - 1);
-  Arc arc = two_opt_arc(n(), i, j);
-  if (arc.first == i + 1) {
-    reverse_inner(i + 1, j);
-  } else {
-    reverse_wrapped(arc.first, i, arc.count);
-  }
+  reverse_arc(std::span<std::int32_t>(order_), two_opt_arc(n(), i, j));
   restamp_child();
   move_i_ = i;
   move_j_ = j;

@@ -17,6 +17,7 @@
 //   - anything else (construction, Or-opt, a restored order): no parent.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -65,6 +66,27 @@ class Tour {
   // The arc apply_two_opt(i, j) reverses on an n-city tour: positions
   // i+1..j, or the wrapped outer arc (j+1)%n..i when that is shorter.
   static Arc two_opt_arc(std::int32_t n, std::int32_t i, std::int32_t j);
+
+  // Reverses the entries of `a` (one per position, n of them) over `arc`,
+  // wrapping past n - 1: the permutation apply_two_opt makes of the order,
+  // for arrays staged alongside it.
+  template <typename T>
+  static void reverse_arc(std::span<T> a, Arc arc) {
+    const auto n = static_cast<std::int32_t>(a.size());
+    if (arc.first + arc.count <= n) {
+      std::reverse(a.begin() + arc.first, a.begin() + arc.first + arc.count);
+      return;
+    }
+    // Swap from both ends, moving the indices modularly.
+    std::int32_t lo = arc.first;
+    std::int32_t hi = arc.first + arc.count - 1 - n;
+    for (std::int32_t s = 0; s < arc.count / 2; ++s) {
+      std::swap(a[static_cast<std::size_t>(lo)],
+                a[static_cast<std::size_t>(hi)]);
+      lo = lo + 1 == n ? 0 : lo + 1;
+      hi = hi == 0 ? n - 1 : hi - 1;
+    }
+  }
 
   // Cut points of a double bridge: A = [0, p1), B = [p1, p2),
   // C = [p2, p3), D = [p3, n), with 0 < p1 < p2 < p3 < n.
@@ -123,9 +145,6 @@ class Tour {
   // Draws a fresh version whose parent is the current one, clearing the
   // recorded change; the caller records its own.
   void restamp_child();
-  void reverse_inner(std::int32_t first, std::int32_t last);
-  void reverse_wrapped(std::int32_t first, std::int32_t last,
-                       std::int32_t count);
 
   std::vector<std::int32_t> order_;
   std::uint64_t version_ = 0;

@@ -144,6 +144,21 @@ TEST(AllocReuse, SimdPrunedEngineStaysWarmAcrossAppliedMoves) {
   }
 }
 
+TEST(AllocReuse, SimdPrunedEngineKickOfStagedTourAllocatesNothing) {
+  // An ILS kick of the staged incumbent rotates the staged arrays in
+  // place; that path must not reallocate either.
+  Fixture f(500, 11);
+  NeighborLists neighbors(f.inst, 16);
+  TwoOptSimdPruned engine(neighbors);
+  engine.search(f.inst, f.tour);
+  engine.search(f.inst, f.tour);
+  Pcg32 rng(12);
+  f.tour.double_bridge(rng);
+  ASSERT_GE(f.tour.last_kick().p1, 0);
+  EXPECT_EQ(allocations_during([&] { engine.search(f.inst, f.tour); }), 0u);
+  EXPECT_EQ(engine.sweep().dirty().first, f.tour.last_kick().p1);
+}
+
 TEST(AllocReuse, GpuPrunedEngineSteadyStateCountIsStable) {
   Fixture f(800, 10);
   NeighborLists neighbors(f.inst, 16);

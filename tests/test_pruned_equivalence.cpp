@@ -20,6 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -224,6 +227,32 @@ std::vector<T> to_vector(std::span<const T> s) {
   return {s.begin(), s.end()};
 }
 
+// All n + 1 staged coordinates (the wrap entry too), xs then ys, as bit
+// patterns: the incremental staging must copy, not recompute, them.
+std::vector<std::uint32_t> coord_bits(const PrunedSweep& sweep) {
+  const auto n = sweep.positions().size();
+  std::vector<std::uint32_t> bits;
+  for (const float* a : {sweep.coords().xs(), sweep.coords().ys()}) {
+    for (std::size_t p = 0; p <= n; ++p) {
+      bits.push_back(std::bit_cast<std::uint32_t>(a[p]));
+    }
+  }
+  return bits;
+}
+
+// Every CandRecord field per city, floats as bit patterns.
+std::vector<std::array<std::uint32_t, 4>> record_fields(
+    const PrunedSweep& sweep) {
+  std::vector<std::array<std::uint32_t, 4>> fields;
+  for (const simd::CandRecord& r : sweep.records()) {
+    fields.push_back({std::bit_cast<std::uint32_t>(r.x_succ),
+                      std::bit_cast<std::uint32_t>(r.y_succ),
+                      static_cast<std::uint32_t>(r.succ_len),
+                      static_cast<std::uint32_t>(r.pos)});
+  }
+  return fields;
+}
+
 // The device copy of gpu-pruned's staging must equal the host staging
 // after every pass (grow-only buffers once hid stale tail rows).
 void expect_device_mirrors_host(TwoOptEngine& engine, const std::string& what) {
@@ -260,7 +289,8 @@ class IncrementalHarness {
   }
 
   // Searches `tour` with every backend and its rebuilding twin; all must
-  // agree on the move, and each pair on the sweep state. Returns the move.
+  // agree on the move, and each pair on the sweep state, staged arrays
+  // included. Returns the move.
   SearchResult search(const Tour& tour, const std::string& what) {
     SearchResult first;
     for (std::size_t e = 0; e < stamped_.size(); ++e) {
@@ -276,6 +306,8 @@ class IncrementalHarness {
       EXPECT_EQ(to_vector(a.dont_look()), to_vector(b.dont_look())) << label;
       EXPECT_EQ(to_vector(a.succ_len()), to_vector(b.succ_len())) << label;
       EXPECT_EQ(to_vector(a.positions()), to_vector(b.positions())) << label;
+      EXPECT_EQ(coord_bits(a), coord_bits(b)) << label;
+      EXPECT_EQ(record_fields(a), record_fields(b)) << label;
       expect_device_mirrors_host(*stamped_[e], label);
       expect_device_mirrors_host(rebuilt_[e]->inner(), label + " (rebuild)");
       if (e == 0) {

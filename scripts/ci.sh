@@ -38,7 +38,9 @@
 #         finish (idempotent resubmit dedupes to the same id, journal
 #         counters in the stats verb and /metrics, SIGTERM drain still
 #         exits 143); then the serve/journal/recovery suites under ASan
-#         and TSan.
+#         and TSan, and under TSan also the neighbor-list and
+#         constructive suites, whose k-NN build fills rows on every
+#         pool worker inside a parallel_for_dynamic.
 # Pass 8: Admin plane + distributed trace — start tspoptd with
 #         --admin-port and TSPOPT_TRACE, probe /healthz /readyz /metrics
 #         /statusz /tracez (asserting the tspopt_serve_* series and the
@@ -372,7 +374,7 @@ wait "${RESTART_PID}" || RESTART_RC=$?
 echo "kill -9 -> restart -> resume -> finish verified."
 
 echo
-echo "Pass 7b: serve/journal suites under sanitizers"
+echo "Pass 7b: serve/journal suites under sanitizers, k-NN/MF under TSan"
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target test_serve test_serve_stress test_journal \
                test_serve_recovery
@@ -382,12 +384,13 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTSPOPT_SANITIZE=thread >/dev/null
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target test_serve test_serve_stress test_journal \
-               test_serve_recovery
+               test_serve_recovery test_neighbor_lists test_constructive
 # SurvivesInjectedDeviceFault needs gpu0 to reach its 3rd launch inside
 # a 0.2s wall budget; TSan's slowdown makes that a coin flip, so the
 # timing-sensitive case is excluded from this leg only.
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-      -R 'Serve|Journal' -E 'SurvivesInjectedDeviceFault'
+      -R 'Serve|Journal|NeighborLists|NearestNeighbor|MultipleFragment' \
+      -E 'SurvivesInjectedDeviceFault'
 
 echo
 echo "== Pass 8: admin plane + distributed trace (tspoptd --admin-port) =="

@@ -92,6 +92,17 @@ std::int64_t integer_field(const obs::JsonValue& v, const char* key,
   return static_cast<std::int64_t>(d);
 }
 
+// An int32 field checked against [lo, hi] before it is narrowed, so an
+// out-of-range value is rejected as sent instead of wrapping into range.
+std::int32_t int32_field(const obs::JsonValue& v, const char* key,
+                         std::int32_t fallback, std::int32_t lo,
+                         std::int32_t hi) {
+  const std::int64_t x = integer_field(v, key, fallback);
+  TSPOPT_CHECK_MSG(x >= lo && x <= hi, key << " must be in [" << lo << ", "
+                                           << hi << "], got " << x);
+  return static_cast<std::int32_t>(x);
+}
+
 }  // namespace
 
 JobSpec job_spec_from_json(const obs::JsonValue& value) {
@@ -159,10 +170,7 @@ JobSpec job_spec_from_json(const obs::JsonValue& value) {
                      "\"engine\" must be a string");
     spec.engine = engine->string;
   }
-  spec.priority = static_cast<std::int32_t>(
-      integer_field(value, "priority", spec.priority));
-  TSPOPT_CHECK_MSG(spec.priority >= 0 && spec.priority <= 9,
-                   "priority must be in [0, 9], got " << spec.priority);
+  spec.priority = int32_field(value, "priority", spec.priority, 0, 9);
   spec.time_limit_seconds =
       number_field(value, "time_limit_seconds", spec.time_limit_seconds);
   TSPOPT_CHECK_MSG(spec.time_limit_seconds > 0.0,
@@ -174,15 +182,12 @@ JobSpec job_spec_from_json(const obs::JsonValue& value) {
       value, "seed", static_cast<std::int64_t>(spec.seed));
   TSPOPT_CHECK_MSG(seed >= 0, "seed must be non-negative");
   spec.seed = static_cast<std::uint64_t>(seed);
-  spec.devices =
-      static_cast<std::int32_t>(integer_field(value, "devices", spec.devices));
-  TSPOPT_CHECK_MSG(spec.devices >= 1 && spec.devices <= 64,
-                   "devices must be in [1, 64]");
-  spec.k = static_cast<std::int32_t>(integer_field(value, "k", spec.k));
-  // Full validation (pruned engines only, k < n) happens at submit, where
-  // the instance size is known; the wire layer rejects what it can.
-  TSPOPT_CHECK_MSG(spec.k == 0 || spec.k >= 1,
-                   "k must be >= 1 when present, got " << spec.k);
+  spec.devices = int32_field(value, "devices", spec.devices, 1, 64);
+  // 0 means the default. Full validation (pruned engines only, k < n)
+  // happens at submit, where the instance size is known; the wire layer
+  // rejects what it can.
+  spec.k = int32_field(value, "k", spec.k, 0,
+                       std::numeric_limits<std::int32_t>::max());
   if (const obs::JsonValue* batchable = value.find("batchable")) {
     TSPOPT_CHECK_MSG(batchable->kind == obs::JsonValue::Kind::kBool,
                      "\"batchable\" must be a boolean");

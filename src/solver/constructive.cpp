@@ -60,17 +60,53 @@ Tour multiple_fragment(const Instance& instance, const NeighborLists& lists) {
   if (span) span.arg("n", n);
 
   // Candidate edges (length, a, b): each city to its nearest neighbors,
-  // deduplicated by keeping a < b, sorted by length, then a, then b.
+  // deduplicated by keeping a < b, in (length, a, b) order. Generation
+  // runs a ascending and each row lists equal lengths by ascending id, so
+  // within one length the edges come in (a, b) order already: a stable
+  // placement by length alone gives the lexicographic order. One pass
+  // counts lengths, a second places each edge straight into the edge
+  // array. The histogram has at most n buckets: a length range wider
+  // than that buckets by high bits, and each bucket is then sorted.
   const auto k = static_cast<std::size_t>(
       std::min(kFragmentCandidates, lists.k()));
-  std::vector<std::array<std::int32_t, 3>> edges;
-  edges.reserve(static_cast<std::size_t>(n) * k);
+  auto for_each_edge = [&](auto&& emit) {
+    for (std::int32_t a = 0; a < n; ++a) {
+      for (std::int32_t b : lists.neighbors(a).first(k)) {
+        if (a < b) emit(instance.dist(a, b), a, b);
+      }
+    }
+  };
+  // A row is ascending, so its first and k-th entries bound every length.
+  std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+  std::int64_t hi = std::numeric_limits<std::int64_t>::min();
   for (std::int32_t a = 0; a < n; ++a) {
-    for (std::int32_t b : lists.neighbors(a).first(k)) {
-      if (a < b) edges.push_back({instance.dist(a, b), a, b});
+    const auto row = lists.neighbors(a).first(k);
+    lo = std::min<std::int64_t>(lo, instance.dist(a, row.front()));
+    hi = std::max<std::int64_t>(hi, instance.dist(a, row.back()));
+  }
+  int shift = 0;
+  while (((hi - lo) >> shift) >= n) ++shift;
+  auto bucket = [&](std::int32_t len) {
+    return static_cast<std::size_t>((len - lo) >> shift);
+  };
+  std::vector<std::size_t> offset(
+      static_cast<std::size_t>((hi - lo) >> shift) + 2, 0);
+  for_each_edge([&](std::int32_t len, std::int32_t, std::int32_t) {
+    ++offset[bucket(len) + 1];
+  });
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+  std::vector<std::array<std::int32_t, 3>> edges(offset.back());
+  for_each_edge([&](std::int32_t len, std::int32_t a, std::int32_t b) {
+    edges[offset[bucket(len)]++] = {len, a, b};
+  });
+  if (shift > 0) {
+    auto begin = edges.begin();
+    for (std::size_t end : offset) {  // each fill cursor now ends its bucket
+      const auto last = edges.begin() + static_cast<std::ptrdiff_t>(end);
+      std::sort(begin, last);
+      begin = last;
     }
   }
-  std::sort(edges.begin(), edges.end());
 
   std::vector<std::int32_t> degree(static_cast<std::size_t>(n), 0);
   std::vector<std::array<std::int32_t, 2>> adj(

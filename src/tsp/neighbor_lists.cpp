@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "common/check.hpp"
@@ -18,12 +19,12 @@ namespace tspopt {
 namespace {
 
 // A lower bound, in metric m's units, on the distance between two points
-// more than `apart` coordinate units apart along x or y. GEO has none
+// at least `apart` coordinate units apart along x or y. GEO has none
 // (longitude wraps, and east-west distances shrink toward the poles), nor
 // has EXPLICIT, whose matrix ignores the display coordinates.
 double dist_lower_bound(Metric m, double apart) {
   switch (m) {
-    case Metric::kEuc2D:  // the nearest integer to a length > apart
+    case Metric::kEuc2D:  // the nearest integer to a length >= apart
     case Metric::kMan2D:
     case Metric::kMax2D:
       return apart - 0.5;
@@ -38,17 +39,48 @@ double dist_lower_bound(Metric m, double apart) {
   return -std::numeric_limits<double>::infinity();
 }
 
-// Collects the k nearest neighbors of `city` by expanding grid rings.
-// `candidates` is caller-owned scratch so parallel workers reuse capacity.
+// A row entry, ordered by (distance, id): the order rows are listed in.
+using Entry = std::pair<std::int32_t, std::int32_t>;
+
+// Fills `row` with the k = row.size() nearest neighbors of `city`, in
+// (distance, id) order, by expanding grid rings. The row holds only the k
+// best entries seen so far, ascending; once it is full, a candidate is
+// measured only if dist_lower_bound cannot rule it out, and a better one
+// evicts the k-th.
 void build_row(const Instance& instance, const SpatialGrid& grid,
-               std::int32_t city, std::int32_t k,
-               std::vector<std::pair<std::int64_t, std::int32_t>>& candidates) {
+               std::int32_t city, std::span<Entry> row) {
+  const Metric metric = instance.metric();
   const Point& p = instance.point(city);
   const std::int32_t cx = grid.cell_x(p.x);
   const std::int32_t cy = grid.cell_y(p.y);
-  candidates.clear();
-  // Expand rings until k candidates are in hand and no unvisited city can
-  // tie or beat the k-th: after ring r every unvisited city is more than
+  const std::size_t k = row.size();
+  std::size_t size = 0;
+  auto offer = [&](std::int32_t other) {
+    if (other == city) return;
+    if (size == k) {
+      // The separation as both float and double arithmetic see it, so the
+      // bound holds whichever one the metric computes in.
+      const Point& q = instance.point(other);
+      const double apart = std::min<double>(
+          std::max(std::abs(p.x - q.x), std::abs(p.y - q.y)),
+          std::max(std::abs(static_cast<double>(p.x) - q.x),
+                   std::abs(static_cast<double>(p.y) - q.y)));
+      if (dist_lower_bound(metric, apart) > row[k - 1].first) return;
+    }
+    const Entry entry{instance.dist(city, other), other};
+    std::size_t i = size;
+    if (size < k) {
+      ++size;
+    } else if (entry < row[k - 1]) {
+      --i;  // evict the k-th
+    } else {
+      return;
+    }
+    for (; i > 0 && entry < row[i - 1]; --i) row[i] = row[i - 1];
+    row[i] = entry;
+  };
+  // Expand rings until the row is full and no unvisited city can tie or
+  // beat its k-th entry: after ring r every unvisited city is more than
   // r * cell coordinate units away along x or y, which dist_lower_bound
   // turns into the metric's units. Ties at the k-th distance are then all
   // in hand for the (distance, id) order. The ring index is bounded: the
@@ -57,27 +89,14 @@ void build_row(const Instance& instance, const SpatialGrid& grid,
   for (std::int32_t ring = 0;; ++ring) {
     TSPOPT_CHECK_MSG(ring <= grid.max_ring(),
                      "NeighborLists ring expansion failed to terminate");
-    const bool covers_whole_grid =
-        grid.visit_ring(cx, cy, ring, [&](std::int32_t other) {
-          if (other != city) {
-            candidates.emplace_back(instance.dist(city, other), other);
-          }
-        });
-    if (covers_whole_grid) break;
-    if (static_cast<std::int32_t>(candidates.size()) >= k) {
-      std::nth_element(candidates.begin(), candidates.begin() + (k - 1),
-                       candidates.end());
-      const auto kth = static_cast<double>(
-          candidates[static_cast<std::size_t>(k - 1)].first);
-      if (dist_lower_bound(instance.metric(),
-                           static_cast<double>(ring) * grid.cell()) > kth) {
-        break;
-      }
+    if (grid.visit_ring(cx, cy, ring, offer)) break;
+    if (size == k &&
+        dist_lower_bound(metric, static_cast<double>(ring) * grid.cell()) >
+            row[k - 1].first) {
+      break;
     }
   }
-  TSPOPT_CHECK(static_cast<std::int32_t>(candidates.size()) >= k);
-  std::partial_sort(candidates.begin(), candidates.begin() + k,
-                    candidates.end());
+  TSPOPT_CHECK(size == k);
 }
 
 }  // namespace
@@ -99,25 +118,22 @@ NeighborLists::NeighborLists(const Instance& instance, std::int32_t k)
                     static_cast<std::size_t>(k_));
 
   // Rows are independent and the ring-expansion cost varies with local
-  // density, so workers pull dynamic city chunks; each keeps its own
-  // candidate scratch. Per-row output is deterministic regardless of the
-  // worker that computed it (bucket contents and visit order are fixed by
-  // the serial grid build).
+  // density, so workers pull dynamic city chunks. Each chunk allocates its
+  // own row scratch, so no two workers write one cache line (adjacent
+  // per-worker scratch slots false-share). Per-row output is
+  // deterministic regardless of the worker that computed it (bucket
+  // contents and visit order are fixed by the serial grid build).
   ThreadPool& pool = ThreadPool::shared();
-  std::vector<std::vector<std::pair<std::int64_t, std::int32_t>>> scratch(
-      pool.size());
   parallel_for_dynamic(
-      pool, 0, n_, 512,
-      [&](std::int64_t lo, std::int64_t hi, std::size_t worker) {
-        auto& candidates = scratch[worker];
+      pool, 0, n_, 512, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        std::vector<Entry> row(static_cast<std::size_t>(k_));
         for (std::int64_t city = lo; city < hi; ++city) {
-          build_row(instance, grid, static_cast<std::int32_t>(city), k_,
-                    candidates);
+          build_row(instance, grid, static_cast<std::int32_t>(city), row);
           const Point& a = instance.point(static_cast<std::int32_t>(city));
           std::size_t base = static_cast<std::size_t>(city) *
                              static_cast<std::size_t>(k_);
           for (std::int32_t j = 0; j < k_; ++j) {
-            std::int32_t id = candidates[static_cast<std::size_t>(j)].second;
+            std::int32_t id = row[static_cast<std::size_t>(j)].second;
             flat_[base + static_cast<std::size_t>(j)] = id;
             // Recomputed with dist_euc2d (not instance.dist) so the export
             // matches the coordinate engines' arithmetic bit-for-bit.

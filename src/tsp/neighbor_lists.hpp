@@ -6,8 +6,11 @@
 // The multiple-fragment start reads the same lists' first 12 entries.
 // Built with a uniform spatial grid (tsp/spatial_grid), so construction is
 // O(n * k) expected for non-degenerate point sets rather than O(n^2) (GEO
-// and EXPLICIT rows scan the grid); rows are independent, so the build
-// parallelizes over the shared thread pool.
+// and EXPLICIT rows scan the grid). Each row is a bounded one: it keeps
+// only its k best (distance, id) entries, and once full it skips, without
+// measuring it, any candidate whose coordinate separation alone proves it
+// farther than the k-th entry. Rows are independent, so the build
+// parallelizes over the shared thread pool, one row scratch per chunk.
 #pragma once
 
 #include <cstdint>

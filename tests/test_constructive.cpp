@@ -1,17 +1,120 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "pin_instances.hpp"
 #include "solver/constructive.hpp"
 #include "tsp/catalog.hpp"
 #include "tsp/generator.hpp"
+#include "tsp/spatial_grid.hpp"
 
 namespace tspopt {
 namespace {
+
+// The multiple-fragment construction as it stood with one std::sort of
+// every (length, a, b) candidate edge: the oracle for the library's
+// placement by length. Linking, stitching and the walk are unchanged.
+Tour sorted_edge_multiple_fragment(const Instance& instance,
+                                   const NeighborLists& lists) {
+  const std::int32_t n = instance.n();
+  const auto k = static_cast<std::size_t>(std::min(12, lists.k()));
+  std::vector<std::array<std::int32_t, 3>> edges;
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b : lists.neighbors(a).first(k)) {
+      if (a < b) edges.push_back({instance.dist(a, b), a, b});
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+
+  const auto at = [](std::int32_t c) { return static_cast<std::size_t>(c); };
+  std::vector<std::int32_t> degree(at(n), 0);
+  std::vector<std::array<std::int32_t, 2>> adj(at(n), {-1, -1});
+  std::vector<std::int32_t> other_end(at(n));
+  std::iota(other_end.begin(), other_end.end(), 0);
+  auto link = [&](std::int32_t a, std::int32_t b) {
+    adj[at(a)][at(degree[at(a)]++)] = b;
+    adj[at(b)][at(degree[at(b)]++)] = a;
+    const std::int32_t ea = other_end[at(a)];
+    const std::int32_t eb = other_end[at(b)];
+    other_end[at(ea)] = eb;
+    other_end[at(eb)] = ea;
+  };
+  std::int32_t links = 0;
+  for (const auto& [d, a, b] : edges) {
+    if (links == n - 1) break;
+    if (degree[at(a)] >= 2 || degree[at(b)] >= 2 || other_end[at(a)] == b) {
+      continue;
+    }
+    link(a, b);
+    ++links;
+  }
+  if (links < n - 1) {
+    std::vector<std::int32_t> endpoints;
+    for (std::int32_t c = 0; c < n; ++c) {
+      if (degree[at(c)] < 2) endpoints.push_back(c);
+    }
+    const SpatialGrid grid(instance, endpoints);
+    std::vector<char> alive(at(n), 0);
+    for (std::int32_t e : endpoints) alive[at(e)] = 1;
+    std::int32_t tail = endpoints[0];
+    alive[at(tail)] = 0;
+    while (links < n - 1) {
+      const Point& tp = instance.point(tail);
+      const std::int32_t cx = grid.cell_x(tp.x);
+      const std::int32_t cy = grid.cell_y(tp.y);
+      std::int32_t best = -1;
+      std::int64_t best_d = std::numeric_limits<std::int64_t>::max();
+      std::int32_t found_ring = -1;
+      for (std::int32_t ring = 0; ring <= grid.max_ring(); ++ring) {
+        const bool covers_whole_grid =
+            grid.visit_ring(cx, cy, ring, [&](std::int32_t c) {
+              if (alive[at(c)] == 0 || c == other_end[at(tail)]) return;
+              std::int64_t d = instance.dist(tail, c);
+              if (d < best_d || (d == best_d && c < best)) {
+                best_d = d;
+                best = c;
+              }
+            });
+        if (best != -1 && found_ring < 0) found_ring = ring;
+        if ((found_ring >= 0 && ring > found_ring) || covers_whole_grid) {
+          break;
+        }
+      }
+      const std::int32_t next_tail = other_end[at(best)];
+      link(tail, best);
+      ++links;
+      alive[at(best)] = 0;
+      alive[at(next_tail)] = 0;
+      tail = next_tail;
+    }
+  }
+  std::int32_t start = 0;
+  for (std::int32_t c = 0; c < n; ++c) {
+    if (degree[at(c)] == 1) {
+      start = c;
+      break;
+    }
+  }
+  std::vector<std::int32_t> order;
+  std::int32_t prev = -1;
+  std::int32_t current = start;
+  for (std::int32_t step = 0; step < n; ++step) {
+    order.push_back(current);
+    const auto& nbrs = adj[at(current)];
+    const std::int32_t next = nbrs[0] != prev ? nbrs[0] : nbrs[1];
+    prev = current;
+    current = next;
+  }
+  return Tour(std::move(order));
+}
 
 TEST(NearestNeighbor, ProducesValidTourStartingWhereAsked) {
   Instance inst = berlin52();
@@ -112,6 +215,35 @@ TEST(MultipleFragment, IsDeterministic) {
   Tour a = multiple_fragment(inst);
   Tour b = multiple_fragment(inst);
   EXPECT_TRUE(a == b);
+}
+
+TEST(MultipleFragment, MatchesSortedEdgeReference) {
+  // Placing edges by length must give the order one sort of (length, a,
+  // b) triples gave, on the cases the placement treats specially.
+  Pcg32 rng(41);
+  // Lengths far wider than the direct histogram range of n buckets, so
+  // buckets hold several lengths: coordinates near the 2.5e8 bound on a
+  // coarse lattice (many ties) plus one outlier across the origin.
+  std::vector<Point> wide;
+  for (int i = 0; i < 400; ++i) {
+    wide.push_back({2.0e8f + 16.0f * static_cast<float>(rng.next() % 3000),
+                    2.4e8f - 16.0f * static_cast<float>(rng.next() % 3000)});
+  }
+  wide.push_back({-2.4e8f, -2.0e8f});
+  // Every length 0.
+  const std::vector<Point> coincident(60, Point{7.0f, 7.0f});
+  std::vector<Instance> instances;
+  instances.emplace_back("wide", Metric::kEuc2D, wide);
+  instances.emplace_back("coincident", Metric::kEuc2D, coincident);
+  instances.push_back(generate_clustered("clustered", 800, 8, 5));
+  for (const Instance& inst : instances) {
+    for (std::int32_t k : {1, 5, 11, 16}) {
+      const NeighborLists lists(inst, k);
+      EXPECT_TRUE(multiple_fragment(inst, lists) ==
+                  sorted_edge_multiple_fragment(inst, lists))
+          << inst.name() << " k=" << k;
+    }
+  }
 }
 
 TEST(MultipleFragment, GoldenTours) {

@@ -39,10 +39,10 @@ TEST_P(NeighborListsParam, DistancesMatchBruteForce) {
     auto expect = brute_knn(inst, city, nl.k());
     auto got = nl.neighbors(city);
     ASSERT_EQ(static_cast<std::int32_t>(got.size()), nl.k());
-    // Distances must match exactly (ties may order differently).
+    // Rows are ordered by (distance, id), so ids match rank for rank.
     for (std::int32_t idx = 0; idx < nl.k(); ++idx) {
-      ASSERT_EQ(inst.dist(city, got[static_cast<std::size_t>(idx)]),
-                inst.dist(city, expect[static_cast<std::size_t>(idx)]))
+      ASSERT_EQ(got[static_cast<std::size_t>(idx)],
+                expect[static_cast<std::size_t>(idx)])
           << "city " << city << " rank " << idx;
     }
   }
@@ -215,6 +215,41 @@ TEST(NeighborLists, EveryMetricMatchesBruteForceRankForRank) {
       }
     }
     EXPECT_EQ(rows_differing, 0) << inst.name();
+  }
+}
+
+TEST(NeighborLists, ClusteredWithOutliersMatchesBruteForceRankForRank) {
+  // Each row keeps only its k best entries and skips candidates the
+  // coordinate bound rules out. Six clusters of 150 cities on a 9 x 9
+  // lattice put ~150 cities, many coincident or tied, in a few grid cells,
+  // so full rows evict; each cluster spans cell borders, so ties arrive
+  // out of id order. Far outliers stretch the grid, so their rows expand
+  // over a dozen rings.
+  Pcg32 rng(23);
+  std::vector<Point> pts;
+  for (int cluster = 0; cluster < 6; ++cluster) {
+    const float cx = static_cast<float>(rng.next() % 40000);
+    const float cy = static_cast<float>(rng.next() % 40000);
+    for (int i = 0; i < 150; ++i) {
+      pts.push_back({cx + 300.0f * static_cast<float>(rng.next() % 9),
+                     cy + 300.0f * static_cast<float>(rng.next() % 9)});
+    }
+  }
+  for (Point far : {Point{1.6e5f, 1.6e5f}, Point{-1.2e5f, 3.0e4f},
+                    Point{4.0e4f, -1.4e5f}, Point{1.6e5f, 1.6e5f + 300.0f}}) {
+    pts.push_back(far);
+  }
+  for (Metric m : {Metric::kEuc2D, Metric::kCeil2D, Metric::kAtt}) {
+    const Instance inst("clustered-outliers-" + to_string(m), m, pts);
+    for (std::int32_t k : {1, 16, 63}) {
+      NeighborLists nl(inst, k);
+      for (std::int32_t city = 0; city < inst.n(); ++city) {
+        auto got = nl.neighbors(city);
+        auto expect = brute_knn(inst, city, k);
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), expect.begin()))
+            << inst.name() << " k=" << k << " city " << city;
+      }
+    }
   }
 }
 

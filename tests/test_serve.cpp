@@ -155,6 +155,29 @@ TEST(ServeJob, WireRejectsMalformedSpecs) {
   EXPECT_THROW(parse("{\"schema\":\"tspopt.job\",\"schema_version\":1,"
                      "\"catalog\":\"berlin52\",\"max_iterations\":1.5}"),
                CheckError);
+  // int32 fields are range-checked before they are narrowed: values that
+  // would wrap into range are rejected, and the message quotes the value
+  // as sent.
+  auto rejection = [&](const std::string& field, const std::string& number) {
+    try {
+      parse("{\"schema\":\"tspopt.job\",\"schema_version\":1,"
+            "\"catalog\":\"berlin52\",\"" +
+            field + "\":" + number + "}");
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  for (const char* field : {"k", "priority", "devices"}) {
+    for (const char* number :
+         {"4294967301", "-4294967295", "2147483648", "-2147483649"}) {
+      const std::string message = rejection(field, number);
+      EXPECT_NE(message.find(std::string("got ") + number), std::string::npos)
+          << field << "=" << number << ": " << message;
+    }
+  }
+  EXPECT_EQ(rejection("k", "2147483647"), "accepted");
+  EXPECT_EQ(rejection("k", "0"), "accepted");
 }
 
 // --------------------------------------------------------------- queue --

@@ -92,8 +92,10 @@ void BM_SimdRowKernel(benchmark::State& state) {
   order_coordinates_soa(inst, tour, soa);
   const simd::Kernels& k = simd::active();
   auto j = static_cast<std::int32_t>(len + 1);
-  simd::RowArgs row{soa.xs(), soa.ys(), 0,          static_cast<std::int32_t>(len),
-                    soa.xs()[j], soa.ys()[j], soa.xs()[j + 1], soa.ys()[j + 1]};
+  simd::RowArgs row{soa.xs(),        soa.ys(),        0,
+                    static_cast<std::int32_t>(len),
+                    soa.xs()[j],     soa.ys()[j],     soa.xs()[j + 1],
+                    soa.ys()[j + 1], soa.succ_len()};
   for (auto _ : state) {
     simd::RowBest rb = k.row(row);
     benchmark::DoNotOptimize(rb);

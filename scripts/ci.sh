@@ -12,9 +12,11 @@
 #         drive the one block kernel's per-block slice offsets (gpu-small,
 #         gpu-small-indirect, batch-gpu) and the batch-of-one descent, and
 #         the neighbor-list and constructive suites, which index the one
-#         spatial grid (k-NN build and fragment stitch), and the pruned,
+#         spatial grid (k-NN build and fragment stitch), the pruned,
 #         pruned-equivalence and tour suites, which reverse and rotate the
-#         pruned engines' staged route-indexed arrays in place.
+#         pruned engines' staged route-indexed arrays in place, and the
+#         SIMD suite, whose row kernels load 8-lane successor lengths up
+#         to each row's end.
 # Pass 3: Observability smoke — run a small traced ILS with
 #         TSPOPT_TRACE/TSPOPT_REPORT set and validate that both emitted
 #         files are well-formed JSON.
@@ -88,10 +90,12 @@
 #         loop and the one block kernel's T x K index arithmetic, the
 #         TSPLIB suite with its coordinate-bound test, the neighbor-list
 #         and constructive suites that share the spatial grid's cell and
-#         ring index arithmetic, and the admin, journal and serve-stress
-#         suites that read the serve instruments —
+#         ring index arithmetic, the admin, journal and serve-stress
+#         suites that read the serve instruments, and the SIMD suite with
+#         its reach-filter sums at the coordinate bound —
 #         signed overflow in delta and wrapped-arc index arithmetic,
-#         misaligned or out-of-range accesses, invalid casts.
+#         misaligned or out-of-range accesses, invalid casts, and
+#         out-of-range float-to-integer casts of wire and journal numbers.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
@@ -126,7 +130,7 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTSPOPT_SANITIZE=address >/dev/null
 ASAN_SUITES="test_batch_twoopt test_accounting test_local_search \
   test_neighbor_lists test_constructive test_pruned \
-  test_pruned_equivalence test_tour"
+  test_pruned_equivalence test_tour test_simd"
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target test_fault test_checkpoint test_fuzz ${ASAN_SUITES}
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
@@ -881,7 +885,7 @@ UBSAN_SUITES="test_engines test_pruned test_pruned_equivalence test_tour \
   test_fuzz test_serve test_ils test_population_ils test_checkpoint \
   test_batcher test_batch_twoopt test_local_search test_accounting \
   test_tsplib test_admin test_journal test_serve_stress \
-  test_neighbor_lists test_constructive"
+  test_neighbor_lists test_constructive test_simd"
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target ${UBSAN_SUITES}
 for suite in ${UBSAN_SUITES}; do
   echo "UBSan: ${suite}"

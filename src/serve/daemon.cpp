@@ -32,10 +32,8 @@ std::string error_response(const std::string& message,
 }
 
 std::uint64_t id_field(const obs::JsonValue& request) {
-  const obs::JsonValue& id = request.at("id");
-  TSPOPT_CHECK_MSG(id.kind == obs::JsonValue::Kind::kNumber && id.number >= 1,
-                   "\"id\" must be a positive number");
-  return static_cast<std::uint64_t>(id.number);
+  return static_cast<std::uint64_t>(
+      json_integer(request.at("id"), "id", 1, kMaxExactInteger));
 }
 
 }  // namespace
@@ -47,7 +45,7 @@ std::string handle_request(Scheduler& scheduler, const std::string& line) {
     const obs::JsonValue& verb_value = request.at("verb");
     TSPOPT_CHECK_MSG(verb_value.kind == obs::JsonValue::Kind::kString,
                      "\"verb\" must be a string");
-    const std::string& verb = verb_value.string;
+    const std::string verb = verb_value.string;
 
     if (verb == "ping") {
       obs::JsonWriter w;
@@ -59,6 +57,10 @@ std::string handle_request(Scheduler& scheduler, const std::string& line) {
     }
     if (verb == "submit") {
       JobSpec spec = job_spec_from_json(request.at("job"));
+      // The parse tree of an inline instance is the request's largest
+      // allocation (~3 MB at 10k points); free it before admission
+      // journals the spec, so the two never peak together.
+      request = obs::JsonValue();
       // Echo the trace id so the submitting side's printed acceptance
       // carries the correlation handle even when the daemon minted
       // nothing (the id is client-minted; the echo is confirmation).

@@ -1,7 +1,9 @@
 #include "serve/job.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <limits>
+#include <system_error>
 
 #include "common/check.hpp"
 
@@ -76,34 +78,45 @@ double number_field(const obs::JsonValue& v, const char* key, double fallback) {
   return f->number;
 }
 
-// Integer fields round-trip through JSON's double; beyond 2^53 that
-// truncates silently, so values outside the exactly-representable range
-// (or non-integral values) are rejected instead of mangled.
-constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-
-std::int64_t integer_field(const obs::JsonValue& v, const char* key,
-                           std::int64_t fallback) {
-  double d = number_field(v, key, static_cast<double>(fallback));
-  TSPOPT_CHECK_MSG(d == std::floor(d) && std::abs(d) <= kMaxExactInteger,
-                   "job field \"" << key
-                                  << "\" must be an integer with |value| <= "
-                                     "2^53, got "
-                                  << d);
-  return static_cast<std::int64_t>(d);
-}
-
-// An int32 field checked against [lo, hi] before it is narrowed, so an
-// out-of-range value is rejected as sent instead of wrapping into range.
-std::int32_t int32_field(const obs::JsonValue& v, const char* key,
-                         std::int32_t fallback, std::int32_t lo,
-                         std::int32_t hi) {
-  const std::int64_t x = integer_field(v, key, fallback);
-  TSPOPT_CHECK_MSG(x >= lo && x <= hi, key << " must be in [" << lo << ", "
-                                           << hi << "], got " << x);
-  return static_cast<std::int32_t>(x);
+// A value as sent, for error messages: numbers in their shortest
+// round-trip digits (1.5, 4294967301, 1e+300), anything else as JSON.
+std::string as_sent(const obs::JsonValue& value) {
+  if (value.kind == obs::JsonValue::Kind::kNumber) {
+    char buf[32];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value.number);
+    return std::string(buf, ec == std::errc() ? end : buf);
+  }
+  obs::JsonWriter w;
+  obs::write_json_value(w, value);
+  return w.str();
 }
 
 }  // namespace
+
+std::int64_t json_integer(const obs::JsonValue& value, const char* key,
+                          std::int64_t lo, std::int64_t hi) {
+  TSPOPT_CHECK(-kMaxExactInteger <= lo && lo <= hi && hi <= kMaxExactInteger);
+  const double d = value.number;
+  TSPOPT_CHECK_MSG(value.kind == obs::JsonValue::Kind::kNumber &&
+                       d == std::floor(d) && d >= static_cast<double>(lo) &&
+                       d <= static_cast<double>(hi),
+                   "\"" << key << "\" must be an integer in [" << lo << ", "
+                        << hi << "], got " << as_sent(value));
+  return static_cast<std::int64_t>(d);
+}
+
+std::int64_t integer_field(const obs::JsonValue& v, const char* key,
+                           std::int64_t fallback, std::int64_t lo,
+                           std::int64_t hi) {
+  const obs::JsonValue* f = v.find(key);
+  return f == nullptr ? fallback : json_integer(*f, key, lo, hi);
+}
+
+std::int32_t int32_field(const obs::JsonValue& v, const char* key,
+                         std::int32_t fallback, std::int32_t lo,
+                         std::int32_t hi) {
+  return static_cast<std::int32_t>(integer_field(v, key, fallback, lo, hi));
+}
 
 JobSpec job_spec_from_json(const obs::JsonValue& value) {
   TSPOPT_CHECK_MSG(value.is_object(), "job payload must be a JSON object");
@@ -178,10 +191,8 @@ JobSpec job_spec_from_json(const obs::JsonValue& value) {
   spec.max_iterations =
       integer_field(value, "max_iterations", spec.max_iterations);
   spec.deadline_ms = number_field(value, "deadline_ms", spec.deadline_ms);
-  std::int64_t seed = integer_field(
-      value, "seed", static_cast<std::int64_t>(spec.seed));
-  TSPOPT_CHECK_MSG(seed >= 0, "seed must be non-negative");
-  spec.seed = static_cast<std::uint64_t>(seed);
+  spec.seed = static_cast<std::uint64_t>(
+      integer_field(value, "seed", static_cast<std::int64_t>(spec.seed), 0));
   spec.devices = int32_field(value, "devices", spec.devices, 1, 64);
   // 0 means the default. Full validation (pruned engines only, k < n)
   // happens at submit, where the instance size is known; the wire layer
@@ -214,9 +225,8 @@ JobSpec job_spec_from_json(const obs::JsonValue& value) {
     }
     spec.trace_id = trace->string;
   }
-  std::int64_t parent_span = integer_field(value, "parent_span", 0);
-  TSPOPT_CHECK_MSG(parent_span >= 0, "parent_span must be non-negative");
-  spec.parent_span = static_cast<std::uint64_t>(parent_span);
+  spec.parent_span =
+      static_cast<std::uint64_t>(integer_field(value, "parent_span", 0, 0));
   return spec;
 }
 
@@ -247,7 +257,7 @@ JobResult job_result_from_json(const obs::JsonValue& value) {
   result.iterations = integer_field(value, "iterations", 0);
   result.improvements = integer_field(value, "improvements", 0);
   result.checks =
-      static_cast<std::uint64_t>(integer_field(value, "checks", 0));
+      static_cast<std::uint64_t>(integer_field(value, "checks", 0, 0));
   result.wall_seconds = number_field(value, "wall_seconds", 0.0);
   if (const obs::JsonValue* stopped = value.find("stopped")) {
     TSPOPT_CHECK_MSG(stopped->kind == obs::JsonValue::Kind::kBool,
@@ -258,9 +268,8 @@ JobResult job_result_from_json(const obs::JsonValue& value) {
     TSPOPT_CHECK_MSG(order->is_array(), "\"order\" must be an array");
     result.order.reserve(order->array.size());
     for (const obs::JsonValue& city : order->array) {
-      TSPOPT_CHECK_MSG(city.kind == obs::JsonValue::Kind::kNumber,
-                       "\"order\" entries must be numbers");
-      result.order.push_back(static_cast<std::int32_t>(city.number));
+      result.order.push_back(static_cast<std::int32_t>(json_integer(
+          city, "order", 0, std::numeric_limits<std::int32_t>::max())));
     }
   }
   if (const obs::JsonValue* report = value.find("report")) {

@@ -108,6 +108,25 @@ struct JobSpec {
   bool inline_payload() const { return catalog.empty(); }
 };
 
+// Checked JSON integers, for every integer a daemon reads off the wire or
+// out of its journal. JSON numbers arrive as doubles, and casting one that
+// is non-integral or out of range truncates it or is undefined, so each
+// value is checked before the cast: anything that is not an integral
+// number in [lo, hi] raises CheckError naming `key` and quoting the value
+// as sent. Bounds stay within +-2^53, where doubles hold integers exactly.
+inline constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
+
+std::int64_t json_integer(const obs::JsonValue& value, const char* key,
+                          std::int64_t lo, std::int64_t hi);
+// The optional integer field `key` of object `v`; `fallback` when absent.
+std::int64_t integer_field(const obs::JsonValue& v, const char* key,
+                           std::int64_t fallback,
+                           std::int64_t lo = -kMaxExactInteger,
+                           std::int64_t hi = kMaxExactInteger);
+std::int32_t int32_field(const obs::JsonValue& v, const char* key,
+                         std::int32_t fallback, std::int32_t lo,
+                         std::int32_t hi);
+
 // Wire schema v1:
 //   { "schema": "tspopt.job", "schema_version": 1,
 //     "catalog": "kroA200" | "name": "...", "points": [[x,y],...],

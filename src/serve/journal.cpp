@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -179,7 +180,8 @@ Journal::ReplayResult Journal::open_and_replay() {
       auto fail = [&](bool truncated) {
         // A bad record that runs to end-of-file in the final segment is
         // the expected crash artifact (torn tail): drop it quietly-but-
-        // loudly. Anything else is corruption: skip the segment's rest.
+        // loudly. A broken frame elsewhere is corruption: skip the
+        // segment's rest.
         bool reaches_eof = truncated;
         if (last_segment && reaches_eof) {
           ++n_torn_tails_;
@@ -228,8 +230,9 @@ Journal::ReplayResult Journal::open_and_replay() {
         apply_to_digest(obs::json_parse(payload));
         ++rep.records_read;
       } catch (const CheckError&) {
-        fail(/*truncated=*/final_record);
-        break;
+        // The frame holds (length and checksum), so the next record starts
+        // where it says: this one is corrupt, the rest still replays.
+        fail(/*truncated=*/false);
       }
       pos += kRecordHeaderBytes + len;
     }
@@ -300,51 +303,59 @@ Journal::ReplayResult Journal::open_and_replay() {
 }
 
 void Journal::apply_to_digest(const obs::JsonValue& record) {
-  const obs::JsonValue& type = record.at("type");
-  TSPOPT_CHECK_MSG(type.kind == obs::JsonValue::Kind::kString,
+  // Every field is checked before the digest changes: a malformed record
+  // raises CheckError and leaves no trace in the replay.
+  const obs::JsonValue& type_value = record.at("type");
+  TSPOPT_CHECK_MSG(type_value.kind == obs::JsonValue::Kind::kString,
                    "journal record \"type\" must be a string");
-  const obs::JsonValue& id_value = record.at("id");
-  TSPOPT_CHECK_MSG(id_value.kind == obs::JsonValue::Kind::kNumber &&
-                       id_value.number >= 1,
-                   "journal record \"id\" must be a positive number");
-  auto id = static_cast<std::uint64_t>(id_value.number);
-  max_id_ = std::max(max_id_, id);
+  const std::string& type = type_value.string;
+  const auto id = static_cast<std::uint64_t>(
+      json_integer(record.at("id"), "id", 1, kMaxExactInteger));
+  const bool whole = type == "accepted" || type == "job";
+  std::string job_json = whole ? raw_fragment(record.at("job")) : "";
+  const obs::JsonValue* state =
+      type == "settled" ? &record.at("state") : record.find("state");
+  if (state != nullptr) {
+    JobState parsed = JobState::kQueued;
+    TSPOPT_CHECK_MSG(state->kind == obs::JsonValue::Kind::kString &&
+                         parse_job_state(state->string, &parsed),
+                     "journal record \"state\" must name a job state");
+  }
+  const obs::JsonValue* attempts = record.find("attempts");
+  const auto attempt_count = static_cast<std::int32_t>(
+      attempts == nullptr
+          ? 0
+          : json_integer(*attempts, "attempts", 0,
+                         std::numeric_limits<std::int32_t>::max()));
+  const obs::JsonValue* result = record.find("result");
+  if (result != nullptr) job_result_from_json(*result);  // checks only
+  const obs::JsonValue* error = record.find("error");
+  TSPOPT_CHECK_MSG(
+      error == nullptr || error->kind == obs::JsonValue::Kind::kString,
+      "journal record \"error\" must be a string");
 
-  if (type.string == "accepted" || type.string == "job") {
+  max_id_ = std::max(max_id_, id);
+  if (whole) {
     DigestEntry entry;
-    entry.job_json = raw_fragment(record.at("job"));
-    if (const obs::JsonValue* state = record.find("state")) {
-      entry.state = state->string;
-    }
-    if (const obs::JsonValue* attempts = record.find("attempts")) {
-      entry.attempts = static_cast<std::int32_t>(attempts->number);
-    }
-    if (const obs::JsonValue* result = record.find("result")) {
-      entry.result_json = raw_fragment(*result);
-    }
-    if (const obs::JsonValue* error = record.find("error")) {
-      entry.error = error->string;
-    }
+    entry.job_json = std::move(job_json);
+    if (state != nullptr) entry.state = state->string;
+    entry.attempts = attempt_count;
+    if (result != nullptr) entry.result_json = raw_fragment(*result);
+    if (error != nullptr) entry.error = error->string;
     digest_[id] = std::move(entry);
     return;
   }
 
   auto it = digest_.find(id);
   if (it == digest_.end()) return;  // transition for a compacted-away job
-  if (type.string == "started") {
+  if (type == "started") {
     it->second.state = "running";
-    if (const obs::JsonValue* attempts = record.find("attempts")) {
-      it->second.attempts = static_cast<std::int32_t>(attempts->number);
-    }
-  } else if (type.string == "settled") {
-    it->second.state = record.at("state").string;
-    if (const obs::JsonValue* result = record.find("result")) {
-      it->second.result_json = raw_fragment(*result);
-    }
-    if (const obs::JsonValue* error = record.find("error")) {
-      it->second.error = error->string;
-    }
-  } else if (type.string == "rejected" || type.string == "forgotten") {
+    if (attempts != nullptr) it->second.attempts = attempt_count;
+  } else if (type == "settled") {
+    it->second.state = state->string;
+    if (result != nullptr) it->second.result_json = raw_fragment(*result);
+    if (error != nullptr) it->second.error = error->string;
+  } else if (type == "rejected" || type == "forgotten") {
     digest_.erase(it);
   }
   // Unknown types are skipped: a newer daemon's records must not brick an

@@ -29,7 +29,10 @@
 // segment it is dropped with a logged `journal.torn_tail` event — the
 // expected power-loss artifact, never an error. A bad checksum anywhere
 // else is corruption: the rest of that segment is skipped with a
-// `journal.corrupt` warning, and everything already replayed survives.
+// `journal.corrupt` warning, and everything already replayed survives. A
+// record whose frame holds but whose fields do not (a non-integral id, an
+// unknown state, a malformed result) is corrupt too; it is skipped alone,
+// before it changes anything, and the records after it still replay.
 //
 // Rotation & compaction: when the active segment exceeds
 // max_segment_bytes (or enough settled records pile up) the journal
@@ -88,7 +91,7 @@ class Journal {
     std::size_t segments_read = 0;
     std::size_t records_read = 0;
     bool torn_tail = false;  // final record dropped (checksum/length)
-    bool corrupt = false;    // non-final bad record: segment tail skipped
+    bool corrupt = false;    // bad frame mid-file, or a malformed record
   };
 
   struct Stats {

@@ -36,7 +36,8 @@ inline std::vector<Point> order_coordinates(const Instance& instance,
 }
 
 // Same permutation, straight into the SoA split the vector kernels read
-// (one pass, no intermediate Point array). Reuses `out`'s capacity.
+// (one pass, no intermediate Point array), then the successor lengths the
+// row kernels' reach filter compares against. Reuses `out`'s capacity.
 inline void order_coordinates_soa(const Instance& instance, const Tour& tour,
                                   SoaCoords& out) {
   TSPOPT_CHECK(instance.n() == tour.n());
@@ -53,6 +54,7 @@ inline void order_coordinates_soa(const Instance& instance, const Tour& tour,
     ys[p] = pt.y;
   }
   out.close();
+  out.measure_all();
 }
 
 }  // namespace tspopt

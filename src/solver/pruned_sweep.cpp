@@ -4,8 +4,6 @@
 #include <bit>
 #include <numeric>
 
-#include "tsp/metric.hpp"
-
 namespace tspopt {
 
 void PrunedSweep::begin_pass(const Instance& instance, const Tour& tour) {
@@ -26,7 +24,6 @@ void PrunedSweep::begin_pass(const Instance& instance, const Tour& tour) {
     n_ = n;
     coords_.resize(n);
     const auto size = static_cast<std::size_t>(n);
-    succ_len_.resize(size);
     positions_.resize(size);
     records_.resize(size);
     adj_lo_.assign(size, -1);
@@ -124,7 +121,7 @@ void PrunedSweep::restage(std::span<const Point> points,
     ys[p] = pt.y;
   }
   coords_.close();
-  for (std::int32_t p = 0; p < n; ++p) measure(p);
+  coords_.measure_all();
   scatter(route, {0, n});
 }
 
@@ -137,10 +134,10 @@ void PrunedSweep::reverse(Tour::Arc arc) {
   // The arc's interior edges are the same edges in reverse order, and
   // dist_euc2d is symmetric bit for bit; only the edges into and out of
   // the arc are new.
-  Tour::reverse_arc(std::span<std::int32_t>(succ_len_),
+  Tour::reverse_arc(std::span<std::int32_t>(coords_.succ_len(), size),
                     {arc.first, arc.count - 1});
-  measure(arc.first == 0 ? n - 1 : arc.first - 1);
-  measure((arc.first + arc.count - 1) % n);
+  coords_.measure(arc.first == 0 ? n - 1 : arc.first - 1);
+  coords_.measure((arc.first + arc.count - 1) % n);
 }
 
 void PrunedSweep::rotate(Tour::Kick kick) {
@@ -148,20 +145,13 @@ void PrunedSweep::rotate(Tour::Kick kick) {
   for (float* a : {coords_.xs(), coords_.ys()}) {
     std::rotate(a + kick.p1, a + kick.p2, a + kick.p3);
   }
-  std::rotate(succ_len_.begin() + kick.p1, succ_len_.begin() + kick.p2,
-              succ_len_.begin() + kick.p3);
+  std::int32_t* succ_len = coords_.succ_len();
+  std::rotate(succ_len + kick.p1, succ_len + kick.p2, succ_len + kick.p3);
   // Each segment keeps its interior edges; the three joint edges of
   // A C B D are new.
-  measure(kick.p1 - 1);
-  measure(kick.p1 + (kick.p3 - kick.p2) - 1);
-  measure(kick.p3 - 1);
-}
-
-void PrunedSweep::measure(std::int32_t p) {
-  const float* xs = coords_.xs();
-  const float* ys = coords_.ys();
-  succ_len_[static_cast<std::size_t>(p)] =
-      dist_euc2d(Point{xs[p], ys[p]}, Point{xs[p + 1], ys[p + 1]});
+  coords_.measure(kick.p1 - 1);
+  coords_.measure(kick.p1 + (kick.p3 - kick.p2) - 1);
+  coords_.measure(kick.p3 - 1);
 }
 
 void PrunedSweep::scatter(std::span<const std::int32_t> route, Tour::Arc arc) {
@@ -169,9 +159,10 @@ void PrunedSweep::scatter(std::span<const std::int32_t> route, Tour::Arc arc) {
   const bool whole = arc.count == n;
   const float* xs = coords_.xs();
   const float* ys = coords_.ys();
+  const std::int32_t* succ_len = coords_.succ_len();
   auto record = [&](std::int32_t p, std::int32_t city) {
-    records_[static_cast<std::size_t>(city)] = simd::CandRecord{
-        xs[p + 1], ys[p + 1], succ_len_[static_cast<std::size_t>(p)], p};
+    records_[static_cast<std::size_t>(city)] =
+        simd::CandRecord{xs[p + 1], ys[p + 1], succ_len[p], p};
   };
 
   // The predecessor keeps its position but not its successor.

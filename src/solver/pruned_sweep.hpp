@@ -86,7 +86,9 @@ class PrunedSweep {
   const SoaCoords& coords() const { return coords_; }
   // succ_len()[p] == dist_euc2d(position p, position p + 1) — the two
   // removed-edge terms of every candidate delta (see simd::CandRowArgs).
-  std::span<const std::int32_t> succ_len() const { return succ_len_; }
+  std::span<const std::int32_t> succ_len() const {
+    return {coords_.succ_len(), static_cast<std::size_t>(n_)};
+  }
   // positions()[city] == tour position of `city`.
   std::span<const std::int32_t> positions() const { return positions_; }
   // records()[city] == {coords of position + 1, succ_len, position}.
@@ -126,8 +128,6 @@ class PrunedSweep {
   // edges the change created.
   void reverse(Tour::Arc arc);
   void rotate(Tour::Kick kick);
-  // succ_len_[p] from the staged coordinates of p and p + 1.
-  void measure(std::int32_t p);
   // Writes the records and positions of the arc's cities, and the record
   // of its predecessor, from the staged route-ordered arrays; sets the
   // dirty arc and its city span.
@@ -145,7 +145,6 @@ class PrunedSweep {
   const Point* points_ = nullptr;
 
   SoaCoords coords_;
-  std::vector<std::int32_t> succ_len_;
   std::vector<std::int32_t> positions_;
   std::vector<simd::CandRecord> records_;
   Tour::Arc dirty_;

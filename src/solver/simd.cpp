@@ -29,19 +29,43 @@ inline std::int32_t dist_f(float ax, float ay, float bx, float by) {
   return static_cast<std::int32_t>(std::sqrt(dx * dx + dy * dy) + 0.5f);
 }
 
+// One pair through the reach filter. Returns false, with *delta unset,
+// when d(i, j) alone exceeds the two removed edges: then delta =
+// d(i, j) + d(i+1, j+1) - removed > 0 because d(i+1, j+1) >= 0. Otherwise
+// *delta is the exact 2-opt delta. `removed_jj1` is |j, j+1|.
+inline bool reach_pair(const RowArgs& a, std::int32_t i,
+                       std::int32_t removed_jj1, std::int32_t* delta) {
+  const std::int32_t near = dist_f(a.xs[i], a.ys[i], a.xj, a.yj);
+  const std::int32_t removed =
+      (a.succ_len != nullptr
+           ? a.succ_len[i]
+           : dist_f(a.xs[i], a.ys[i], a.xs[i + 1], a.ys[i + 1])) +
+      removed_jj1;
+  if (near > removed) return false;
+  *delta = (near + dist_f(a.xs[i + 1], a.ys[i + 1], a.xj1, a.yj1)) - removed;
+  return true;
+}
+
+// Scalar pairs [i, i_end) into `best`. Strict < keeps the earliest
+// (smallest-i) move on delta ties, and the kNoMove sentinel (+1) admits
+// every delta <= 0 exactly once.
+inline void row_pairs_scalar(const RowArgs& a, std::int32_t i,
+                             std::int32_t removed_jj1, RowBest& best) {
+  for (; i < a.i_end; ++i) {
+    std::int32_t d = 0;
+    if (!reach_pair(a, i, removed_jj1, &d)) {
+      ++best.skipped;
+    } else if (d < best.delta) {
+      best.delta = d;
+      best.i = i;
+    }
+  }
+}
+
 RowBest row_scalar(const RowArgs& a) {
   // The removed edge (j, j+1) is row-constant; hoist its length.
-  const std::int32_t djj1 = dist_f(a.xj, a.yj, a.xj1, a.yj1);
   RowBest best;
-  for (std::int32_t i = a.i_begin; i < a.i_end; ++i) {
-    std::int32_t d =
-        (dist_f(a.xs[i], a.ys[i], a.xj, a.yj) +
-         dist_f(a.xs[i + 1], a.ys[i + 1], a.xj1, a.yj1)) -
-        (dist_f(a.xs[i], a.ys[i], a.xs[i + 1], a.ys[i + 1]) + djj1);
-    // Strict < keeps the earliest (smallest-i) move on delta ties, and the
-    // kNoMove sentinel (+1) admits every delta <= 0 exactly once.
-    if (d < best.delta) best = {d, i};
-  }
+  row_pairs_scalar(a, a.i_begin, dist_f(a.xj, a.yj, a.xj1, a.yj1), best);
   return best;
 }
 
@@ -100,7 +124,11 @@ __attribute__((target("avx2,fma"))) inline __m256i dist_v(__m256 ax, __m256 ay,
   return _mm256_cvttps_epi32(r);  // truncation, as static_cast<int32>
 }
 
-__attribute__((target("avx2,fma"))) RowBest row_avx2(const RowArgs& a) {
+// kStaged reads |i, i+1| from a.succ_len; otherwise each block derives
+// it from the successor loads it already holds. A template parameter, not
+// a per-block branch, so neither variant pays for the other.
+template <bool kStaged>
+__attribute__((target("avx2,fma"))) RowBest row_avx2_body(const RowArgs& a) {
   constexpr std::int32_t kW = 8;
   const std::int32_t djj1 = dist_f(a.xj, a.yj, a.xj1, a.yj1);
 
@@ -114,6 +142,7 @@ __attribute__((target("avx2,fma"))) RowBest row_avx2(const RowArgs& a) {
   __m256i best_i = _mm256_set1_epi32(-1);
   __m256i iv = _mm256_add_epi32(_mm256_set1_epi32(a.i_begin),
                                 _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  std::int32_t skipped = 0;
 
   std::int32_t i = a.i_begin;
   for (; i + kW <= a.i_end; i += kW) {
@@ -123,17 +152,30 @@ __attribute__((target("avx2,fma"))) RowBest row_avx2(const RowArgs& a) {
     __m256 xi1 = _mm256_loadu_ps(a.xs + i + 1);
     __m256 yi1 = _mm256_loadu_ps(a.ys + i + 1);
 
-    __m256i added = _mm256_add_epi32(dist_v(xi, yi, xj, yj),
-                                     dist_v(xi1, yi1, xj1, yj1));
-    __m256i removed =
-        _mm256_add_epi32(dist_v(xi, yi, xi1, yi1), removed_jj1);
-    __m256i d = _mm256_sub_epi32(added, removed);
+    __m256i succ;
+    if constexpr (kStaged) {
+      succ = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(a.succ_len + i));
+    } else {
+      succ = dist_v(xi, yi, xi1, yi1);
+    }
+    __m256i removed = _mm256_add_epi32(succ, removed_jj1);
+    __m256i near = dist_v(xi, yi, xj, yj);
 
-    // d < best_d per lane: strict, so the earliest i wins lane-local ties
-    // (i only grows within a lane).
-    __m256i take = _mm256_cmpgt_epi32(best_d, d);
-    best_d = _mm256_blendv_epi8(best_d, d, take);
-    best_i = _mm256_blendv_epi8(best_i, iv, take);
+    // Reach filter: a block whose every lane has d(i, j) > removed holds
+    // only delta > 0 pairs, none of which can enter the lane minimum.
+    __m256i beyond = _mm256_cmpgt_epi32(near, removed);
+    if (_mm256_movemask_ps(_mm256_castsi256_ps(beyond)) == 0xFF) {
+      skipped += kW;
+    } else {
+      __m256i d = _mm256_sub_epi32(
+          _mm256_add_epi32(near, dist_v(xi1, yi1, xj1, yj1)), removed);
+      // d < best_d per lane: strict, so the earliest i wins lane-local
+      // ties (i only grows within a lane).
+      __m256i take = _mm256_cmpgt_epi32(best_d, d);
+      best_d = _mm256_blendv_epi8(best_d, d, take);
+      best_i = _mm256_blendv_epi8(best_i, iv, take);
+    }
     iv = _mm256_add_epi32(iv, _mm256_set1_epi32(kW));
   }
 
@@ -144,23 +186,24 @@ __attribute__((target("avx2,fma"))) RowBest row_avx2(const RowArgs& a) {
   _mm256_store_si256(reinterpret_cast<__m256i*>(lane_d), best_d);
   _mm256_store_si256(reinterpret_cast<__m256i*>(lane_i), best_i);
   RowBest best;
+  best.skipped = skipped;
   for (std::int32_t l = 0; l < kW; ++l) {
     if (lane_d[l] < best.delta ||
         (lane_d[l] == best.delta && best.found() && lane_i[l] < best.i)) {
-      best = {lane_d[l], lane_i[l]};
+      best.delta = lane_d[l];
+      best.i = lane_i[l];
     }
   }
 
   // Scalar tail for the remaining len % W positions. Their i exceeds every
   // vectorized i, so a tail move must be strictly better to win.
-  for (; i < a.i_end; ++i) {
-    std::int32_t d =
-        (dist_f(a.xs[i], a.ys[i], a.xj, a.yj) +
-         dist_f(a.xs[i + 1], a.ys[i + 1], a.xj1, a.yj1)) -
-        (dist_f(a.xs[i], a.ys[i], a.xs[i + 1], a.ys[i + 1]) + djj1);
-    if (d < best.delta) best = {d, i};
-  }
+  row_pairs_scalar(a, i, djj1, best);
   return best;
+}
+
+__attribute__((target("avx2,fma"))) RowBest row_avx2(const RowArgs& a) {
+  return a.succ_len != nullptr ? row_avx2_body<true>(a)
+                               : row_avx2_body<false>(a);
 }
 
 // Candidate rows vectorize the gather-heavy side: 8 candidates load their

@@ -15,6 +15,18 @@
 // triangle row-by-row, a tile rectangle row-by-row, a linearized chunk
 // into row segments), so one primitive serves them all.
 //
+// The row kernel carries an exact *reach filter*. A 2-opt delta is
+//
+//   delta = d(i, j) + d(i+1, j+1) - |i, i+1| - |j, j+1|
+//
+// and d(i+1, j+1) >= 0, so whenever d(i, j) alone exceeds the two removed
+// edges, delta > 0 and the pair cannot improve. The kernel computes
+// d(i, j) first and skips the second distance of every pair (every W-lane
+// block, in the vector kernel) it so proves. The comparison is strict, so
+// delta-0 pairs (adjacent pairs, ties) are always evaluated; a skipped
+// pair never holds a move the row could report, and the result is the
+// unfiltered one bit for bit.
+//
 // Implementations are selected at runtime (CPUID), so one binary runs
 // everywhere: the scalar kernel is the portable fallback, the AVX2/FMA
 // kernel is compiled with a function-level target attribute and only ever
@@ -41,7 +53,10 @@ std::string to_string(Level level);
 // One row of candidate pairs: positions i in [i_begin, i_end) against the
 // fixed position j. `xs`/`ys` are position-indexed SoA coordinates;
 // xs[i + 1] must be readable for every evaluated i (the staged +1
-// successor entry, wrapping to position 0 at the tour end).
+// successor entry, wrapping to position 0 at the tour end). `succ_len`,
+// indexed like xs, holds |i, i+1| for every evaluated i (SoaCoords stages
+// it once per pass); nullptr derives each length inline from xs/ys, for
+// callers without a staged copy (the tiled engine's shared-memory ranges).
 struct RowArgs {
   const float* xs = nullptr;
   const float* ys = nullptr;
@@ -49,15 +64,19 @@ struct RowArgs {
   std::int32_t i_end = 0;
   float xj = 0.0f, yj = 0.0f;    // coordinate of position j
   float xj1 = 0.0f, yj1 = 0.0f;  // successor of j (wraps at the tour end)
+  const std::int32_t* succ_len = nullptr;
 };
 
 // Row result: the lexicographic minimum of (delta, i) over the row's
 // non-worsening pairs (delta <= 0), matching consider_move's tie-break.
-// kNoMove means no pair of the row had delta <= 0.
+// kNoMove means no pair of the row had delta <= 0. `skipped` counts the
+// row's pairs the reach filter proved delta > 0 without their second
+// distance; they are still decided pairs (counted checks).
 struct RowBest {
   static constexpr std::int32_t kNoMove = 1;
   std::int32_t delta = kNoMove;
   std::int32_t i = -1;
+  std::int32_t skipped = 0;
 
   bool found() const { return delta <= 0; }
 };

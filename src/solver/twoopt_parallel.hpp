@@ -2,7 +2,8 @@
 // OpenCL CPU implementation of the abstract's "6 cores" comparison), now
 // vectorized: each worker's chunk of the linearized pair space decomposes
 // into row segments (for_each_row_segment) evaluated by the runtime-
-// dispatched SIMD row kernels over a shared SoA coordinate staging.
+// dispatched SIMD row kernels over a shared SoA coordinate staging, with
+// its successor lengths for the kernels' reach filter.
 //
 // The linearized pair space [0, n(n-1)/2) is statically partitioned across
 // the pool workers; each worker keeps a private best and the results are
@@ -42,8 +43,10 @@ class TwoOptCpuParallel : public TwoOptEngine {
   std::vector<BestMove> partial_;
   std::vector<std::uint64_t> worker_vectorized_;
   std::vector<std::uint64_t> worker_scalar_tail_;
+  std::vector<std::uint64_t> worker_reach_skipped_;
   obs::Counter* pairs_vectorized_ = nullptr;
   obs::Counter* pairs_scalar_tail_ = nullptr;
+  obs::Counter* pairs_reach_skipped_ = nullptr;
 };
 
 }  // namespace tspopt

@@ -7,7 +7,10 @@
 // best-move records, horizontal reduction at row end. Bit-identical to
 // TwoOptSequential at every dispatch level; on an AVX2 host it replaces
 // ~4 scalar sqrt calls per pair with 8-lane vector sqrts plus a hoisted
-// row-constant removed-edge term.
+// row-constant removed-edge term. Each pass also stages every position's
+// successor length once (SoaCoords::succ_len), so the rows' reach filter
+// decides a block whose pairs provably have delta > 0 with one vector
+// distance instead of three (twoopt.pairs_reach_skipped counts them).
 #pragma once
 
 #include "obs/registry.hpp"
@@ -37,6 +40,7 @@ class TwoOptSimd : public TwoOptEngine {
   // allocation-free (same pattern as simt::Device::launch_latency).
   obs::Counter* pairs_vectorized_ = nullptr;
   obs::Counter* pairs_scalar_tail_ = nullptr;
+  obs::Counter* pairs_reach_skipped_ = nullptr;
 };
 
 }  // namespace tspopt

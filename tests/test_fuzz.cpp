@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <sstream>
@@ -312,6 +313,16 @@ void write_bytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+// The checksum checkpoints and journal records carry over their payload.
+std::uint64_t fnv1a(const std::string& payload) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (unsigned char c : payload) {
+    h ^= c;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
 // 1-4 random byte edits in [lo, hi): overwrite, delete, or insert.
 void mutate_bytes(Pcg32& rng, std::string& bytes, std::size_t lo,
                   std::size_t hi) {
@@ -363,15 +374,6 @@ TEST(Fuzz, MutatedCheckpointsNeverCrashOrLoadUnchecked) {
   constexpr std::size_t kHeader = 20;  // magic, version, payload length
   constexpr std::size_t kChecksum = 8;
   ASSERT_GT(bytes.size(), kHeader + kChecksum);
-
-  auto fnv1a = [](const std::string& payload) {
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (unsigned char c : payload) {
-      h ^= c;
-      h *= 0x100000001B3ULL;
-    }
-    return h;
-  };
 
   Pcg32 rng(20261017);
   int loaded = 0;
@@ -430,6 +432,67 @@ std::string recovered_jobs(const serve::Journal::ReplayResult& rep) {
   return out.str();
 }
 
+// A real journal segment: four jobs' accepted, started, settled (finished
+// and failed) and forgotten records, eleven in all, written under `dir`.
+std::string source_segment(const std::string& dir) {
+  namespace fs = std::filesystem;
+  {
+    serve::Journal journal(dir);
+    journal.open_and_replay();
+    std::vector<std::unique_ptr<serve::Job>> jobs;
+    for (std::uint64_t id = 1; id <= 4; ++id) {
+      serve::JobSpec spec;
+      spec.catalog = "berlin52";
+      spec.seed = 10 + id;
+      jobs.push_back(std::make_unique<serve::Job>(id, spec));
+      EXPECT_TRUE(journal.append_accepted(*jobs.back()));
+    }
+    serve::JobResult result;
+    result.best_length = 7542;
+    result.iterations = 3;
+    result.order = {0, 2, 1, 3};
+    jobs[0]->set_result(result);
+    jobs[1]->set_error("engine fault");
+    EXPECT_TRUE(journal.append_started(1, 1));
+    EXPECT_TRUE(journal.append_started(2, 1));
+    EXPECT_TRUE(journal.append_settled(*jobs[0], serve::JobState::kFinished));
+    EXPECT_TRUE(journal.append_settled(*jobs[1], serve::JobState::kFailed));
+    EXPECT_TRUE(journal.append_started(3, 2));
+    EXPECT_TRUE(journal.append_settled(*jobs[2], serve::JobState::kFinished));
+    EXPECT_TRUE(journal.append_forgotten(3));
+  }
+  std::vector<fs::path> segments;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".wal") segments.push_back(e.path());
+  }
+  EXPECT_EQ(segments.size(), 1u);
+  return segments.empty() ? std::string() : read_bytes(segments.front().string());
+}
+
+// Record boundaries: u32 payload length | u64 checksum | payload.
+constexpr std::size_t kRecordHeader = 12;
+std::vector<std::size_t> record_ends(const std::string& bytes) {
+  std::vector<std::size_t> ends;
+  for (std::size_t pos = 0; pos < bytes.size();) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, bytes.data() + pos, sizeof(len));
+    pos += kRecordHeader + len;
+    ends.push_back(pos);
+  }
+  return ends;
+}
+
+// Replays `segment` as the only segment of a fresh journal in `dir`.
+serve::Journal::ReplayResult replay_segment(const std::string& dir,
+                                            const std::string& segment) {
+  namespace fs = std::filesystem;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  write_bytes(dir + "/segment-000001.wal", segment);
+  serve::Journal journal(dir);
+  return journal.open_and_replay();
+}
+
 // Byte-level mutations and truncations of a real journal segment holding
 // accepted, started, settled and forgotten records. Replay must never
 // crash, never apply a record whose checksum fails, and never lose a
@@ -440,58 +503,14 @@ TEST(Fuzz, MutatedJournalSegmentsReplaySafely) {
   namespace fs = std::filesystem;
   const std::string root = ::testing::TempDir() + "tspopt_fuzz_journal";
   fs::remove_all(root);
-  {
-    serve::Journal journal(root + "/source");
-    journal.open_and_replay();
-    std::vector<std::unique_ptr<serve::Job>> jobs;
-    for (std::uint64_t id = 1; id <= 4; ++id) {
-      serve::JobSpec spec;
-      spec.catalog = "berlin52";
-      spec.seed = 10 + id;
-      jobs.push_back(std::make_unique<serve::Job>(id, spec));
-      ASSERT_TRUE(journal.append_accepted(*jobs.back()));
-    }
-    serve::JobResult result;
-    result.best_length = 7542;
-    result.iterations = 3;
-    result.order = {0, 2, 1, 3};
-    jobs[0]->set_result(result);
-    jobs[1]->set_error("engine fault");
-    ASSERT_TRUE(journal.append_started(1, 1));
-    ASSERT_TRUE(journal.append_started(2, 1));
-    ASSERT_TRUE(journal.append_settled(*jobs[0], serve::JobState::kFinished));
-    ASSERT_TRUE(journal.append_settled(*jobs[1], serve::JobState::kFailed));
-    ASSERT_TRUE(journal.append_started(3, 2));
-    ASSERT_TRUE(journal.append_settled(*jobs[2], serve::JobState::kFinished));
-    ASSERT_TRUE(journal.append_forgotten(3));
-  }
-  std::vector<fs::path> segments;
-  for (const fs::directory_entry& e :
-       fs::directory_iterator(root + "/source")) {
-    if (e.path().extension() == ".wal") segments.push_back(e.path());
-  }
-  ASSERT_EQ(segments.size(), 1u);
-  const std::string bytes = read_bytes(segments.front().string());
-
-  // Record boundaries: u32 payload length | u64 checksum | payload.
-  constexpr std::size_t kHeader = 12;
-  std::vector<std::size_t> ends;
-  for (std::size_t pos = 0; pos < bytes.size();) {
-    std::uint32_t len = 0;
-    std::memcpy(&len, bytes.data() + pos, sizeof(len));
-    pos += kHeader + len;
-    ends.push_back(pos);
-  }
+  const std::string bytes = source_segment(root + "/source");
+  const std::vector<std::size_t> ends = record_ends(bytes);
   ASSERT_EQ(ends.size(), 11u);
   ASSERT_EQ(ends.back(), bytes.size());
 
   const std::string dir = root + "/replay";
   auto replay = [&](const std::string& segment) {
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    write_bytes(dir + "/segment-000001.wal", segment);
-    serve::Journal journal(dir);
-    return journal.open_and_replay();
+    return replay_segment(dir, segment);
   };
   // prefix[k]: what the first k records alone recover.
   std::vector<std::string> prefix;
@@ -530,6 +549,139 @@ TEST(Fuzz, MutatedJournalSegmentsReplaySafely) {
     if (intact < ends.size()) ++damaged_replays;
   }
   EXPECT_GT(damaged_replays, 300);
+  fs::remove_all(root);
+}
+
+// Checksum-valid but malformed records. Each record of a real segment in
+// turn gets one field rewritten — a non-integral, out-of-range or
+// mistyped id or attempts count, a numeric state, an out-of-range result
+// order entry — or its job dropped, and is resealed with a fresh length
+// and fnv1a, so replay reaches the field checks instead of stopping at
+// the checksum. A malformed record counts as corrupt and is skipped
+// whole: the replay recovers exactly what a replay of the segment without
+// that record recovers, so the well-formed jobs around it survive. The
+// sanitizer build (with float-cast-overflow) runs this suite: no value
+// may reach an unchecked cast.
+TEST(Fuzz, ResealedJournalRecordsReplaySafely) {
+  namespace fs = std::filesystem;
+  const std::string root = ::testing::TempDir() + "tspopt_fuzz_resealed";
+  fs::remove_all(root);
+  const std::string bytes = source_segment(root + "/source");
+  const std::vector<std::size_t> ends = record_ends(bytes);
+  ASSERT_EQ(ends.size(), 11u);
+  std::vector<std::string> frames;
+  for (std::size_t k = 0, pos = 0; k < ends.size(); pos = ends[k++]) {
+    frames.push_back(bytes.substr(pos, ends[k] - pos));
+  }
+
+  auto number = [](double v) {
+    obs::JsonValue j;
+    j.kind = obs::JsonValue::Kind::kNumber;
+    j.number = v;
+    return j;
+  };
+  auto text = [](const std::string& v) {
+    obs::JsonValue j;
+    j.kind = obs::JsonValue::Kind::kString;
+    j.string = v;
+    return j;
+  };
+  // Sets member `key` of `object`; returns false when `only_if_present`
+  // and the member is absent (the malformation does not apply).
+  auto set_member = [](obs::JsonValue& object, const std::string& key,
+                       obs::JsonValue value, bool only_if_present) {
+    for (auto& [k, v] : object.object) {
+      if (k == key) {
+        v = std::move(value);
+        return true;
+      }
+    }
+    if (only_if_present) return false;
+    object.object.emplace_back(key, std::move(value));
+    return true;
+  };
+
+  struct Malformation {
+    std::string name;
+    std::function<bool(obs::JsonValue&)> apply;  // false: not applicable
+  };
+  std::vector<Malformation> malformations;
+  for (const auto& [label, id] :
+       {std::pair{"1.5", 1.5}, std::pair{"1e300", 1e300},
+        std::pair{"0", 0.0}, std::pair{"-1", -1.0}}) {
+    malformations.push_back(
+        {std::string("id ") + label, [=](obs::JsonValue& r) {
+           return set_member(r, "id", number(id), false);
+         }});
+  }
+  malformations.push_back({"id \"x\"", [=](obs::JsonValue& r) {
+                             return set_member(r, "id", text("x"), false);
+                           }});
+  for (const auto& [label, attempts] :
+       {std::pair{"1e12", 1e12}, std::pair{"-3.5", -3.5}}) {
+    malformations.push_back(
+        {std::string("attempts ") + label, [=](obs::JsonValue& r) {
+           return set_member(r, "attempts", number(attempts), false);
+         }});
+  }
+  malformations.push_back({"state 7", [=](obs::JsonValue& r) {
+                             return set_member(r, "state", number(7), false);
+                           }});
+  malformations.push_back({"result.order [1e12]", [=](obs::JsonValue& r) {
+                             for (auto& [k, v] : r.object) {
+                               if (k != "result") continue;
+                               obs::JsonValue order;
+                               order.kind = obs::JsonValue::Kind::kArray;
+                               order.array.push_back(number(1e12));
+                               return set_member(v, "order", order, true);
+                             }
+                             return false;
+                           }});
+  malformations.push_back({"no job", [](obs::JsonValue& r) {
+                             return std::erase_if(r.object, [](const auto& m) {
+                                      return m.first == "job";
+                                    }) > 0;
+                           }});
+
+  const std::string dir = root + "/replay";
+  int resealed = 0;
+  for (std::size_t k = 0; k < frames.size(); ++k) {
+    std::string without;
+    for (std::size_t r = 0; r < frames.size(); ++r) {
+      if (r != k) without += frames[r];
+    }
+    const std::string expected = recovered_jobs(replay_segment(dir, without));
+    for (const Malformation& m : malformations) {
+      obs::JsonValue record =
+          obs::json_parse(frames[k].substr(kRecordHeader));
+      if (!m.apply(record)) continue;
+      obs::JsonWriter w;
+      obs::write_json_value(w, record);
+      const std::string payload = w.str();
+      const auto len = static_cast<std::uint32_t>(payload.size());
+      const std::uint64_t sum = fnv1a(payload);
+      std::string frame(kRecordHeader, '\0');
+      std::memcpy(frame.data(), &len, sizeof(len));
+      std::memcpy(frame.data() + sizeof(len), &sum, sizeof(sum));
+      frame += payload;
+
+      std::string segment;
+      for (std::size_t r = 0; r < frames.size(); ++r) {
+        segment += r == k ? frame : frames[r];
+      }
+      const std::string what = "record " + std::to_string(k) + ", " + m.name;
+      serve::Journal::ReplayResult rep = replay_segment(dir, segment);
+      EXPECT_TRUE(rep.corrupt) << what;
+      EXPECT_FALSE(rep.torn_tail) << what;
+      EXPECT_EQ(rep.records_read, frames.size() - 1) << what;
+      EXPECT_EQ(recovered_jobs(rep), expected) << what;
+      ++resealed;
+    }
+  }
+  // Every record takes the id, attempts and state rewrites; the two
+  // finished settles take the order rewrite and the four accepts lose
+  // their job.
+  EXPECT_EQ(resealed, 11 * 8 + 2 + 4);
   fs::remove_all(root);
 }
 

@@ -90,6 +90,43 @@ TEST(ObsJson, ParserDecodesEscapesAndRejectsGarbage) {
   EXPECT_THROW(obs::json_parse("{} trailing"), CheckError);
 }
 
+TEST(ObsJson, ParserAllocatesEachArrayAtItsFinalSize) {
+  // A 10k-element array (the size of a served tour) is one allocation of
+  // exactly its elements, not a doubling chain; nested arrays, and
+  // brackets, commas and escaped quotes inside strings, do not disturb
+  // the counts of the arrays around them.
+  std::string tour = "[";
+  for (int c = 0; c < 10000; ++c) {
+    if (c > 0) tour += ',';
+    tour += std::to_string(c);
+  }
+  tour += "]";
+  JsonValue order = obs::json_parse(tour);
+  ASSERT_EQ(order.array.size(), 10000u);
+  EXPECT_EQ(order.array.capacity(), 10000u);
+  EXPECT_EQ(order.array[9999].number, 9999.0);
+
+  JsonValue doc = obs::json_parse(
+      "{\"a\": [[1, 2], [], [\"x,]\\\"[\", {\"k\": [3, 4, 5]}], 6],"
+      " \"b\": [7 , 8]}");
+  const JsonValue& a = doc.at("a");
+  ASSERT_EQ(a.array.size(), 4u);
+  EXPECT_EQ(a.array.capacity(), 4u);
+  EXPECT_EQ(a.array[0].array.capacity(), 2u);
+  EXPECT_TRUE(a.array[1].array.empty());
+  const JsonValue& mixed = a.array[2];
+  ASSERT_EQ(mixed.array.size(), 2u);
+  EXPECT_EQ(mixed.array.capacity(), 2u);
+  EXPECT_EQ(mixed.array[0].string, "x,]\"[");
+  EXPECT_EQ(mixed.array[1].at("k").array.capacity(), 3u);
+  EXPECT_EQ(doc.at("b").array.capacity(), 2u);
+
+  // Malformed arrays still fail the parse proper.
+  EXPECT_THROW(obs::json_parse("[,,,,,,,,]"), CheckError);
+  EXPECT_THROW(obs::json_parse("[[1, 2], [3,"), CheckError);
+  EXPECT_THROW(obs::json_parse("[1 2]"), CheckError);
+}
+
 // --------------------------------------------------------------- spans --
 
 TEST(ObsTrace, DisabledTracerIsInertAndRecordsNothing) {

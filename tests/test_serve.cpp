@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -669,6 +670,46 @@ TEST(ServeProtocol, HandleRequestCoversTheVerbSet) {
   EXPECT_EQ(static_cast<std::uint64_t>(
                 stats.at("stats").at("accepted").number),
             scheduler.stats().accepted);
+}
+
+TEST(ServeProtocol, IdVerbsRejectNonIntegralAndOutOfRangeIds) {
+  PoolFixture fixture(1);
+  Scheduler scheduler(*fixture.pool);
+  auto parse = [&](const std::string& line) {
+    return obs::json_parse(handle_request(scheduler, line));
+  };
+  obs::JsonValue submit = parse(
+      "{\"verb\":\"submit\",\"job\":{\"schema\":\"tspopt.job\","
+      "\"schema_version\":1,\"catalog\":\"berlin52\","
+      "\"engine\":\"cpu-sequential\",\"time_limit_seconds\":0.02}}");
+  ASSERT_TRUE(submit.at("ok").boolean);
+  // Job 1 exists, so an id that truncated to 1 would act on it.
+  ASSERT_EQ(submit.at("id").number, 1.0);
+  wait_terminal(scheduler, 1);
+
+  // Each id is rejected before any cast, and the error quotes it.
+  const std::pair<const char*, const char*> ids[] = {
+      {"1.5", "got 1.5"},
+      {"0", "got 0"},
+      {"-1", "got -1"},
+      {"1e300", "got 1e+300"},
+      {"\"7\"", "got \"7\""}};
+  for (const char* verb : {"status", "result", "cancel", "forget"}) {
+    for (const auto& [id, quoted] : ids) {
+      const std::string line = std::string("{\"verb\":\"") + verb +
+                               "\",\"id\":" + id + "}";
+      obs::JsonValue reply = parse(line);
+      EXPECT_FALSE(reply.at("ok").boolean) << line;
+      const obs::JsonValue* error = reply.find("error");
+      ASSERT_NE(error, nullptr) << line;
+      EXPECT_NE(error->string.find(quoted), std::string::npos)
+          << line << ": " << error->string;
+    }
+  }
+  // Nothing above reached job 1: it is still there and still finished.
+  obs::JsonValue status = parse("{\"verb\":\"status\",\"id\":1}");
+  ASSERT_TRUE(status.at("ok").boolean);
+  EXPECT_EQ(status.at("job").at("state").string, "finished");
 }
 
 TEST(ServeProtocol, IdempotencyKeyDedupesResubmits) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -179,6 +180,144 @@ TEST(SimdRowKernels, EmptyRowReportsNoMove) {
   }
 }
 
+// A staged route for the reach-filter edge: rows against position j of
+// arrays xs/ys[0, j + 2), with succ[i] == |i, i+1| in dist_euc2d.
+struct EdgeRows {
+  std::vector<float> xs, ys;
+  std::vector<std::int32_t> succ;
+
+  explicit EdgeRows(std::int32_t j)
+      : xs(static_cast<std::size_t>(j) + 2),
+        ys(static_cast<std::size_t>(j) + 2),
+        succ(static_cast<std::size_t>(j) + 1) {}
+
+  void set(std::int32_t p, float x, float y) {
+    xs[static_cast<std::size_t>(p)] = x;
+    ys[static_cast<std::size_t>(p)] = y;
+  }
+  void measure() {
+    for (std::size_t p = 0; p < succ.size(); ++p) {
+      succ[p] = dist_euc2d(Point{xs[p], ys[p]}, Point{xs[p + 1], ys[p + 1]});
+    }
+  }
+};
+
+// Checks every row [i_begin, i_end) of `rows` against j, at every level,
+// with staged and with derived successor lengths, against naive_row. A
+// row may skip only pairs with d(i, j) > |i, i+1| + |j, j+1|; the scalar
+// kernel skips exactly those. Returns how many rows had a delta-0 winner
+// sitting exactly on the filter's edge (d(i, j) == the removed edges).
+int expect_filter_exact(const EdgeRows& rows, std::int32_t j,
+                        const std::string& what) {
+  const std::size_t at_j = static_cast<std::size_t>(j);
+  const std::int32_t djj1 =
+      dist_euc2d(Point{rows.xs[at_j], rows.ys[at_j]},
+                 Point{rows.xs[at_j + 1], rows.ys[at_j + 1]});
+  auto near = [&](std::int32_t i) {
+    const auto at = static_cast<std::size_t>(i);
+    return dist_euc2d(Point{rows.xs[at], rows.ys[at]},
+                      Point{rows.xs[at_j], rows.ys[at_j]});
+  };
+  int edge_rows = 0;
+  for (std::int32_t i_begin = 0; i_begin < std::min(j, 9); ++i_begin) {
+    for (std::int32_t i_end = i_begin; i_end <= j; ++i_end) {
+      simd::RowArgs row{rows.xs.data(), rows.ys.data(),     i_begin,
+                        i_end,          rows.xs[at_j],      rows.ys[at_j],
+                        rows.xs[at_j + 1], rows.ys[at_j + 1], nullptr};
+      const simd::RowBest want = naive_row(row);
+      std::int32_t provable = 0;
+      for (std::int32_t i = i_begin; i < i_end; ++i) {
+        if (near(i) > rows.succ[static_cast<std::size_t>(i)] + djj1) {
+          ++provable;
+        }
+      }
+      if (want.delta == 0 &&
+          near(want.i) == rows.succ[static_cast<std::size_t>(want.i)] + djj1) {
+        ++edge_rows;
+      }
+      for (const std::int32_t* succ_len :
+           {static_cast<const std::int32_t*>(nullptr), rows.succ.data()}) {
+        row.succ_len = succ_len;
+        for (simd::Level level : simd::supported_levels()) {
+          const std::string where =
+              ctx({what, " ", simd::to_string(level),
+                   succ_len != nullptr ? " staged" : " derived", " j=",
+                   std::to_string(j), " [", std::to_string(i_begin), ",",
+                   std::to_string(i_end), ")"});
+          const simd::RowBest got = simd::kernels(level).row(row);
+          expect_rows_equal(got, want, where);
+          EXPECT_GE(got.skipped, 0) << where;
+          EXPECT_LE(got.skipped, provable) << where;
+          if (level == simd::Level::kScalar) {
+            EXPECT_EQ(got.skipped, provable) << where;
+          }
+        }
+      }
+    }
+  }
+  return edge_rows;
+}
+
+TEST(SimdRowKernels, ReachFilterNeverSkipsANonPositiveDelta) {
+  // Lattice rows: position j at the origin, its successor C = (5, 0) on
+  // the axis, the row on a lattice ~1000 away (every pair far, delta > 0),
+  // except pair i*: it sits at (1000 + i*, 0) with successor C, so
+  // d(i*, j) == |i*, C| + |j, C| exactly and, the successors coinciding,
+  // delta == 0. It is the row's lowest delta-0 pair, so a filter that
+  // skipped on >= instead of > would report i* + 1 (also delta 0) or no
+  // move. Every i* sweeps the edge pair through every lane and tail slot.
+  // `scale` and `origin` replay the rows next to the 2.5e8 coordinate
+  // bound, where float spacing is 16 and distances reach their maximum.
+  int edge_rows = 0;
+  for (const auto& [scale, origin] :
+       {std::pair{1.0f, 0.0f}, std::pair{16.0f, -2.5e8f},
+        std::pair{16.0f, 2.5e8f - 16.0f * 1100.0f}}) {
+    for (std::int32_t j = 2; j <= 26; ++j) {
+      for (std::int32_t star = 0; star + 1 < j; ++star) {
+        EdgeRows rows(j);
+        for (std::int32_t p = 0; p < j; ++p) {
+          rows.set(p, origin + scale * static_cast<float>(1000 + p),
+                   origin + scale * static_cast<float>(p % 3));
+        }
+        rows.set(star, origin + scale * static_cast<float>(1000 + star),
+                 origin);
+        rows.set(star + 1, origin + scale * 5.0f, origin);
+        rows.set(j, origin, origin);
+        rows.set(j + 1, origin + scale * 5.0f, origin);
+        rows.measure();
+        edge_rows += expect_filter_exact(
+            rows, j, ctx({"lattice x", std::to_string(scale), " i*=",
+                          std::to_string(star)}));
+      }
+    }
+  }
+  EXPECT_GT(edge_rows, 1000);
+
+  // Duplicate points: every row point and j's successor coincide, so each
+  // pair has d(i, j) == |j, j+1| == the removed edges and delta == 0; and
+  // coordinates drawn from three values, so zero-length edges, ties and
+  // equalities mix. The corner set spans the whole coordinate box.
+  Pcg32 rng(2026);
+  for (const float extent : {7.0f, 2.5e8f}) {
+    for (std::int32_t j = 2; j <= 26; ++j) {
+      EdgeRows dup(j);
+      for (std::int32_t p = 0; p < j; ++p) dup.set(p, extent, 0.0f);
+      dup.set(j, -extent, -extent);
+      dup.set(j + 1, extent, 0.0f);
+      dup.measure();
+      EXPECT_GT(expect_filter_exact(dup, j, "duplicates"), 0) << "j=" << j;
+
+      const float values[3] = {-extent, 0.0f, extent};
+      EdgeRows mixed(j);
+      for (std::int32_t p = 0; p < j + 2; ++p) {
+        mixed.set(p, values[rng.next_below(3)], values[rng.next_below(3)]);
+      }
+      mixed.measure();
+      expect_filter_exact(mixed, j, "three-valued");
+    }
+  }
+}
+
 void expect_results_equal(const SearchResult& got, const SearchResult& want,
                           const std::string& what) {
   EXPECT_EQ(got.best.delta, want.best.delta) << what;
@@ -262,21 +401,39 @@ TEST(SimdEngines, PassCoverageCountersSplitEveryPair) {
         obs::Registry::global().counter("twoopt.pairs_vectorized");
     obs::Counter& tail =
         obs::Registry::global().counter("twoopt.pairs_scalar_tail");
+    obs::Counter& skipped =
+        obs::Registry::global().counter("twoopt.pairs_reach_skipped");
     std::uint64_t vec0 = vec.value();
     std::uint64_t tail0 = tail.value();
+    std::uint64_t skipped0 = skipped.value();
     TwoOptSimd engine(&simd::kernels(level));
     SearchResult r = engine.search(inst, tour);
     std::uint64_t dv = vec.value() - vec0;
     std::uint64_t dt = tail.value() - tail0;
+    std::uint64_t ds = skipped.value() - skipped0;
     EXPECT_EQ(dv + dt, static_cast<std::uint64_t>(pair_count(n)))
         << simd::to_string(level);
     EXPECT_EQ(r.checks, static_cast<std::uint64_t>(pair_count(n)));
+    // The reach filter decides pairs without their second distance; they
+    // stay in the split above and in the counted checks.
+    EXPECT_GT(ds, 0u) << simd::to_string(level);
+    EXPECT_LE(ds, static_cast<std::uint64_t>(pair_count(n)))
+        << simd::to_string(level);
     if (simd::kernels(level).width == 1) {
       EXPECT_EQ(dt, 0u) << "scalar kernels have no tail";
     } else {
       EXPECT_GT(dv, 0u);
       EXPECT_GT(dt, 0u);
     }
+
+    skipped0 = skipped.value();
+    TwoOptCpuParallel parallel(nullptr, &simd::kernels(level));
+    EXPECT_EQ(parallel.search(inst, tour).checks,
+              static_cast<std::uint64_t>(pair_count(n)));
+    ds = skipped.value() - skipped0;
+    EXPECT_GT(ds, 0u) << "cpu-parallel @ " << simd::to_string(level);
+    EXPECT_LE(ds, static_cast<std::uint64_t>(pair_count(n)))
+        << "cpu-parallel @ " << simd::to_string(level);
   }
 }
 

@@ -378,7 +378,7 @@ wait "${RESTART_PID}" || RESTART_RC=$?
 echo "kill -9 -> restart -> resume -> finish verified."
 
 echo
-echo "Pass 7b: serve/journal suites under sanitizers, k-NN/MF under TSan"
+echo "Pass 7b: serve/journal suites under sanitizers, k-NN/MF and SIMD row kernels under TSan"
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target test_serve test_serve_stress test_journal \
                test_serve_recovery
@@ -388,12 +388,15 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTSPOPT_SANITIZE=thread >/dev/null
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target test_serve test_serve_stress test_journal \
-               test_serve_recovery test_neighbor_lists test_constructive
+               test_serve_recovery test_neighbor_lists test_constructive \
+               test_simd
+# test_simd runs cpu-parallel, whose pool workers share the per-pass
+# coordinate, length and tile staging.
 # SurvivesInjectedDeviceFault needs gpu0 to reach its 3rd launch inside
 # a 0.2s wall budget; TSan's slowdown makes that a coin flip, so the
 # timing-sensitive case is excluded from this leg only.
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-      -R 'Serve|Journal|NeighborLists|NearestNeighbor|MultipleFragment' \
+      -R 'Serve|Journal|NeighborLists|NearestNeighbor|MultipleFragment|^Simd' \
       -E 'SurvivesInjectedDeviceFault'
 
 echo

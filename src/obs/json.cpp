@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 #include <vector>
 
 #include "common/check.hpp"
@@ -119,9 +121,13 @@ JsonWriter& JsonWriter::value(double v) {
     out_ += "null";
     return *this;
   }
+  // to_chars with a precision gives printf's "%.12g" bytes (the standard
+  // defines it so), without printf's format parsing and locale lookup.
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  out_ += buf;
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                       std::chars_format::general, 12);
+  TSPOPT_CHECK(ec == std::errc());
+  out_.append(buf, end);
   return *this;
 }
 

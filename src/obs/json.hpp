@@ -46,6 +46,8 @@ class JsonWriter {
   JsonWriter& raw_value(std::string_view fragment);
 
   const std::string& str() const { return out_; }
+  // Moves the text out without a copy; the writer is spent.
+  std::string take() && { return std::move(out_); }
 
  private:
   void pre_value();

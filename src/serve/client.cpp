@@ -119,7 +119,7 @@ void Client::connect_now() {
   fd_ = fd;
 }
 
-obs::JsonValue Client::request(const std::string& line) {
+obs::JsonValue Client::request(std::string line) {
   TSPOPT_CHECK_MSG(fd_ >= 0, "client is not connected");
   const bool bounded = options_.io_timeout_ms > 0.0;
   auto deadline = Clock::now() +
@@ -134,10 +134,9 @@ obs::JsonValue Client::request(const std::string& line) {
     return ClientTimeout(phase, options_.io_timeout_ms);
   };
 
-  std::string out = line;
-  out.push_back('\n');
-  const char* p = out.data();
-  std::size_t left = out.size();
+  line.push_back('\n');
+  const char* p = line.data();
+  std::size_t left = line.size();
   while (left > 0) {
     if (!poll_until(fd_, POLLOUT, bounded, deadline)) {
       throw fail_timeout("send");
@@ -200,9 +199,10 @@ obs::JsonValue Client::submit(const JobSpec& spec) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("verb").value("submit");
-  w.key("job").raw_value(job_spec_to_json(traced));
+  w.key("job");
+  write_job_spec(w, traced);
   w.end_object();
-  obs::JsonValue response = request(w.str());
+  obs::JsonValue response = request(std::move(w).take());
   if (span) {
     const obs::JsonValue* id = response.find("id");
     if (id != nullptr && id->kind == obs::JsonValue::Kind::kNumber) {
@@ -220,7 +220,7 @@ std::string id_request(const char* verb, std::uint64_t id) {
   w.key("verb").value(verb);
   w.key("id").value(id);
   w.end_object();
-  return w.str();
+  return std::move(w).take();
 }
 
 }  // namespace

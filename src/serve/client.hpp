@@ -70,12 +70,12 @@ class Client {
   // Drop the current connection (if any) and establish a fresh one.
   void reconnect();
 
-  // Raw round trip: send `line` (newline appended), await the response
-  // line, parse it. CheckError on connection loss or malformed response
-  // JSON; ClientTimeout when the round trip exceeds io_timeout_ms (the
-  // connection is dropped — a late response must not answer the next
-  // request).
-  obs::JsonValue request(const std::string& line);
+  // Raw round trip: send `line` (newline appended in place), await the
+  // response line, parse it. CheckError on connection loss or malformed
+  // response JSON; ClientTimeout when the round trip exceeds
+  // io_timeout_ms (the connection is dropped — a late response must not
+  // answer the next request).
+  obs::JsonValue request(std::string line);
 
   // Verb helpers. Responses are returned as parsed objects; "ok" is NOT
   // checked here — rejection responses (queue full, invalid spec) are

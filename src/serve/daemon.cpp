@@ -274,6 +274,8 @@ bool send_all(int fd, const std::string& data) {
 // on any socket error, or on protocol abuse; the caller owns fd cleanup.
 void serve_fd(Scheduler& scheduler, int fd, std::size_t max_line_bytes) {
   std::string pending;
+  // pending[0, scanned) holds no '\n': each recv scans only its new bytes.
+  std::size_t scanned = 0;
   char buf[4096];
   for (;;) {
     ssize_t n = ::recv(fd, buf, sizeof buf, 0);
@@ -295,14 +297,25 @@ void serve_fd(Scheduler& scheduler, int fd, std::size_t max_line_bytes) {
     }
 
     std::size_t pos;
-    while ((pos = pending.find('\n')) != std::string::npos) {
-      std::string line = pending.substr(0, pos);
-      pending.erase(0, pos + 1);
+    while ((pos = pending.find('\n', scanned)) != std::string::npos) {
+      std::string line;
+      if (pos + 1 == pending.size()) {
+        // The usual case, one request per round trip: the line ends the
+        // buffer, so it moves out instead of being copied.
+        line = std::move(pending);
+        line.pop_back();
+        pending.clear();
+      } else {
+        line = pending.substr(0, pos);
+        pending.erase(0, pos + 1);
+      }
+      scanned = 0;
       if (line.empty()) continue;
       std::string response = handle_request(scheduler, line);
       response.push_back('\n');
       if (!send_all(fd, response)) return;
     }
+    scanned = pending.size();
   }
 }
 

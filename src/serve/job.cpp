@@ -32,8 +32,7 @@ double Job::deadline_remaining_ms() const {
   return spec_.deadline_ms - elapsed.count();
 }
 
-std::string job_spec_to_json(const JobSpec& spec) {
-  obs::JsonWriter w;
+void write_job_spec(obs::JsonWriter& w, const JobSpec& spec) {
   w.begin_object();
   w.key("schema").value("tspopt.job");
   w.key("schema_version").value(static_cast<std::int64_t>(kJobSchemaVersion));
@@ -65,7 +64,12 @@ std::string job_spec_to_json(const JobSpec& spec) {
   if (!spec.trace_id.empty()) w.key("trace_id").value(spec.trace_id);
   if (spec.parent_span != 0) w.key("parent_span").value(spec.parent_span);
   w.end_object();
-  return w.str();
+}
+
+std::string job_spec_to_json(const JobSpec& spec) {
+  obs::JsonWriter w;
+  write_job_spec(w, spec);
+  return std::move(w).take();
 }
 
 namespace {

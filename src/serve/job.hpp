@@ -136,6 +136,11 @@ std::int32_t int32_field(const obs::JsonValue& v, const char* key,
 //     "trace_id": "...", "parent_span": N }
 // Optional fields take the JobSpec defaults; unknown fields are rejected
 // so schema-version mistakes surface at the boundary.
+// write_job_spec writes the object in value position of `w` (after a
+// key, in an array, or as the document), so a request or a journal record
+// carries the spec without a second copy of its text; job_spec_to_json is
+// the same object as a document of its own.
+void write_job_spec(obs::JsonWriter& w, const JobSpec& spec);
 std::string job_spec_to_json(const JobSpec& spec);
 JobSpec job_spec_from_json(const obs::JsonValue& value);  // throws CheckError
 

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,6 +11,8 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <initializer_list>
+#include <iterator>
 #include <limits>
 #include <string_view>
 #include <utility>
@@ -30,8 +33,10 @@ constexpr std::size_t kRecordHeaderBytes = 12;  // u32 len + u64 fnv1a
 // 744k-city result order) stays well under it.
 constexpr std::uint32_t kMaxRecordBytes = 256u << 20;
 
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+
+// FNV-1a of `bytes`, continuing from `h` (a record's parts hash as one).
+std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = kFnvOffset) {
   for (unsigned char c : bytes) {
     h ^= c;
     h *= 0x100000001B3ULL;
@@ -39,28 +44,57 @@ std::uint64_t fnv1a(std::string_view bytes) {
   return h;
 }
 
-std::string encode_record(const std::string& payload) {
-  std::string rec;
-  rec.reserve(kRecordHeaderBytes + payload.size());
-  auto len = static_cast<std::uint32_t>(payload.size());
-  std::uint64_t sum = fnv1a(payload);
-  rec.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  rec.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
-  rec += payload;
-  return rec;
-}
+// Writes one record — the 12-byte header (payload length, FNV-1a of the
+// payload), then the payload, given as up to three consecutive parts —
+// with writev, so the payload is framed without being copied. At most
+// `limit` bytes of the record are written (the torn-tail fault). Returns
+// the bytes written, or -1 with errno set.
+std::int64_t write_record(int fd,
+                          std::initializer_list<std::string_view> payload,
+                          std::size_t limit) {
+  std::size_t payload_bytes = 0;
+  std::uint64_t sum = kFnvOffset;
+  for (std::string_view part : payload) {
+    payload_bytes += part.size();
+    sum = fnv1a(part, sum);
+  }
+  const auto len = static_cast<std::uint32_t>(payload_bytes);
+  char header[kRecordHeaderBytes];
+  std::memcpy(header, &len, sizeof(len));
+  std::memcpy(header + sizeof(len), &sum, sizeof(sum));
 
-bool write_fully(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    ssize_t n = ::write(fd, data, size);
+  // The record's pieces, clipped to `limit` bytes in total.
+  iovec iov[4];
+  TSPOPT_CHECK(payload.size() < std::size(iov));
+  std::size_t total = 0;
+  int count = 0;
+  auto add = [&](const char* data, std::size_t size) {
+    size = std::min(size, limit - total);
+    if (size == 0) return;
+    iov[count++] = {const_cast<char*>(data), size};
+    total += size;
+  };
+  add(header, sizeof(header));
+  for (std::string_view part : payload) add(part.data(), part.size());
+
+  // writev until every piece is out, resuming after partial writes.
+  iovec* next = iov;
+  std::size_t left = total;
+  while (left > 0) {
+    const ssize_t n = ::writev(fd, next, static_cast<int>(iov + count - next));
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return -1;
     }
-    data += n;
-    size -= static_cast<std::size_t>(n);
+    auto done = static_cast<std::size_t>(n);
+    left -= done;
+    for (; done > 0 && done >= next->iov_len; ++next) done -= next->iov_len;
+    if (done > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + done;
+      next->iov_len -= done;
+    }
   }
-  return true;
+  return static_cast<std::int64_t>(total);
 }
 
 bool parse_job_state(const std::string& name, JobState* out) {
@@ -362,7 +396,8 @@ void Journal::apply_to_digest(const obs::JsonValue& record) {
   // older one replaying the same directory.
 }
 
-bool Journal::append_record(const char* phase, const std::string& payload) {
+bool Journal::append_record(const char* phase,
+                            std::initializer_list<std::string_view> payload) {
   // mu_ held by caller (append()).
   if (options_.faults) options_.faults->reach_phase(phase);
   if (wedged_) {
@@ -374,7 +409,6 @@ bool Journal::append_record(const char* phase, const std::string& payload) {
   FaultPlan::AppendFate fate;
   if (options_.faults) fate = options_.faults->next_append();
 
-  std::string record = encode_record(payload);
   if (fate.fail_write) {
     ++n_append_errors_;
     m_->append_errors.add();
@@ -386,9 +420,7 @@ bool Journal::append_record(const char* phase, const std::string& payload) {
     return false;
   }
   if (fate.tear) {
-    std::size_t keep =
-        std::min(options_.faults->tear_keep_bytes, record.size());
-    write_fully(fd_, record.data(), keep);
+    write_record(fd_, payload, options_.faults->tear_keep_bytes);
     ::fsync(fd_);
     wedged_ = true;
     ++n_append_errors_;
@@ -402,7 +434,9 @@ bool Journal::append_record(const char* phase, const std::string& payload) {
         .arg("error", "injected torn write; journal wedged");
     return false;
   }
-  if (!write_fully(fd_, record.data(), record.size())) {
+  const std::int64_t written =
+      write_record(fd_, payload, std::numeric_limits<std::size_t>::max());
+  if (written < 0) {
     ++n_append_errors_;
     m_->append_errors.add();
     last_append_ok_ = false;
@@ -415,8 +449,8 @@ bool Journal::append_record(const char* phase, const std::string& payload) {
   last_append_ok_ = true;
   ++n_appends_;
   m_->appends.add();
-  n_bytes_ += record.size();
-  active_bytes_ += record.size();
+  n_bytes_ += static_cast<std::size_t>(written);
+  active_bytes_ += static_cast<std::size_t>(written);
   return true;
 }
 
@@ -478,8 +512,8 @@ bool Journal::write_snapshot_segment(std::uint64_t seq) {
   if (fd < 0) return false;
   bool ok = true;
   for (const auto& [id, entry] : digest_) {
-    std::string record = encode_record(snapshot_payload(id, entry));
-    if (!write_fully(fd, record.data(), record.size())) {
+    if (write_record(fd, {snapshot_payload(id, entry)},
+                     std::numeric_limits<std::size_t>::max()) < 0) {
       ok = false;
       break;
     }
@@ -538,17 +572,21 @@ bool Journal::maybe_rotate_locked() {
 }
 
 bool Journal::append_accepted(const Job& job) {
+  // The record is {"type":"accepted","id":N,"job":<spec>}; the spec's text
+  // is written once, framed in place by append_record and then kept by
+  // the digest.
   std::string job_json = job_spec_to_json(job.spec());
   obs::JsonWriter w;
   w.begin_object();
   w.key("type").value("accepted");
   w.key("id").value(job.id());
-  w.key("job").raw_value(job_json);
-  w.end_object();
+  w.key("job");
 
   std::lock_guard lock(mu_);
   TSPOPT_CHECK_MSG(opened_, "journal not opened");
-  if (!append_record("append:accepted", w.str())) return false;
+  if (!append_record("append:accepted", {w.str(), job_json, "}"})) {
+    return false;
+  }
   DigestEntry entry;
   entry.job_json = std::move(job_json);
   digest_[job.id()] = std::move(entry);
@@ -568,7 +606,7 @@ bool Journal::append_started(std::uint64_t id, std::int32_t attempt) {
 
   std::lock_guard lock(mu_);
   TSPOPT_CHECK_MSG(opened_, "journal not opened");
-  if (!append_record("append:started", w.str())) return false;
+  if (!append_record("append:started", {w.str()})) return false;
   auto it = digest_.find(id);
   if (it != digest_.end()) {
     it->second.state = "running";
@@ -599,7 +637,7 @@ bool Journal::append_settled(const Job& job, JobState state) {
 
   std::lock_guard lock(mu_);
   TSPOPT_CHECK_MSG(opened_, "journal not opened");
-  if (!append_record("append:settled", w.str())) return false;
+  if (!append_record("append:settled", {w.str()})) return false;
   auto it = digest_.find(job.id());
   if (it != digest_.end()) {
     it->second.state = to_string(state);
@@ -621,7 +659,7 @@ bool Journal::append_rejected(std::uint64_t id) {
 
   std::lock_guard lock(mu_);
   TSPOPT_CHECK_MSG(opened_, "journal not opened");
-  if (!append_record("append:rejected", w.str())) return false;
+  if (!append_record("append:rejected", {w.str()})) return false;
   digest_.erase(id);
   fsync_active_locked(/*force=*/false);
   maybe_rotate_locked();
@@ -637,7 +675,7 @@ bool Journal::append_forgotten(std::uint64_t id) {
 
   std::lock_guard lock(mu_);
   TSPOPT_CHECK_MSG(opened_, "journal not opened");
-  if (!append_record("append:forgotten", w.str())) return false;
+  if (!append_record("append:forgotten", {w.str()})) return false;
   digest_.erase(id);
   ++settled_since_rotate_;
   fsync_active_locked(/*force=*/false);

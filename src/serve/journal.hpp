@@ -49,10 +49,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/fault.hpp"
@@ -160,7 +162,9 @@ class Journal {
     std::string error;        // non-empty for failed
   };
 
-  bool append_record(const char* phase, const std::string& payload);
+  // Appends one record whose payload is the concatenation of `payload`.
+  bool append_record(const char* phase,
+                     std::initializer_list<std::string_view> payload);
   void apply_to_digest(const obs::JsonValue& record);
   bool maybe_rotate_locked();
   bool write_snapshot_segment(std::uint64_t seq);  // tmp + fsync + rename

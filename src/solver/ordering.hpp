@@ -36,8 +36,9 @@ inline std::vector<Point> order_coordinates(const Instance& instance,
 }
 
 // Same permutation, straight into the SoA split the vector kernels read
-// (one pass, no intermediate Point array), then the successor lengths the
-// row kernels' reach filter compares against. Reuses `out`'s capacity.
+// (one pass, no intermediate Point array), then the successor lengths and
+// the tiles the row kernels' reach filters compare against. Reuses `out`'s
+// capacity.
 inline void order_coordinates_soa(const Instance& instance, const Tour& tour,
                                   SoaCoords& out) {
   TSPOPT_CHECK(instance.n() == tour.n());
@@ -55,6 +56,7 @@ inline void order_coordinates_soa(const Instance& instance, const Tour& tour,
   }
   out.close();
   out.measure_all();
+  out.stage_tiles();
 }
 
 }  // namespace tspopt

@@ -23,10 +23,28 @@ namespace {
 // IEEE single operation, so the AVX2 kernel's lane arithmetic reproduces
 // it bit-for-bit. The build disables FP contraction globally so neither
 // path fuses the sum of squares into an FMA behind our back.
-inline std::int32_t dist_f(float ax, float ay, float bx, float by) {
-  float dx = ax - bx;
-  float dy = ay - by;
+inline std::int32_t dist_offset(float dx, float dy) {
   return static_cast<std::int32_t>(std::sqrt(dx * dx + dy * dy) + 0.5f);
+}
+
+inline std::int32_t dist_f(float ax, float ay, float bx, float by) {
+  return dist_offset(ax - bx, ay - by);
+}
+
+constexpr std::int32_t kTileShift = SoaCoords::kTileShift;
+constexpr std::int32_t kLanes = TileGroup::kLanes;
+
+// The tile reach filter (see simd.hpp): true when every position i of
+// tile t has d(i, j) > |i, i+1| + |j, j+1|, proved from j's offset to the
+// tile's box, each axis clamped at 0, and the tile's longest successor
+// edge. `removed_jj1` is |j, j+1|.
+inline bool tile_beyond(const RowArgs& a, std::int32_t t,
+                        std::int32_t removed_jj1) {
+  const TileGroup& g = a.tiles[t / kLanes];
+  const std::int32_t l = t % kLanes;
+  const float dx = std::max({g.x_lo[l] - a.xj, a.xj - g.x_hi[l], 0.0f});
+  const float dy = std::max({g.y_lo[l] - a.yj, a.yj - g.y_hi[l], 0.0f});
+  return dist_offset(dx, dy) > g.max_succ_len[l] + removed_jj1;
 }
 
 // One pair through the reach filter. Returns false, with *delta unset,
@@ -48,16 +66,29 @@ inline bool reach_pair(const RowArgs& a, std::int32_t i,
 
 // Scalar pairs [i, i_end) into `best`. Strict < keeps the earliest
 // (smallest-i) move on delta ties, and the kNoMove sentinel (+1) admits
-// every delta <= 0 exactly once.
+// every delta <= 0 exactly once. With tiles, the pairs of a tile that
+// tile_beyond clears are skipped without a distance.
 inline void row_pairs_scalar(const RowArgs& a, std::int32_t i,
                              std::int32_t removed_jj1, RowBest& best) {
-  for (; i < a.i_end; ++i) {
-    std::int32_t d = 0;
-    if (!reach_pair(a, i, removed_jj1, &d)) {
-      ++best.skipped;
-    } else if (d < best.delta) {
-      best.delta = d;
-      best.i = i;
+  while (i < a.i_end) {
+    std::int32_t run_end = a.i_end;
+    if (a.tiles != nullptr) {
+      const std::int32_t t = i >> kTileShift;
+      run_end = std::min((t + 1) << kTileShift, a.i_end);
+      if (tile_beyond(a, t, removed_jj1)) {
+        best.skipped += run_end - i;
+        i = run_end;
+        continue;
+      }
+    }
+    for (; i < run_end; ++i) {
+      std::int32_t d = 0;
+      if (!reach_pair(a, i, removed_jj1, &d)) {
+        ++best.skipped;
+      } else if (d < best.delta) {
+        best.delta = d;
+        best.i = i;
+      }
     }
   }
 }
@@ -124,6 +155,30 @@ __attribute__((target("avx2,fma"))) inline __m256i dist_v(__m256 ax, __m256 ay,
   return _mm256_cvttps_epi32(r);  // truncation, as static_cast<int32>
 }
 
+// tile_beyond for the eight tiles of `g` at once, as lane bits: the same
+// clamped box offsets and distance arithmetic, lane by lane. Lanes past
+// the last tile hold no positions: whatever their bits, a row ends
+// before them.
+__attribute__((target("avx2,fma"))) inline std::uint32_t tile_group_beyond(
+    const TileGroup& g, __m256 xj, __m256 yj, __m256i removed_jj1) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 dx = _mm256_max_ps(
+      _mm256_max_ps(_mm256_sub_ps(_mm256_load_ps(g.x_lo), xj),
+                    _mm256_sub_ps(xj, _mm256_load_ps(g.x_hi))),
+      zero);
+  const __m256 dy = _mm256_max_ps(
+      _mm256_max_ps(_mm256_sub_ps(_mm256_load_ps(g.y_lo), yj),
+                    _mm256_sub_ps(yj, _mm256_load_ps(g.y_hi))),
+      zero);
+  const __m256i bound = _mm256_add_epi32(
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(g.max_succ_len)),
+      removed_jj1);
+  const __m256i beyond =
+      _mm256_cmpgt_epi32(dist_v(dx, dy, zero, zero), bound);
+  return static_cast<std::uint32_t>(
+      _mm256_movemask_ps(_mm256_castsi256_ps(beyond)));
+}
+
 // kStaged reads |i, i+1| from a.succ_len; otherwise each block derives
 // it from the successor loads it already holds. A template parameter, not
 // a per-block branch, so neither variant pays for the other.
@@ -144,39 +199,75 @@ __attribute__((target("avx2,fma"))) RowBest row_avx2_body(const RowArgs& a) {
                                 _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   std::int32_t skipped = 0;
 
+  // Cleared-tile bits of one tile group, tested eight tiles at a time.
+  std::int32_t group = -1;
+  std::uint32_t cleared_tiles = 0;
+
   std::int32_t i = a.i_begin;
-  for (; i + kW <= a.i_end; i += kW) {
-    // Coalesced SoA loads: positions i..i+7 and their +1 successors.
-    __m256 xi = _mm256_loadu_ps(a.xs + i);
-    __m256 yi = _mm256_loadu_ps(a.ys + i);
-    __m256 xi1 = _mm256_loadu_ps(a.xs + i + 1);
-    __m256 yi1 = _mm256_loadu_ps(a.ys + i + 1);
-
-    __m256i succ;
-    if constexpr (kStaged) {
-      succ = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(a.succ_len + i));
-    } else {
-      succ = dist_v(xi, yi, xi1, yi1);
+  while (i + kW <= a.i_end) {
+    // Blocks run while i + kW <= run_end: the whole row without tiles;
+    // with tiles, the blocks wholly inside one tile the tile test does
+    // not clear, or one block that leaves a tile.
+    std::int32_t run_end = a.i_end;
+    if (a.tiles != nullptr) {
+      const std::int32_t t = i >> kTileShift;
+      if (t / kLanes != group) {
+        group = t / kLanes;
+        cleared_tiles =
+            tile_group_beyond(a.tiles[group], xj, yj, removed_jj1);
+      }
+      // Tile t and the cleared tiles after it in its group form a run
+      // (empty when t is not cleared); every block wholly inside the run
+      // is skipped.
+      const std::uint32_t ahead = cleared_tiles >> (t % kLanes);
+      const std::int32_t cleared_end = std::min(
+          (t + static_cast<std::int32_t>(__builtin_ctz(~ahead)))
+              << kTileShift,
+          a.i_end);
+      if (cleared_end - i >= kW) {
+        const std::int32_t span = (cleared_end - i) / kW * kW;
+        skipped += span;
+        i += span;
+        iv = _mm256_add_epi32(iv, _mm256_set1_epi32(span));
+        continue;
+      }
+      const std::int32_t tile_end =
+          std::min((t + 1) << kTileShift, a.i_end);
+      run_end = (ahead & 1u) != 0 ? i + kW : std::max(tile_end, i + kW);
     }
-    __m256i removed = _mm256_add_epi32(succ, removed_jj1);
-    __m256i near = dist_v(xi, yi, xj, yj);
+    for (; i + kW <= run_end; i += kW) {
+      // Coalesced SoA loads: positions i..i+7 and their +1 successors.
+      __m256 xi = _mm256_loadu_ps(a.xs + i);
+      __m256 yi = _mm256_loadu_ps(a.ys + i);
+      __m256 xi1 = _mm256_loadu_ps(a.xs + i + 1);
+      __m256 yi1 = _mm256_loadu_ps(a.ys + i + 1);
 
-    // Reach filter: a block whose every lane has d(i, j) > removed holds
-    // only delta > 0 pairs, none of which can enter the lane minimum.
-    __m256i beyond = _mm256_cmpgt_epi32(near, removed);
-    if (_mm256_movemask_ps(_mm256_castsi256_ps(beyond)) == 0xFF) {
-      skipped += kW;
-    } else {
-      __m256i d = _mm256_sub_epi32(
-          _mm256_add_epi32(near, dist_v(xi1, yi1, xj1, yj1)), removed);
-      // d < best_d per lane: strict, so the earliest i wins lane-local
-      // ties (i only grows within a lane).
-      __m256i take = _mm256_cmpgt_epi32(best_d, d);
-      best_d = _mm256_blendv_epi8(best_d, d, take);
-      best_i = _mm256_blendv_epi8(best_i, iv, take);
+      __m256i succ;
+      if constexpr (kStaged) {
+        succ = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(a.succ_len + i));
+      } else {
+        succ = dist_v(xi, yi, xi1, yi1);
+      }
+      __m256i removed = _mm256_add_epi32(succ, removed_jj1);
+      __m256i near = dist_v(xi, yi, xj, yj);
+
+      // Reach filter: a block whose every lane has d(i, j) > removed holds
+      // only delta > 0 pairs, none of which can enter the lane minimum.
+      __m256i beyond = _mm256_cmpgt_epi32(near, removed);
+      if (_mm256_movemask_ps(_mm256_castsi256_ps(beyond)) == 0xFF) {
+        skipped += kW;
+      } else {
+        __m256i d = _mm256_sub_epi32(
+            _mm256_add_epi32(near, dist_v(xi1, yi1, xj1, yj1)), removed);
+        // d < best_d per lane: strict, so the earliest i wins lane-local
+        // ties (i only grows within a lane).
+        __m256i take = _mm256_cmpgt_epi32(best_d, d);
+        best_d = _mm256_blendv_epi8(best_d, d, take);
+        best_i = _mm256_blendv_epi8(best_i, iv, take);
+      }
+      iv = _mm256_add_epi32(iv, _mm256_set1_epi32(kW));
     }
-    iv = _mm256_add_epi32(iv, _mm256_set1_epi32(kW));
   }
 
   // Horizontal reduction: lexicographic (delta, i) minimum across lanes.
@@ -195,8 +286,9 @@ __attribute__((target("avx2,fma"))) RowBest row_avx2_body(const RowArgs& a) {
     }
   }
 
-  // Scalar tail for the remaining len % W positions. Their i exceeds every
-  // vectorized i, so a tail move must be strictly better to win.
+  // Scalar tail for the remaining len % W positions (tiles still apply).
+  // Their i exceeds every vectorized i, so a tail move must be strictly
+  // better to win.
   row_pairs_scalar(a, i, djj1, best);
   return best;
 }

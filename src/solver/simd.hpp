@@ -27,6 +27,24 @@
 // pair never holds a move the row could report, and the result is the
 // unfiltered one bit for bit.
 //
+// Given the staged tiles (RowArgs::tiles, tsp/soa.hpp), the kernel first
+// applies the same test to a whole tile of kTile route positions. Let
+// (dx, dy) be j's offset from the tile's bounding box, each clamped at 0,
+// and L = dist(dx, dy) in the kernel's own float arithmetic. For every i
+// of the tile, |xs[i] - xj| >= dx and |ys[i] - yj| >= dy (IEEE
+// subtraction is monotone in each operand), and square, add, sqrt, +0.5
+// and truncation are each monotone, so L <= d(i, j). If
+//
+//   L > |j, j+1| + max over the tile of |i, i+1|,
+//
+// every pair of the tile passes the per-pair test, so the kernel skips it
+// without computing any distance: each W-lane block wholly inside the
+// tile (in AVX2, inside a run of such tiles; it tests a TileGroup's eight
+// tiles at once) and each scalar-tail pair in it. A block that leaves
+// such a tile or run runs the per-pair test as before. The per-pair test
+// would have skipped exactly those pairs, so RowBest, `skipped` included,
+// is the same with and without tiles, for any [i_begin, i_end).
+//
 // Implementations are selected at runtime (CPUID), so one binary runs
 // everywhere: the scalar kernel is the portable fallback, the AVX2/FMA
 // kernel is compiled with a function-level target attribute and only ever
@@ -40,6 +58,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "tsp/soa.hpp"
 
 namespace tspopt::simd {
 
@@ -57,6 +77,9 @@ std::string to_string(Level level);
 // indexed like xs, holds |i, i+1| for every evaluated i (SoaCoords stages
 // it once per pass); nullptr derives each length inline from xs/ys, for
 // callers without a staged copy (the tiled engine's shared-memory ranges).
+// `tiles` (SoaCoords::tiles(), staged from the same xs/ys/lengths, with
+// xs[0] at route position 0) turns on the tile reach filter; nullptr
+// tests pairs and blocks only.
 struct RowArgs {
   const float* xs = nullptr;
   const float* ys = nullptr;
@@ -65,6 +88,7 @@ struct RowArgs {
   float xj = 0.0f, yj = 0.0f;    // coordinate of position j
   float xj1 = 0.0f, yj1 = 0.0f;  // successor of j (wraps at the tour end)
   const std::int32_t* succ_len = nullptr;
+  const TileGroup* tiles = nullptr;
 };
 
 // Row result: the lexicographic minimum of (delta, i) over the row's

@@ -15,6 +15,7 @@ SearchResult TwoOptCpuParallel::search(const Instance& instance,
   const float* xs = soa_.xs();
   const float* ys = soa_.ys();
   const std::int32_t* succ_len = soa_.succ_len();
+  const TileGroup* tiles = soa_.tiles();
   const std::int32_t n = tour.n();
   const std::int64_t total = pair_count(n);
 
@@ -38,7 +39,7 @@ SearchResult TwoOptCpuParallel::search(const Instance& instance,
                 std::int64_t k0) {
               simd::RowArgs row{xs,    ys,        i0,        i1,
                                 xs[j], ys[j],     xs[j + 1], ys[j + 1],
-                                succ_len};
+                                succ_len, tiles};
               simd::RowBest rb = kernels_.row(row);
               if (rb.found()) {
                 consider_move(best, rb.delta, k0 + (rb.i - i0), rb.i, j);

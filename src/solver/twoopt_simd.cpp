@@ -14,14 +14,16 @@ SearchResult TwoOptSimd::search(const Instance& instance, const Tour& tour) {
   const float* xs = soa_.xs();
   const float* ys = soa_.ys();
   const std::int32_t* succ_len = soa_.succ_len();
+  const TileGroup* tiles = soa_.tiles();
 
   BestMove best;
   std::uint64_t vectorized = 0;
   std::uint64_t scalar_tail = 0;
   std::uint64_t reach_skipped = 0;
   for (std::int32_t j = 1; j < n; ++j) {
-    simd::RowArgs row{xs,        ys,        0,         j,       xs[j],
-                      ys[j],     xs[j + 1], ys[j + 1], succ_len};
+    simd::RowArgs row{xs,        ys,        0,         j,
+                      xs[j],     ys[j],     xs[j + 1], ys[j + 1],
+                      succ_len,  tiles};
     simd::RowBest rb = kernels_.row(row);
     if (rb.found()) {
       consider_move(best, rb.delta, pair_index(rb.i, j), rb.i, j);

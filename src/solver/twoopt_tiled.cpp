@@ -111,9 +111,9 @@ class TiledKernel {
     for (std::int32_t jj = first_row + static_cast<std::int32_t>(tid);
          jj < tile.b_len; jj += stride) {
       const std::int32_t row_len = tile.diagonal() ? jj : tile.a_len;
-      // No staged successor lengths: shared memory holds only the two
-      // coordinate ranges, so the kernel's reach filter derives |i, i+1|
-      // from them.
+      // No staged successor lengths or tiles: shared memory holds only
+      // the two coordinate ranges, so the kernel's reach filter derives
+      // |i, i+1| from them and tests pairs, never whole tiles.
       simd::RowArgs row{xs_a,
                         ys_a,
                         0,

@@ -82,6 +82,39 @@ TEST(ObsJson, WriterParserRoundTrip) {
   EXPECT_EQ(doc.find("missing"), nullptr);
 }
 
+TEST(ObsJson, WriterFormatsDoublesAsPrintfDoes) {
+  // The writer's double text is printf's "%.12g": edge values of the
+  // formats (signed zero, denormals, exponent switches, float-widened
+  // coordinates up to the 2.5e8 bound, integers) and a sweep of values.
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 42.0, 1e21, -1e21, 1e15, 123456789012.0,
+      1234567890123.0, 1e-5, 1e-4, 0.1, 0.25,
+      static_cast<double>(0.1f), static_cast<double>(2.5e8f),
+      static_cast<double>(-2.5e8f), static_cast<double>(2.5e8f - 16.0f),
+      static_cast<double>(12345.678f), 9007199254740993.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), 999999999999.5, 0.5e-300};
+  for (int e = -30; e <= 30; ++e) {
+    values.push_back(std::pow(10.0, e));
+    values.push_back(1.0000000000005 * std::pow(10.0, e));
+    values.push_back(-9.9999999999995 * std::pow(10.0, e));
+  }
+  for (std::int64_t n : {std::int64_t{7}, std::int64_t{-123456},
+                         std::int64_t{999999999999},
+                         std::int64_t{1000000000000}}) {
+    values.push_back(static_cast<double>(n));
+  }
+  for (double v : values) {
+    char want[40];
+    std::snprintf(want, sizeof(want), "%.12g", v);
+    JsonWriter w;
+    w.value(v);
+    EXPECT_EQ(w.str(), want) << want;
+  }
+}
+
 TEST(ObsJson, ParserDecodesEscapesAndRejectsGarbage) {
   JsonValue doc = obs::json_parse("{\"s\": \"a\\u0041\\n\\\"b\"}");
   EXPECT_EQ(doc.at("s").string, "aA\n\"b");

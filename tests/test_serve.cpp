@@ -7,6 +7,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -845,6 +846,48 @@ TEST(ServeDaemon, SurvivesTruncatedRequestAndMidLineDisconnect) {
   // The daemon still serves fresh connections normally.
   Client client("127.0.0.1", daemon.port());
   EXPECT_TRUE(client.request("{\"verb\":\"ping\"}").at("ok").boolean);
+  daemon.stop(false);
+}
+
+TEST(ServeDaemon, SplitAndPipelinedLinesAnswerInOrder) {
+  PoolFixture fixture(1);
+  DaemonOptions options;
+  options.port = 0;
+  Daemon daemon(*fixture.pool, options);
+  daemon.start();
+
+  // Requests split anywhere, several to one send, blank lines between,
+  // and one line of ~300 KB sent in 4 KB pieces: every request gets one
+  // reply, in order.
+  int fd = connect_loopback(daemon.port());
+  // A lost line must fail the test, not hang it.
+  const timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof timeout),
+            0);
+  auto send_piece = [&](const std::string& piece) {
+    ASSERT_EQ(::send(fd, piece.data(), piece.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(piece.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  };
+  send_piece("{\"verb\":\"pi");
+  send_piece("ng\"}\n{\"verb\":\"ping\"}\n\n{\"ve");
+  send_piece("rb\":\"stats\"}\n");
+  const std::string big =
+      "{\"verb\":\"ping\",\"pad\":\"" + std::string(300000, 'x') + "\"}\n";
+  for (std::size_t at = 0; at < big.size(); at += 4096) {
+    send_piece(big.substr(at, 4096));
+  }
+  send_piece("{\"verb\":\"ping\"}\n");
+
+  EXPECT_TRUE(obs::json_parse(recv_line(fd)).at("ok").boolean);
+  EXPECT_TRUE(obs::json_parse(recv_line(fd)).at("ok").boolean);
+  obs::JsonValue stats = obs::json_parse(recv_line(fd));
+  EXPECT_TRUE(stats.at("ok").boolean);
+  EXPECT_NE(stats.find("stats"), nullptr) << "third reply answers stats";
+  EXPECT_FALSE(recv_line(fd).empty());  // the 300 KB line's reply
+  EXPECT_TRUE(obs::json_parse(recv_line(fd)).at("ok").boolean);
+  ::close(fd);
   daemon.stop(false);
 }
 

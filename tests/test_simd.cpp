@@ -17,13 +17,16 @@
 #include "common/rng.hpp"
 #include "obs/registry.hpp"
 #include "simt/device.hpp"
+#include "solver/constructive.hpp"
 #include "solver/delta.hpp"
+#include "solver/local_search.hpp"
 #include "solver/ordering.hpp"
 #include "solver/simd.hpp"
 #include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_sequential.hpp"
 #include "solver/twoopt_simd.hpp"
 #include "solver/twoopt_tiled.hpp"
+#include "tsp/catalog.hpp"
 #include "tsp/generator.hpp"
 #include "tsp/neighbor_lists.hpp"
 
@@ -318,6 +321,175 @@ TEST(SimdRowKernels, ReachFilterNeverSkipsANonPositiveDelta) {
   }
 }
 
+// A route staged as the engines stage it: coordinates, successor lengths
+// and tiles, through SoaCoords.
+SoaCoords stage_route(const std::vector<Point>& route) {
+  SoaCoords soa;
+  soa.resize(static_cast<std::int32_t>(route.size()));
+  for (std::size_t p = 0; p < route.size(); ++p) {
+    soa.xs()[p] = route[p].x;
+    soa.ys()[p] = route[p].y;
+  }
+  soa.close();
+  soa.measure_all();
+  soa.stage_tiles();
+  return soa;
+}
+
+// Checks rows of `soa` against every position j: the row with tiles must
+// equal the row without them (delta, i and skipped) at every level, with
+// staged and derived successor lengths, for [i_begin, i_end) starting and
+// ending off tile and lane boundaries. Returns how many (row, tile) pairs
+// the tile bound cleared, so callers can check that tiles were skipped.
+std::int64_t expect_tiles_exact(const SoaCoords& soa, const std::string& what) {
+  const std::int32_t n = soa.n();
+  const float* xs = soa.xs();
+  const float* ys = soa.ys();
+  std::int64_t cleared = 0;
+  for (std::int32_t j = 1; j < n; ++j) {
+    const std::int32_t djj1 =
+        dist_euc2d(Point{xs[j], ys[j]}, Point{xs[j + 1], ys[j + 1]});
+    for (std::int32_t t = 0; t * SoaCoords::kTile < j; ++t) {
+      const TileGroup& g = soa.tiles()[t / TileGroup::kLanes];
+      const std::int32_t l = t % TileGroup::kLanes;
+      const float dx = std::max({g.x_lo[l] - xs[j], xs[j] - g.x_hi[l], 0.0f});
+      const float dy = std::max({g.y_lo[l] - ys[j], ys[j] - g.y_hi[l], 0.0f});
+      if (dist_euc2d(Point{0.0f, 0.0f}, Point{dx, dy}) >
+          g.max_succ_len[l] + djj1) {
+        ++cleared;
+      }
+    }
+    for (std::int32_t i_begin : {0, 1, 7, 63, 64, 65, 130, 509}) {
+      if (i_begin >= j) continue;
+      for (std::int32_t i_end : {j, j - 1, i_begin + 1, i_begin + 8,
+                                 i_begin + 71, (i_begin + j) / 2}) {
+        if (i_end < i_begin || i_end > j) continue;
+        simd::RowArgs row{xs,     ys,     i_begin,   i_end,
+                          xs[j],  ys[j],  xs[j + 1], ys[j + 1]};
+        const simd::RowBest reference = naive_row(row);
+        for (const std::int32_t* succ_len :
+             {static_cast<const std::int32_t*>(nullptr), soa.succ_len()}) {
+          row.succ_len = succ_len;
+          for (simd::Level level : simd::supported_levels()) {
+            const std::string where =
+                ctx({what, " ", simd::to_string(level),
+                     succ_len != nullptr ? " staged" : " derived", " j=",
+                     std::to_string(j), " [", std::to_string(i_begin), ",",
+                     std::to_string(i_end), ")"});
+            row.tiles = nullptr;
+            const simd::RowBest want = simd::kernels(level).row(row);
+            row.tiles = soa.tiles();
+            const simd::RowBest got = simd::kernels(level).row(row);
+            expect_rows_equal(want, reference, where);
+            expect_rows_equal(got, want, where);
+            EXPECT_EQ(got.skipped, want.skipped) << where;
+          }
+        }
+      }
+    }
+  }
+  return cleared;
+}
+
+// A snake over a cols x rows lattice of `step` spacing from `origin`:
+// consecutive positions are lattice neighbours, so every tile is a
+// compact patch and many pairs tie.
+std::vector<Point> snake_route(std::int32_t cols, std::int32_t rows,
+                               float step, float origin) {
+  std::vector<Point> route;
+  for (std::int32_t r = 0; r < rows; ++r) {
+    for (std::int32_t c = 0; c < cols; ++c) {
+      const std::int32_t col = r % 2 == 0 ? c : cols - 1 - c;
+      route.push_back({origin + step * static_cast<float>(col),
+                       origin + step * static_cast<float>(r)});
+    }
+  }
+  return route;
+}
+
+TEST(SimdRowKernels, TileFilterMatchesUnfilteredRowBitForBit) {
+  Pcg32 rng(2027);
+  std::int64_t cleared = 0;
+
+  // Random: tiles span the whole square and rarely clear.
+  std::vector<Point> random(259);
+  for (Point& p : random) {
+    p = {rng.next_float(0.0f, 1000.0f), rng.next_float(0.0f, 1000.0f)};
+  }
+  expect_tiles_exact(stage_route(random), "random");
+
+  // Clustered: 37-point clusters visited in turn, so cluster borders fall
+  // inside tiles and tiles straddle two clusters.
+  std::vector<Point> clustered;
+  for (std::int32_t c = 0; c < 7; ++c) {
+    const float cx = rng.next_float(0.0f, 5000.0f);
+    const float cy = rng.next_float(0.0f, 5000.0f);
+    for (std::int32_t k = 0; k < 37; ++k) {
+      clustered.push_back({cx + rng.next_float(-20.0f, 20.0f),
+                           cy + rng.next_float(-20.0f, 20.0f)});
+    }
+  }
+  cleared += expect_tiles_exact(stage_route(clustered), "clustered");
+
+  // Tie-heavy: an integer lattice snake (unit edges, equal deltas).
+  cleared += expect_tiles_exact(stage_route(snake_route(13, 20, 1.0f, 0.0f)),
+                                "lattice");
+
+  // Duplicates: each lattice point five times, so tiles hold zero-length
+  // edges and boxes of a few points.
+  std::vector<Point> duplicates;
+  for (const Point& p : snake_route(8, 7, 3.0f, 0.0f)) {
+    for (int copy = 0; copy < 5; ++copy) duplicates.push_back(p);
+  }
+  cleared += expect_tiles_exact(stage_route(duplicates), "duplicates");
+
+  // The 2.5e8 coordinate bound: a lattice spanning [-2.5e8, 2.5e8].
+  cleared += expect_tiles_exact(
+      stage_route(snake_route(16, 16, 5e8f / 15.0f, -2.5e8f)), "2.5e8");
+
+  // 10 tiles: runs of cleared tiles meet the edge of the first eight-tile
+  // group, and rows cross into the second.
+  cleared += expect_tiles_exact(stage_route(snake_route(32, 20, 1.0f, 0.0f)),
+                                "two groups");
+
+  // Bound edges. j = n - 2 sits at the origin and j + 1 at C = (5, 0).
+  // Edge tiles alternate with filler tiles. An edge tile is a compact run
+  // ~far from j whose last position i* has the next tile's first
+  // position, C, as successor: |i*, C| is the tile's longest edge, and
+  // d(i*, j) <= |i*, C| + |j, C|, so the per-pair test keeps (i*, j).
+  //  - "corner": i* = (far, 0) is the box corner nearest j and
+  //    d(i*, j) == |i*, C| + |j, C| exactly (delta 0): the tile bound
+  //    equals the removed edges and must not clear (strict >), nor may it
+  //    clear on the tile's first (short) edge in place of its longest.
+  //  - "inside": the tile spans x in [-1000, 1000] above j, so j's x
+  //    offset from the box is negative on both sides and only its clamp
+  //    at 0 keeps the bound at d(i*, j) (delta -5).
+  for (const bool inside : {false, true}) {
+    std::vector<Point> edge;
+    for (std::int32_t t = 0; t < 3; ++t) {
+      const float far = 1000.0f + 64.0f * static_cast<float>(t);
+      for (std::int32_t k = 0; k + 1 < SoaCoords::kTile; ++k) {
+        const auto fk = static_cast<float>(k);
+        const auto wobble = static_cast<float>(k % 3);
+        edge.push_back(inside ? Point{-1000.0f + fk * 2000.0f / 62.0f,
+                                      far + wobble}
+                              : Point{far + fk, 1.0f + wobble});
+      }
+      edge.push_back(inside ? Point{0.0f, far} : Point{far, 0.0f});  // i*
+      edge.push_back({5.0f, 0.0f});  // C, first of the filler tile
+      for (std::int32_t k = 1; k < SoaCoords::kTile; ++k) {
+        edge.push_back({far + static_cast<float>(k),
+                        3000.0f + static_cast<float>(k % 3)});
+      }
+    }
+    edge.push_back({0.0f, 0.0f});  // j
+    edge.push_back({5.0f, 0.0f});  // j + 1
+    cleared += expect_tiles_exact(stage_route(edge),
+                                  inside ? "edge inside" : "edge corner");
+  }
+  EXPECT_GT(cleared, 1000);
+}
+
 void expect_results_equal(const SearchResult& got, const SearchResult& want,
                           const std::string& what) {
   EXPECT_EQ(got.best.delta, want.best.delta) << what;
@@ -434,6 +606,33 @@ TEST(SimdEngines, PassCoverageCountersSplitEveryPair) {
     EXPECT_GT(ds, 0u) << "cpu-parallel @ " << simd::to_string(level);
     EXPECT_LE(ds, static_cast<std::uint64_t>(pair_count(n)))
         << "cpu-parallel @ " << simd::to_string(level);
+  }
+}
+
+TEST(SimdEngines, Vm1084DescentPinsMovesChecksLengthAndReachSkips) {
+  // One cpu-simd descent of vm1084 from its multiple-fragment start, as
+  // `tsplib_tool vm1084 --solve --engine cpu-simd` runs it. The reach
+  // filters decide pairs without changing which move a pass picks, so the
+  // trajectory and the skip counts are exact: the AVX2 kernel skips whole
+  // 8-lane blocks, the scalar kernel every provable pair.
+  Instance inst = make_catalog_instance(*find_catalog_entry("vm1084"));
+  const Tour start = multiple_fragment(inst);
+  ASSERT_EQ(start.length(inst), 282690);
+  obs::Counter& skipped =
+      obs::Registry::global().counter("twoopt.pairs_reach_skipped");
+  for (simd::Level level : simd::supported_levels()) {
+    TwoOptSimd engine(&simd::kernels(level));
+    Tour tour = start;
+    const std::uint64_t skipped0 = skipped.value();
+    const LocalSearchStats stats = local_search(engine, inst, tour);
+    const std::string where = simd::to_string(level);
+    EXPECT_TRUE(stats.reached_local_minimum) << where;
+    EXPECT_EQ(stats.moves_applied, 138) << where;
+    EXPECT_EQ(stats.checks, 81591054u) << where;
+    EXPECT_EQ(tour.length(inst), 249007) << where;
+    EXPECT_EQ(skipped.value() - skipped0,
+              level == simd::Level::kScalar ? 80914713u : 79839467u)
+        << where;
   }
 }
 

@@ -16,7 +16,9 @@
 #         pruned-equivalence and tour suites, which reverse and rotate the
 #         pruned engines' staged route-indexed arrays in place, and the
 #         SIMD suite, whose row kernels load 8-lane successor lengths up
-#         to each row's end.
+#         to each row's end, and the engine-factory and batcher suites,
+#         whose roster rows build every engine over the factory's borrowed
+#         devices, LUT and neighbor lists.
 # Pass 3: Observability smoke — run a small traced ILS with
 #         TSPOPT_TRACE/TSPOPT_REPORT set and validate that both emitted
 #         files are well-formed JSON.
@@ -91,8 +93,9 @@
 #         TSPLIB suite with its coordinate-bound test, the neighbor-list
 #         and constructive suites that share the spatial grid's cell and
 #         ring index arithmetic, the admin, journal and serve-stress
-#         suites that read the serve instruments, and the SIMD suite with
-#         its reach-filter sums at the coordinate bound —
+#         suites that read the serve instruments, the SIMD suite with
+#         its reach-filter sums at the coordinate bound, and the
+#         engine-factory suite that builds every roster engine —
 #         signed overflow in delta and wrapped-arc index arithmetic,
 #         misaligned or out-of-range accesses, invalid casts, and
 #         out-of-range float-to-integer casts of wire and journal numbers.
@@ -130,7 +133,8 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DTSPOPT_SANITIZE=address >/dev/null
 ASAN_SUITES="test_batch_twoopt test_accounting test_local_search \
   test_neighbor_lists test_constructive test_pruned \
-  test_pruned_equivalence test_tour test_simd"
+  test_pruned_equivalence test_tour test_simd test_engine_factory \
+  test_batcher"
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target test_fault test_checkpoint test_fuzz ${ASAN_SUITES}
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
@@ -888,7 +892,7 @@ UBSAN_SUITES="test_engines test_pruned test_pruned_equivalence test_tour \
   test_fuzz test_serve test_ils test_population_ils test_checkpoint \
   test_batcher test_batch_twoopt test_local_search test_accounting \
   test_tsplib test_admin test_journal test_serve_stress \
-  test_neighbor_lists test_constructive test_simd"
+  test_neighbor_lists test_constructive test_simd test_engine_factory"
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target ${UBSAN_SUITES}
 for suite in ${UBSAN_SUITES}; do
   echo "UBSan: ${suite}"

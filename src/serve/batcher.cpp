@@ -5,44 +5,20 @@
 #include <cstring>
 #include <thread>
 
+#include "common/hash.hpp"
 #include "common/timer.hpp"
+#include "solver/engine_factory.hpp"
 
 namespace tspopt::serve {
 
-namespace {
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
-bool batchable_engine(const std::string& engine) {
-  return !batch_engine_for(engine).empty();
-}
-
-std::string batch_engine_for(const std::string& engine) {
-  // Pairings are bit-identical by construction: batch-simd IS cpu-simd,
-  // run per slot, and batch-gpu launches gpu-small's block kernel with
-  // one block per tour instead of gridDim blocks on one tour, folding the
-  // same lexicographic-min BestMove (the equivalence tests pin it).
-  if (engine == "batch-simd" || engine == "cpu-simd") return "batch-simd";
-  if (engine == "batch-gpu" || engine == "gpu-small") return "batch-gpu";
-  return "";
-}
-
 bool spec_batchable(const JobSpec& spec) {
-  return spec.batchable && batchable_engine(spec.engine);
+  const EngineFactory::EngineInfo* row = EngineFactory::find(spec.engine);
+  return spec.batchable && row != nullptr && !row->batch_class.empty();
 }
 
 std::string batch_key(const JobSpec& spec) {
-  std::string key = batch_engine_for(spec.engine);
+  const EngineFactory::EngineInfo* row = EngineFactory::find(spec.engine);
+  std::string key = row != nullptr ? row->batch_class : std::string();
   key += "|k=";
   key += std::to_string(spec.k);
   if (!spec.inline_payload()) {
@@ -58,7 +34,8 @@ std::string batch_key(const JobSpec& spec) {
   key += std::to_string(spec.points.size());
   key += "|pts=";
   key += std::to_string(
-      fnv1a(spec.points.data(), spec.points.size() * sizeof(Point)));
+      fnv1a({reinterpret_cast<const char*>(spec.points.data()),
+             spec.points.size() * sizeof(Point)}));
   return key;
 }
 

@@ -39,18 +39,8 @@ struct BatcherOptions {
   double max_wait_ms = 2.0;
 };
 
-// True when `engine` belongs to a class the micro-batcher can coalesce:
-// the batch-* engines themselves plus the single-tour classes they pair
-// with (cpu-simd -> batch-simd, which is cpu-simd run per slot; gpu-small
-// -> batch-gpu, the same block kernel with one block per tour).
-bool batchable_engine(const std::string& engine);
-
-// The batch-* engine the coalesced pass runs for `engine`; "" when the
-// class is not batchable.
-std::string batch_engine_for(const std::string& engine);
-
-// True when the micro-batcher may coalesce this spec at all (opted in AND
-// batchable engine class).
+// True when the micro-batcher may coalesce this spec at all: opted in,
+// and its engine's roster row names a batch class.
 bool spec_batchable(const JobSpec& spec);
 
 // The coalescing identity: jobs coalesce iff their keys match. Covers the

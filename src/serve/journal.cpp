@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
 
@@ -33,17 +34,6 @@ constexpr std::size_t kRecordHeaderBytes = 12;  // u32 len + u64 fnv1a
 // 744k-city result order) stays well under it.
 constexpr std::uint32_t kMaxRecordBytes = 256u << 20;
 
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-
-// FNV-1a of `bytes`, continuing from `h` (a record's parts hash as one).
-std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = kFnvOffset) {
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 // Writes one record — the 12-byte header (payload length, FNV-1a of the
 // payload), then the payload, given as up to three consecutive parts —
 // with writev, so the payload is framed without being copied. At most
@@ -53,7 +43,7 @@ std::int64_t write_record(int fd,
                           std::initializer_list<std::string_view> payload,
                           std::size_t limit) {
   std::size_t payload_bytes = 0;
-  std::uint64_t sum = kFnvOffset;
+  std::uint64_t sum = kFnv1aOffset;
   for (std::string_view part : payload) {
     payload_bytes += part.size();
     sum = fnv1a(part, sum);

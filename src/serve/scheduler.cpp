@@ -16,7 +16,6 @@
 #include "solver/constructive.hpp"
 #include "solver/engine_factory.hpp"
 #include "solver/obs_adapters.hpp"
-#include "solver/twoopt_gpu.hpp"
 #include "tsp/catalog.hpp"
 
 namespace tspopt::serve {
@@ -29,26 +28,17 @@ const std::vector<double> kLatencyBucketsUs = {
     100,    250,    500,     1000,    2500,    5000,     10000,    25000,
     50000,  100000, 250000,  500000,  1000000, 2500000,  5000000,  10000000};
 
-// Every engine that runs on a simulated device: gpu-* and batch-gpu.
-bool is_gpu_engine(const std::string& name) {
-  return name.find("gpu") != std::string::npos;
-}
-
-// gpu-multi is the only engine class that spans a multi-device lease; the
-// other gpu classes are honored exactly as requested on a one-device
-// lease (fault tolerance for those comes from the scheduler's attempt
-// retry on a fresh lease, not from an engine substitution).
-bool is_multi_device_engine(const std::string& name) {
-  return name == "gpu-multi";
-}
-
-// Devices a run of `engine` leases: gpu-multi spans the job's request (at
-// least two cards), the other gpu engines one card, CPU engines none.
-std::size_t lease_size(const std::string& engine, std::int32_t requested) {
-  if (is_multi_device_engine(engine)) {
+// Devices a run of `engine` leases: a many-device engine (gpu-multi)
+// spans the job's request (at least two cards), a one-device engine one
+// card, CPU engines none. One-device engines are honored exactly as
+// requested: their fault tolerance comes from the scheduler's attempt
+// retry on a fresh lease, not from an engine substitution.
+std::size_t lease_size(const EngineFactory::EngineInfo& engine,
+                       std::int32_t requested) {
+  if (engine.lease == EngineFactory::Lease::kMany) {
     return std::max<std::size_t>(2, static_cast<std::size_t>(requested));
   }
-  return is_gpu_engine(engine) ? 1 : 0;
+  return engine.lease == EngineFactory::Lease::kOne ? 1 : 0;
 }
 
 // The multi-device engine behind a solo gpu-multi run, whose per-device
@@ -60,12 +50,6 @@ const TwoOptMultiDevice* multi_device_engine(BatchTwoOptEngine& engine) {
              : dynamic_cast<const TwoOptMultiDevice*>(&slots->engine());
 }
 
-// The engines that restrict 2-opt to k-nearest-neighbor candidate lists
-// and therefore honor the job's optional `k` field.
-bool is_pruned_engine(const std::string& name) {
-  return name.find("pruned") != std::string::npos;
-}
-
 // Admission-time cap for batchable inline payloads. It bounds a batch's
 // B x n footprint (the tours it holds and what one coalesced pass stages,
 // e.g. batch-gpu's concatenated upload) at full occupancy, so a spec too
@@ -74,19 +58,6 @@ bool is_pruned_engine(const std::string& name) {
 // per coordinate axis; 2^24 floats comfortably covers the paper's largest
 // instances at max_batch = 1.
 constexpr std::size_t kMaxBatchSlabFloats = std::size_t{1} << 24;
-
-// gpu-small and batch-gpu run one block kernel that stages a tour per
-// block in shared memory, so they share one n cap, a device property:
-// a batchable job admitted here runs whether it coalesces or runs alone.
-// Admission validates against the pool's device model (one simulated
-// device class per process today).
-std::int32_t batch_gpu_city_cap() {
-  static const std::int32_t cap = [] {
-    simt::Device probe(simt::gtx680_cuda());
-    return TwoOptGpuSmall::max_cities(probe);
-  }();
-  return cap;
-}
 
 }  // namespace
 
@@ -222,8 +193,8 @@ Scheduler::Admission Scheduler::submit(JobSpec spec) {
     return Admission{false, 0, 0.0, why};
   };
 
-  const auto& names = EngineFactory::available();
-  if (std::find(names.begin(), names.end(), spec.engine) == names.end()) {
+  const EngineFactory::EngineInfo* engine = EngineFactory::find(spec.engine);
+  if (engine == nullptr) {
     return reject_invalid("unknown engine \"" + spec.engine + "\"");
   }
   if (!spec.inline_payload()) {
@@ -234,9 +205,12 @@ Scheduler::Admission Scheduler::submit(JobSpec spec) {
   } else if (spec.points.size() < 3) {
     return reject_invalid("inline payload needs >= 3 points");
   }
+  const std::size_t n =
+      spec.inline_payload()
+          ? spec.points.size()
+          : static_cast<std::size_t>(find_catalog_entry(spec.catalog)->n);
   if (spec.devices < 1) return reject_invalid("devices must be >= 1");
-  if (spec.devices > 1 && is_gpu_engine(spec.engine) &&
-      !is_multi_device_engine(spec.engine)) {
+  if (spec.devices > 1 && engine->lease == EngineFactory::Lease::kOne) {
     return reject_invalid("engine \"" + spec.engine +
                           "\" is single-device; use gpu-multi for a "
                           "multi-device lease");
@@ -245,41 +219,43 @@ Scheduler::Admission Scheduler::submit(JobSpec spec) {
     return reject_invalid("time_limit_seconds must be positive");
   }
   if (spec.k != 0) {
-    if (!is_pruned_engine(spec.engine)) {
+    if (!engine->uses_k) {
       return reject_invalid("k applies only to the pruned engines, not \"" +
                             spec.engine + "\"");
     }
     if (spec.k < 1) return reject_invalid("k must be >= 1");
     // A candidate list cannot include the city itself, so k caps at n-1.
-    std::int32_t n = spec.inline_payload()
-                         ? static_cast<std::int32_t>(spec.points.size())
-                         : find_catalog_entry(spec.catalog)->n;
-    if (spec.k >= n) {
+    if (static_cast<std::size_t>(spec.k) >= n) {
       return reject_invalid("k must be < the instance size (" +
                             std::to_string(n) + ")");
     }
   }
+  // City caps are device properties; admission validates against the
+  // pool's device model (one simulated device class per process today).
+  static const simt::Device device_model(simt::gtx680_cuda());
   if (spec.batchable) {
     // Batch-shape admission: everything that could make this job
     // un-stageable inside a full coalesced batch is rejected here with a
     // typed "batch shape" error, so a queued batchable job can always
     // join any batch its key admits it to.
-    if (!batchable_engine(spec.engine)) {
-      return reject_invalid(
-          "batch shape: engine \"" + spec.engine +
-          "\" has no batch implementation (batchable engines: cpu-simd, "
-          "gpu-small, batch-simd, batch-gpu)");
+    if (engine->batch_class.empty()) {
+      std::string batchable;
+      for (const EngineFactory::EngineInfo& row : EngineFactory::roster()) {
+        if (row.batch_class.empty()) continue;
+        batchable += (batchable.empty() ? "" : ", ") + row.name;
+      }
+      return reject_invalid("batch shape: engine \"" + spec.engine +
+                            "\" has no batch implementation (batchable "
+                            "engines: " + batchable + ")");
     }
-    std::size_t n = spec.inline_payload()
-                        ? spec.points.size()
-                        : static_cast<std::size_t>(
-                              find_catalog_entry(spec.catalog)->n);
-    if (batch_engine_for(spec.engine) == "batch-gpu" &&
-        n > static_cast<std::size_t>(batch_gpu_city_cap())) {
+    const EngineFactory::EngineInfo& batch =
+        *EngineFactory::find(engine->batch_class);
+    if (batch.city_cap != nullptr &&
+        n > static_cast<std::size_t>(batch.city_cap(device_model))) {
       return reject_invalid(
-          "batch shape: n=" + std::to_string(n) +
-          " exceeds batch-gpu's shared-memory tour capacity (" +
-          std::to_string(batch_gpu_city_cap()) + " cities)");
+          "batch shape: n=" + std::to_string(n) + " exceeds " + batch.name +
+          "'s shared-memory tour capacity (" +
+          std::to_string(batch.city_cap(device_model)) + " cities)");
     }
     std::size_t max_batch = std::max<std::size_t>(1, options_.batcher.max_batch);
     // n + 1 floats padded to 16 per tour (see kMaxBatchSlabFloats).
@@ -291,6 +267,15 @@ Scheduler::Admission Scheduler::submit(JobSpec spec) {
           " exceeds the batch staging limit of " +
           std::to_string(kMaxBatchSlabFloats) + " floats per axis");
     }
+  }
+  // Every job, batchable or not, may run alone on its own engine: refuse
+  // here what that engine would refuse after a lease and a construction.
+  if (engine->city_cap != nullptr &&
+      n > static_cast<std::size_t>(engine->city_cap(device_model))) {
+    return reject_invalid("n=" + std::to_string(n) + " exceeds engine \"" +
+                          spec.engine + "\"'s city cap (" +
+                          std::to_string(engine->city_cap(device_model)) +
+                          " cities)");
   }
 
   // Idempotent resubmit: a key matching a retained job (live or settled)
@@ -839,10 +824,11 @@ std::vector<JobState> Scheduler::execute(
   // sequence instead of B serialized leases. Per-attempt engines keep
   // gpu-multi's fault quarantine/retry state scoped to this attempt: a
   // card that faults here re-enters the pool healthy for the next job.
-  const std::string engine_name =
-      batch_id == 0 ? lead.engine : batch_engine_for(lead.engine);
+  const EngineFactory::EngineInfo* runs = EngineFactory::find(lead.engine);
+  TSPOPT_CHECK_MSG(runs != nullptr, "unknown engine: " << lead.engine);
+  if (batch_id != 0) runs = EngineFactory::find(runs->batch_class);
   simt::DevicePool::Lease lease;
-  if (std::size_t want = lease_size(engine_name, lead.devices); want > 0) {
+  if (std::size_t want = lease_size(*runs, lead.devices); want > 0) {
     // Lease acquisition is its own traced/timed phase: under device
     // contention this is where jobs stall, and the wait histogram alone
     // cannot tell queue pressure from device pressure apart.
@@ -870,7 +856,7 @@ std::vector<JobState> Scheduler::execute(
       &instance, lead.k != 0 ? lead.k : EngineFactory::kDefaultNeighbors,
       options_.multi);
   std::unique_ptr<BatchTwoOptEngine> engine =
-      factory.create_batch(engine_name, lease.devices());
+      factory.create_batch(runs->name, lease.devices());
 
   // One PopulationIls member per job, carrying the job's budget and hooks.
   // migrate_every = 0 keeps members independent, which is what makes a

@@ -7,11 +7,11 @@
 // jobs, whatever the micro-batcher coalesces with it), leases devices,
 // asks EngineFactory for the engine on that lease, and runs one
 // PopulationIls with a member per job — a solo job is a batch of one. A
-// solo job gets exactly the engine class the client requested: gpu-multi
-// runs behind TwoOptMultiDevice (fault quarantine/retry state scoped to
-// the job, never the process), the single-device gpu classes run as-is on
-// a one-device lease. A coalesced batch runs its batch engine class on one
-// lease. A fatal engine error re-runs each unsettled member alone, on a
+// solo job gets exactly the engine class the client requested, on the
+// lease its roster row names: gpu-multi runs behind TwoOptMultiDevice
+// (fault quarantine/retry state scoped to the job, never the process), the
+// single-device gpu classes run as-is on a one-device lease. A coalesced
+// batch runs its row's batch engine class on one lease. A fatal engine error re-runs each unsettled member alone, on a
 // fresh lease, up to max_attempts. Members carry cooperative stop hooks
 // (cancellation, deadline, drain) and stream per-round progress into
 // their Job record plus a per-job RunReport.
@@ -114,8 +114,9 @@ class Scheduler {
   };
 
   // Validate and enqueue. Rejections are immediate: invalid specs (unknown
-  // engine, unknown catalog name, bad payload) carry `error`; a full queue
-  // carries `retry_after_ms` backpressure.
+  // engine, unknown catalog name, bad payload, n over the engine's city
+  // cap — checked from its EngineFactory::roster() row) carry `error`; a
+  // full queue carries `retry_after_ms` backpressure.
   Admission submit(JobSpec spec);
 
   // nullptr for unknown ids. Terminal jobs are retained until forget()

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/hash.hpp"
 #include "simt/device.hpp"
 
 namespace tspopt::simt {
@@ -16,16 +17,6 @@ std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
-}
-
-std::uint64_t hash_string(const std::string& s) {
-  // FNV-1a.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
 }
 
 bool label_matches(const std::string& pattern, const std::string& label) {
@@ -68,7 +59,7 @@ FaultKind FaultPlan::decide(const std::string& device_label,
   for (std::size_t r = 0; r < random_.size(); ++r) {
     const RandomSpec& spec = random_[r];
     if (!label_matches(spec.device, device_label)) continue;
-    std::uint64_t draw = mix64(seed_ ^ hash_string(device_label) ^
+    std::uint64_t draw = mix64(seed_ ^ fnv1a(device_label) ^
                                (launch * 0x9E3779B97F4A7C15ULL) ^ (r << 56));
     double u = static_cast<double>(draw >> 11) * 0x1.0p-53;
     if (u < spec.probability) return spec.kind;

@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "tsp/tour.hpp"
 
 namespace tspopt {
@@ -17,15 +18,6 @@ constexpr char kMagic[8] = {'T', 'S', 'P', 'P', 'O', 'P', 'C', '\0'};
 // follows it.
 constexpr std::uint64_t kHeaderBytes = sizeof(kMagic) + 4 + 8;
 constexpr std::uint64_t kChecksumBytes = 8;
-
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 // Little-endian scalar serialization into/out of a byte string. The
 // library only targets little-endian hosts (as the paper's did); memcpy

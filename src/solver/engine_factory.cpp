@@ -25,6 +25,21 @@ class BatchSimd : public TwoOptSimd {
   std::string name() const override { return "batch-simd"; }
 };
 
+using Lease = EngineFactory::Lease;
+
+// gpu-small and batch-gpu run the one block kernel, which stages a tour
+// per block in shared memory (the paper's ~6k-city Optimization 1 cap);
+// the indirect variant also stages the route, so it fits fewer cities.
+std::int32_t block_kernel_cap(const simt::Device& device) {
+  return TwoOptGpuSmall::max_cities(device);
+}
+std::int32_t indirect_block_kernel_cap(const simt::Device& device) {
+  return TwoOptGpuSmall::max_cities(device, /*preorder_coordinates=*/false);
+}
+std::int32_t lut_cap(const simt::Device& /*device*/) {
+  return DistanceMatrix::kMaxCities;
+}
+
 }  // namespace
 
 EngineFactory::EngineFactory(const Instance* instance, std::int32_t k,
@@ -36,42 +51,78 @@ EngineFactory::EngineFactory(const Instance* instance, std::int32_t k,
       second_device_(simt::gtx680_cuda()) {}
 
 const std::vector<EngineFactory::EngineInfo>& EngineFactory::roster() {
+  // batch-simd is cpu-simd run per slot, and batch-gpu launches
+  // gpu-small's block kernel with one block per tour, folding the same
+  // lexicographic-min BestMove: hence the two batch classes.
   static const std::vector<EngineInfo> infos = {
-      {"cpu-sequential",
-       "single-threaded array-form 2-opt (the paper's CPU baseline)"},
-      {"cpu-sequential-indirect",
-       "single-threaded 2-opt reading coordinates through the tour order"},
-      {"cpu-generic",
-       "single-threaded 2-opt for any TSPLIB metric (incl. EXPLICIT)"},
-      {"cpu-simd",
-       "single-threaded 2-opt over SoA staging with AVX2/FMA row kernels"},
-      {"cpu-parallel",
-       "thread-pool 2-opt with SIMD rows (the paper's multi-core CPU run)"},
-      {"cpu-lut",
-       "single-threaded 2-opt over a precomputed n^2 distance matrix"},
-      {"cpu-pruned",
-       "k-nearest-neighbor pruned 2-opt (inexact: restricted move set)"},
-      {"cpu-simd-pruned",
-       "k-NN pruned 2-opt with SIMD candidate rows + don't-look bits "
-       "(inexact: restricted move set)"},
-      {"gpu-small",
-       "one-kernel GPU 2-opt, whole instance staged in shared memory"},
-      {"gpu-small-indirect",
-       "gpu-small variant reading coordinates through the device tour"},
-      {"gpu-tiled",
-       "tiled GPU 2-opt for arbitrary n (paper SIV-B problem division)"},
-      {"gpu-pruned",
-       "k-NN pruned 2-opt staging NN lists in shared memory + don't-look "
-       "bits (inexact: restricted move set)"},
-      {"gpu-multi",
-       "fault-tolerant tiled 2-opt across several devices (paper SVI)"},
-      {"batch-simd",
-       "many-tour 2-opt: cpu-simd's sweep run on each tour of a TourBatch"},
-      {"batch-gpu",
-       "many-tour GPU 2-opt, one block per tour with coords in shared "
-       "memory"},
+      {.name = "cpu-sequential",
+       .description =
+           "single-threaded array-form 2-opt (the paper's CPU baseline)"},
+      {.name = "cpu-sequential-indirect",
+       .description =
+           "single-threaded 2-opt reading coordinates through the tour order"},
+      {.name = "cpu-generic",
+       .description =
+           "single-threaded 2-opt for any TSPLIB metric (incl. EXPLICIT)"},
+      {.name = "cpu-simd",
+       .description =
+           "single-threaded 2-opt over SoA staging with AVX2/FMA row kernels",
+       .batch_class = "batch-simd"},
+      {.name = "cpu-parallel",
+       .description =
+           "thread-pool 2-opt with SIMD rows (the paper's multi-core CPU run)"},
+      {.name = "cpu-lut",
+       .description =
+           "single-threaded 2-opt over a precomputed n^2 distance matrix",
+       .city_cap = lut_cap},
+      {.name = "cpu-pruned",
+       .description =
+           "k-nearest-neighbor pruned 2-opt (inexact: restricted move set)",
+       .uses_k = true},
+      {.name = "cpu-simd-pruned",
+       .description = "k-NN pruned 2-opt with SIMD candidate rows + "
+                      "don't-look bits (inexact: restricted move set)",
+       .uses_k = true},
+      {.name = "gpu-small",
+       .description =
+           "one-kernel GPU 2-opt, whole instance staged in shared memory",
+       .lease = Lease::kOne, .batch_class = "batch-gpu",
+       .city_cap = block_kernel_cap},
+      {.name = "gpu-small-indirect",
+       .description =
+           "gpu-small variant reading coordinates through the device tour",
+       .lease = Lease::kOne,
+       .city_cap = indirect_block_kernel_cap},
+      {.name = "gpu-tiled",
+       .description =
+           "tiled GPU 2-opt for arbitrary n (paper SIV-B problem division)",
+       .lease = Lease::kOne},
+      {.name = "gpu-pruned",
+       .description = "k-NN pruned 2-opt staging NN lists in shared memory "
+                      "+ don't-look bits (inexact: restricted move set)",
+       .lease = Lease::kOne, .uses_k = true},
+      {.name = "gpu-multi",
+       .description =
+           "fault-tolerant tiled 2-opt across several devices (paper SVI)",
+       .lease = Lease::kMany},
+      {.name = "batch-simd",
+       .description =
+           "many-tour 2-opt: cpu-simd's sweep run on each tour of a TourBatch",
+       .batch_class = "batch-simd"},
+      {.name = "batch-gpu",
+       .description = "many-tour GPU 2-opt, one block per tour with coords "
+                      "in shared memory",
+       .lease = Lease::kOne, .batch_class = "batch-gpu",
+       .city_cap = block_kernel_cap},
   };
   return infos;
+}
+
+const EngineFactory::EngineInfo* EngineFactory::find(std::string_view name) {
+  for (const EngineInfo& info : roster()) {
+    if (info.name == name) return &info;
+  }
+  return nullptr;
 }
 
 const std::vector<std::string>& EngineFactory::available() {
@@ -149,13 +200,11 @@ std::unique_ptr<TwoOptEngine> EngineFactory::create(
   return nullptr;  // unreachable
 }
 
-bool EngineFactory::is_batch_engine(const std::string& name) {
-  return name == "batch-simd" || name == "batch-gpu";
-}
-
 std::unique_ptr<BatchTwoOptEngine> EngineFactory::create_batch(
     const std::string& name, std::span<simt::Device* const> devices) {
-  if (name == "batch-gpu") {
+  const EngineInfo* info = find(name);
+  if (info != nullptr && info->batch_class == name &&
+      info->lease != Lease::kNone) {
     return std::make_unique<BatchTwoOptGpu>(devices.empty() ? device_
                                                             : *devices.front());
   }

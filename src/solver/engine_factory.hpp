@@ -1,14 +1,21 @@
-// Creation of 2-opt engines by name.
+// Creation of 2-opt engines by name, and the one table of engine facts.
 //
 // Examples and tools select engines from the command line; the factory
 // owns the resources the engines borrow (simulated devices, distance LUT,
 // neighbor lists) so callers manage one object. Engines remain valid as
 // long as the factory lives.
+//
+// roster() is the engine table: one row per name, carrying everything a
+// caller decides about an engine without constructing it — its device
+// lease, whether a job's k applies, its batch class and its per-tour city
+// cap. The serve scheduler admits, leases and batches from these rows;
+// nothing else tests engine names for those facts.
 #pragma once
 
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "simt/device.hpp"
@@ -41,15 +48,32 @@ class EngineFactory {
   // Known names, in roster() order (the order help text prints them).
   static const std::vector<std::string>& available();
 
-  // One-line description per engine, same order as available(). This is
-  // the roster tsplib_tool --list-engines prints and the serve daemon's
-  // "engines" verb returns, so wire clients can discover valid `engine`
-  // values without reading the source.
+  // The devices a run of an engine leases: none (CPU engines), one, or
+  // many (gpu-multi: the job's `devices`, at least two).
+  enum class Lease { kNone, kOne, kMany };
+
+  // One roster row. name and description are what tsplib_tool
+  // --list-engines prints and the serve daemon's "engines" verb returns,
+  // so wire clients can discover valid `engine` values without reading
+  // the source; the other fields are the engine's facts.
   struct EngineInfo {
     std::string name;
     std::string description;
+    Lease lease = Lease::kNone;
+    // True for the k-NN pruned engines, the ones a job's `k` sizes.
+    bool uses_k = false;
+    // The batch engine ("batch-simd" or "batch-gpu") that runs this
+    // engine's class when the serve micro-batcher coalesces jobs; empty
+    // when the class has no batch implementation. Pairs are bit-identical
+    // per tour (the batch == solo pins hold them).
+    std::string batch_class = "";
+    // Largest per-tour n the engine accepts on `device`; nullptr = no cap.
+    std::int32_t (*city_cap)(const simt::Device& device) = nullptr;
   };
+  // Every engine, in the order help text prints them.
   static const std::vector<EngineInfo>& roster();
+  // The row named `name`; nullptr for unknown names.
+  static const EngineInfo* find(std::string_view name);
 
   // Throws CheckError for unknown names or when a required resource is
   // missing (e.g. cpu-lut without an instance). batch-simd is cpu-simd
@@ -63,15 +87,11 @@ class EngineFactory {
   std::unique_ptr<TwoOptEngine> create(
       const std::string& name, std::span<simt::Device* const> devices = {});
 
-  // True when `name` belongs to the batch-* family (usable via
-  // create_batch and eligible for serve-side micro-batching).
-  static bool is_batch_engine(const std::string& name);
-
   // Many-tour engines for TourBatch users (PopulationIls, the serve
-  // scheduler). batch-gpu builds its native block-per-tour engine; every
-  // other name, batch-simd included, builds create(name, devices) behind a
-  // PerSlotBatchEngine, which searches each slot with it in turn.
-  // `devices` as for create().
+  // scheduler). A batch engine that leases a device (batch-gpu) builds its
+  // native block-per-tour engine; every other name, batch-simd included,
+  // builds create(name, devices) behind a PerSlotBatchEngine, which
+  // searches each slot with it in turn. `devices` as for create().
   std::unique_ptr<BatchTwoOptEngine> create_batch(
       const std::string& name, std::span<simt::Device* const> devices = {});
 

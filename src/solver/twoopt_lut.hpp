@@ -2,7 +2,8 @@
 // approach the paper's §II-B rules out for GPUs on memory grounds
 // (Table I). Results are identical to the coordinate engines (the LUT is
 // built from the same metric); the ablation bench contrasts its memory
-// footprint and cache behaviour with coordinate recomputation.
+// footprint and cache behaviour with coordinate recomputation. search()
+// is cpu-generic's triangle sweep reading the LUT (twoopt_generic.cpp).
 #pragma once
 
 #include "solver/engine.hpp"

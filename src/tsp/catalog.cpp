@@ -3,21 +3,12 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "tsp/generator.hpp"
 
 namespace tspopt {
 
 namespace {
-
-// FNV-1a, used to derive a stable per-instance generator seed from the name.
-std::uint64_t name_seed(const std::string& name) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 std::vector<CatalogEntry> build_paper_catalog() {
   using F = PointFamily;
@@ -88,7 +79,8 @@ std::optional<CatalogEntry> find_catalog_entry(const std::string& name) {
 }
 
 Instance make_catalog_instance(const CatalogEntry& entry) {
-  std::uint64_t seed = name_seed(entry.name);
+  // A stable per-instance generator seed from the name.
+  std::uint64_t seed = fnv1a(entry.name);
   switch (entry.family) {
     case PointFamily::kReal:
       TSPOPT_CHECK_MSG(entry.name == "berlin52",

@@ -3,7 +3,7 @@
 namespace tspopt {
 
 DistanceMatrix::DistanceMatrix(const Instance& instance) : n_(instance.n()) {
-  TSPOPT_CHECK_MSG(n_ <= 20000,
+  TSPOPT_CHECK_MSG(n_ <= kMaxCities,
                    "refusing to allocate a >1.6 GB LUT; use coordinates");
   lut_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
   for (std::int32_t a = 0; a < n_; ++a) {

@@ -16,6 +16,9 @@ namespace tspopt {
 
 class DistanceMatrix {
  public:
+  // Largest n the LUT is built for: 20000^2 int32 entries are 1.6 GB.
+  static constexpr std::int32_t kMaxCities = 20000;
+
   explicit DistanceMatrix(const Instance& instance);
 
   std::int32_t n() const { return n_; }

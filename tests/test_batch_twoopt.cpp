@@ -290,9 +290,13 @@ TEST(EngineFactory, BatchEnginesAdaptToSingleTour) {
   Tour tour = Tour::random(instance.n(), rng);
 
   EngineFactory factory(&instance);
-  EXPECT_TRUE(EngineFactory::is_batch_engine("batch-simd"));
-  EXPECT_TRUE(EngineFactory::is_batch_engine("batch-gpu"));
-  EXPECT_FALSE(EngineFactory::is_batch_engine("cpu-simd"));
+  // The batch engines are the roster rows that are their own batch class.
+  auto is_batch_engine = [](const std::string& name) {
+    return EngineFactory::find(name)->batch_class == name;
+  };
+  EXPECT_TRUE(is_batch_engine("batch-simd"));
+  EXPECT_TRUE(is_batch_engine("batch-gpu"));
+  EXPECT_FALSE(is_batch_engine("cpu-simd"));
 
   {
     std::unique_ptr<TwoOptEngine> adapted = factory.create("batch-simd");

@@ -18,6 +18,7 @@
 #include "simt/device_pool.hpp"
 #include "simt/fault.hpp"
 #include "solver/constructive.hpp"
+#include "solver/engine_factory.hpp"
 #include "solver/ils.hpp"
 #include "solver/twoopt_gpu.hpp"
 #include "solver/twoopt_simd.hpp"
@@ -56,12 +57,16 @@ JobState wait_terminal(const Scheduler& scheduler, std::uint64_t id,
 // ------------------------------------------------------------- keys --
 
 TEST(BatchKey, EngineClassesAndIdentity) {
-  EXPECT_TRUE(batchable_engine("cpu-simd"));
-  EXPECT_TRUE(batchable_engine("batch-simd"));
-  EXPECT_TRUE(batchable_engine("gpu-small"));
-  EXPECT_TRUE(batchable_engine("batch-gpu"));
-  EXPECT_FALSE(batchable_engine("cpu-parallel"));
-  EXPECT_FALSE(batchable_engine("gpu-tiled"));
+  // Each engine's batch class is its roster row's.
+  auto batch_class = [](const char* engine) {
+    return EngineFactory::find(engine)->batch_class;
+  };
+  EXPECT_EQ(batch_class("cpu-simd"), "batch-simd");
+  EXPECT_EQ(batch_class("batch-simd"), "batch-simd");
+  EXPECT_EQ(batch_class("gpu-small"), "batch-gpu");
+  EXPECT_EQ(batch_class("batch-gpu"), "batch-gpu");
+  EXPECT_EQ(batch_class("cpu-parallel"), "");
+  EXPECT_EQ(batch_class("gpu-tiled"), "");
 
   // cpu-simd and batch-simd are one coalescing class.
   JobSpec a = batchable_spec(1, "cpu-simd");

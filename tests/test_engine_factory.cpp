@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "solver/engine_factory.hpp"
 #include "solver/twoopt_gpu.hpp"
+#include "tsp/distance_matrix.hpp"
 #include "tsp/generator.hpp"
 
 namespace tspopt {
@@ -45,6 +48,58 @@ TEST(EngineFactory, EveryAdvertisedEngineAgreesOnTheBestMove) {
     }
   }
   EXPECT_FALSE(pruned_first);  // the roster advertises pruned engines
+}
+
+// The roster is the one engine table: every row's lease, k, batch class
+// and city cap, in roster order.
+TEST(EngineFactory, RosterRowsPinEachEnginesFacts) {
+  using Lease = EngineFactory::Lease;
+  simt::Device d(simt::gtx680_cuda());
+  const std::int32_t block = TwoOptGpuSmall::max_cities(d);
+  const std::int32_t indirect = TwoOptGpuSmall::max_cities(d, false);
+  // The paper's ~6144-city shared-memory limit, and 2/3 of it.
+  EXPECT_EQ(block, 6136);
+  EXPECT_EQ(indirect, 4090);
+  struct Facts {
+    const char* name;
+    Lease lease;
+    bool uses_k;
+    const char* batch_class;
+    std::int32_t cap;  // 0 = none
+  };
+  const std::vector<Facts> expected = {
+      {"cpu-sequential", Lease::kNone, false, "", 0},
+      {"cpu-sequential-indirect", Lease::kNone, false, "", 0},
+      {"cpu-generic", Lease::kNone, false, "", 0},
+      {"cpu-simd", Lease::kNone, false, "batch-simd", 0},
+      {"cpu-parallel", Lease::kNone, false, "", 0},
+      {"cpu-lut", Lease::kNone, false, "", DistanceMatrix::kMaxCities},
+      {"cpu-pruned", Lease::kNone, true, "", 0},
+      {"cpu-simd-pruned", Lease::kNone, true, "", 0},
+      {"gpu-small", Lease::kOne, false, "batch-gpu", block},
+      {"gpu-small-indirect", Lease::kOne, false, "", indirect},
+      {"gpu-tiled", Lease::kOne, false, "", 0},
+      {"gpu-pruned", Lease::kOne, true, "", 0},
+      {"gpu-multi", Lease::kMany, false, "", 0},
+      {"batch-simd", Lease::kNone, false, "batch-simd", 0},
+      {"batch-gpu", Lease::kOne, false, "batch-gpu", block},
+  };
+  EXPECT_EQ(DistanceMatrix::kMaxCities, 20000);
+  const auto& roster = EngineFactory::roster();
+  ASSERT_EQ(roster.size(), expected.size());
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    const EngineFactory::EngineInfo& row = roster[i];
+    const Facts& want = expected[i];
+    EXPECT_EQ(row.name, want.name);
+    EXPECT_FALSE(row.description.empty()) << row.name;
+    EXPECT_EQ(row.lease, want.lease) << row.name;
+    EXPECT_EQ(row.uses_k, want.uses_k) << row.name;
+    EXPECT_EQ(row.batch_class, want.batch_class) << row.name;
+    EXPECT_EQ(row.city_cap == nullptr ? 0 : row.city_cap(d), want.cap)
+        << row.name;
+    EXPECT_EQ(EngineFactory::find(row.name), &row);
+  }
+  EXPECT_EQ(EngineFactory::find("warp-drive"), nullptr);
 }
 
 TEST(EngineFactory, UnknownNameThrows) {

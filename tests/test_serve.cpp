@@ -29,6 +29,8 @@
 #include "simt/device.hpp"
 #include "simt/device_pool.hpp"
 #include "simt/fault.hpp"
+#include "solver/twoopt_gpu.hpp"
+#include "tsp/distance_matrix.hpp"
 #include "tsp/catalog.hpp"
 #include "tsp/generator.hpp"
 
@@ -366,6 +368,59 @@ TEST(ServeScheduler, PrunedKAdmissionRules) {
   Scheduler::Admission d = scheduler.submit(good);
   ASSERT_TRUE(d.accepted) << d.error;
   EXPECT_EQ(wait_terminal(scheduler, d.id), JobState::kFinished);
+}
+
+// A solo job over its engine's per-tour city cap is refused at submit
+// with the engine and its cap named, rather than accepted, leased,
+// constructed and failed by the engine's own check on every attempt.
+TEST(ServeScheduler, SoloJobOverItsEngineCityCapIsRejectedAtAdmission) {
+  PoolFixture fixture(1);
+  SchedulerOptions options;
+  options.workers = 1;
+  Scheduler scheduler(*fixture.pool, options);
+
+  auto inline_spec = [](const std::string& engine, std::int32_t n) {
+    Instance instance = generate_uniform("cap-probe", n, 11);
+    JobSpec spec;
+    spec.instance_name = instance.name();
+    spec.points.assign(instance.points().begin(), instance.points().end());
+    spec.engine = engine;
+    spec.time_limit_seconds = 0.05;
+    return spec;
+  };
+  const simt::Device probe(simt::gtx680_cuda());
+  const std::int32_t block_cap = TwoOptGpuSmall::max_cities(probe);
+  const std::int32_t indirect_cap = TwoOptGpuSmall::max_cities(probe, false);
+  const struct {
+    const char* engine;
+    std::int32_t cap;
+  } over[] = {{"gpu-small", block_cap},
+              {"gpu-small-indirect", indirect_cap},
+              {"cpu-lut", DistanceMatrix::kMaxCities}};
+  for (const auto& c : over) {
+    Scheduler::Admission a = scheduler.submit(inline_spec(c.engine, c.cap + 1));
+    EXPECT_FALSE(a.accepted) << c.engine;
+    EXPECT_NE(a.error.find(std::string("\"") + c.engine + "\""),
+              std::string::npos)
+        << a.error;
+    EXPECT_NE(a.error.find(std::to_string(c.cap)), std::string::npos)
+        << a.error;
+  }
+  EXPECT_EQ(scheduler.stats().rejected_invalid, 3u);
+  EXPECT_EQ(scheduler.stats().accepted, 0u);
+  EXPECT_EQ(scheduler.stats().queue_depth, 0u);
+
+  // At the cap the job is admitted. Holding the only device keeps it from
+  // running; closing the pool then releases the worker.
+  simt::DevicePool::Lease held = fixture.pool->acquire(1);
+  ASSERT_TRUE(held);
+  Scheduler::Admission at_cap =
+      scheduler.submit(inline_spec("gpu-small", block_cap));
+  ASSERT_TRUE(at_cap.accepted) << at_cap.error;
+  EXPECT_TRUE(scheduler.cancel(at_cap.id));
+  fixture.pool->close();
+  EXPECT_TRUE(is_terminal(wait_terminal(scheduler, at_cap.id)));
+  scheduler.shutdown(/*drain_first=*/false);
 }
 
 TEST(ServeScheduler, EachJobBuildsOneSetOfNeighborLists) {

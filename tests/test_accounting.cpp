@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "simt/device.hpp"
 #include "solver/batch/batch_twoopt_gpu.hpp"
+#include "solver/engine_factory.hpp"
 #include "solver/ils.hpp"
 #include "solver/twoopt_gpu.hpp"
 #include "solver/twoopt_generic.hpp"
@@ -136,6 +137,37 @@ TEST(Accounting, BatchKernelTransfersScaleWithActiveTours) {
   EXPECT_EQ(w.checks, kActive * pairs);
   EXPECT_EQ(result.checks, kActive * pairs);
   EXPECT_EQ(w.global_reads, kActive * n);
+}
+
+TEST(Accounting, SingleTourBatchGpuIsOneBlockOfTheSmallKernel) {
+  // The factory's batch-gpu on one tour is the block kernel with one
+  // block: one upload of the tour's n route-ordered coordinates, one
+  // block staging them once, one record read back, and gpu-small's move.
+  constexpr std::uint64_t n = 300;
+  Instance inst = generate_uniform("u300", static_cast<std::int32_t>(n), 8);
+  Pcg32 rng(10);
+  Tour tour = Tour::random(static_cast<std::int32_t>(n), rng);
+
+  EngineFactory batch_factory(&inst);
+  std::unique_ptr<TwoOptEngine> engine = batch_factory.create("batch-gpu");
+  SearchResult r = engine->search(inst, tour);
+  EngineFactory small_factory(&inst);
+  SearchResult small = small_factory.create("gpu-small")->search(inst, tour);
+  EXPECT_EQ(r.best.delta, small.best.delta);
+  EXPECT_EQ(r.best.index, small.best.index);
+  EXPECT_EQ(r.best.i, small.best.i);
+  EXPECT_EQ(r.best.j, small.best.j);
+
+  auto w = batch_factory.device().counters().snapshot();
+  const auto pairs = static_cast<std::uint64_t>(
+      pair_count(static_cast<std::int32_t>(n)));
+  EXPECT_EQ(w.kernel_launches, 1u);
+  EXPECT_EQ(w.h2d_transfers, 1u);
+  EXPECT_EQ(w.h2d_bytes, n * sizeof(Point));
+  EXPECT_EQ(w.d2h_bytes, sizeof(BestMove));
+  EXPECT_EQ(w.checks, pairs);
+  EXPECT_EQ(r.checks, pairs);
+  EXPECT_EQ(w.global_reads, n);
 }
 
 TEST(Accounting, GeoInstanceEndToEndThroughParserAndGenericSolver) {

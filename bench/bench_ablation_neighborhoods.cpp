@@ -16,7 +16,7 @@
 #include "solver/local_search.hpp"
 #include "solver/or_opt.hpp"
 #include "solver/three_opt.hpp"
-#include "solver/twoopt_parallel.hpp"
+#include "solver/twoopt_simd.hpp"
 #include "tsp/catalog.hpp"
 
 int main() {
@@ -36,7 +36,7 @@ int main() {
     Instance inst = make_catalog_instance(entry);
     NeighborLists nl(inst, 10);
     Tour initial = multiple_fragment(inst);
-    TwoOptCpuParallel two_opt;
+    TwoOptSimd two_opt(nullptr, &ThreadPool::shared());
 
     // Alternate the neighborhoods until the joint fixpoint.
     auto run = [&](bool use_or_opt, bool use_three_opt) {

@@ -12,8 +12,8 @@
 #include "common/rng.hpp"
 #include "solver/constructive.hpp"
 #include "solver/local_search.hpp"
-#include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_pruned.hpp"
+#include "solver/twoopt_simd.hpp"
 #include "tsp/catalog.hpp"
 
 int main() {
@@ -36,7 +36,7 @@ int main() {
 
   // Reference: full 2-opt.
   Tour full_tour = initial;
-  TwoOptCpuParallel full;
+  TwoOptSimd full(nullptr, &ThreadPool::shared());
   LocalSearchStats full_stats = local_search(full, inst, full_tour);
   std::int64_t full_len = full_tour.length(inst);
 

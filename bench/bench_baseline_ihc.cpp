@@ -15,7 +15,7 @@
 #include "solver/constructive.hpp"
 #include "solver/ihc.hpp"
 #include "solver/ils.hpp"
-#include "solver/twoopt_parallel.hpp"
+#include "solver/twoopt_simd.hpp"
 #include "tsp/generator.hpp"
 
 int main() {
@@ -32,7 +32,7 @@ int main() {
                "(O'Neil et al.), same 2-opt engine, " << budget
             << " s each, n = " << n << " ===\n\n";
 
-  TwoOptCpuParallel engine;
+  TwoOptSimd engine(nullptr, &ThreadPool::shared());
 
   IhcOptions ihc_opts;
   ihc_opts.time_limit_seconds = budget;

@@ -13,7 +13,6 @@
 #include "solver/ordering.hpp"
 #include "solver/simd.hpp"
 #include "solver/twoopt_gpu.hpp"
-#include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_pruned.hpp"
 #include "solver/twoopt_sequential.hpp"
 #include "solver/twoopt_simd.hpp"
@@ -109,7 +108,7 @@ void BM_ParallelPass(benchmark::State& state) {
   std::int64_t n = state.range(0);
   Instance inst = bench_instance(n);
   Tour tour = bench_tour(n);
-  TwoOptCpuParallel engine;
+  TwoOptSimd engine(nullptr, &ThreadPool::shared());
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.search(inst, tour).best.delta);
   }

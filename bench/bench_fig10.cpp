@@ -17,8 +17,8 @@
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "simt/perf_model.hpp"
-#include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_sequential.hpp"
+#include "solver/twoopt_simd.hpp"
 #include "tsp/catalog.hpp"
 #include "tsp/point.hpp"
 
@@ -90,7 +90,7 @@ int main() {
   report.set_summary("band_max_vs_i7_6core", band_max);
   Table measured({"Problem", "n", "seq wall", "par wall", "speedup"});
   TwoOptSequential seq;
-  TwoOptCpuParallel par;
+  TwoOptSimd par(nullptr, &ThreadPool::shared());
   for (const CatalogEntry& e : sweep_entries()) {
     if (e.n < 200 || e.n > 6000) continue;
     Instance inst = make_catalog_instance(e);

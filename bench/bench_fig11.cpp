@@ -21,7 +21,7 @@
 #include "common/rng.hpp"
 #include "simt/perf_model.hpp"
 #include "solver/ils.hpp"
-#include "solver/twoopt_parallel.hpp"
+#include "solver/twoopt_simd.hpp"
 #include "tsp/generator.hpp"
 #include "tsp/point.hpp"
 
@@ -47,7 +47,7 @@ int main() {
   std::int64_t initial_len = initial.length(inst);
   std::cout << "initial random tour length: " << initial_len << "\n\n";
 
-  TwoOptCpuParallel engine;
+  TwoOptSimd engine(nullptr, &ThreadPool::shared());
   IlsOptions opts;
   opts.time_limit_seconds = budget;
   opts.seed = 7;

@@ -16,8 +16,8 @@
 #include "benchsup/workloads.hpp"
 #include "common/rng.hpp"
 #include "simt/perf_model.hpp"
-#include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_sequential.hpp"
+#include "solver/twoopt_simd.hpp"
 #include "tsp/catalog.hpp"
 
 int main() {
@@ -57,7 +57,7 @@ int main() {
   Table measured({"Problem", "n", "seq GFLOP/s", "par GFLOP/s",
                   "seq checks/s", "par checks/s"});
   TwoOptSequential seq;
-  TwoOptCpuParallel par;
+  TwoOptSimd par(nullptr, &ThreadPool::shared());
   for (const CatalogEntry& e : sweep_entries()) {
     if (e.n > 6000) break;  // keep the measured sweep quick
     Instance inst = make_catalog_instance(e);

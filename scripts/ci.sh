@@ -18,7 +18,8 @@
 #         SIMD suite, whose row kernels load 8-lane successor lengths up
 #         to each row's end, and the engine-factory and batcher suites,
 #         whose roster rows build every engine over the factory's borrowed
-#         devices, LUT and neighbor lists.
+#         devices, LUT and neighbor lists, and the engine-equivalence
+#         suite, which runs the one SIMD engine inline and on the pool.
 # Pass 3: Observability smoke — run a small traced ILS with
 #         TSPOPT_TRACE/TSPOPT_REPORT set and validate that both emitted
 #         files are well-formed JSON.
@@ -44,7 +45,9 @@
 #         exits 143); then the serve/journal/recovery suites under ASan
 #         and TSan, and under TSan also the neighbor-list and
 #         constructive suites, whose k-NN build fills rows on every
-#         pool worker inside a parallel_for_dynamic.
+#         pool worker inside a parallel_for_dynamic, and the SIMD and
+#         engine suites, whose cpu-parallel workers share one pass's
+#         staging.
 # Pass 8: Admin plane + distributed trace — start tspoptd with
 #         --admin-port and TSPOPT_TRACE, probe /healthz /readyz /metrics
 #         /statusz /tracez (asserting the tspopt_serve_* series and the
@@ -134,7 +137,7 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 ASAN_SUITES="test_batch_twoopt test_accounting test_local_search \
   test_neighbor_lists test_constructive test_pruned \
   test_pruned_equivalence test_tour test_simd test_engine_factory \
-  test_batcher"
+  test_batcher test_engines"
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target test_fault test_checkpoint test_fuzz ${ASAN_SUITES}
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
@@ -382,7 +385,7 @@ wait "${RESTART_PID}" || RESTART_RC=$?
 echo "kill -9 -> restart -> resume -> finish verified."
 
 echo
-echo "Pass 7b: serve/journal suites under sanitizers, k-NN/MF and SIMD row kernels under TSan"
+echo "Pass 7b: serve/journal suites under sanitizers, k-NN/MF, SIMD row kernels and engines under TSan"
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target test_serve test_serve_stress test_journal \
                test_serve_recovery
@@ -393,14 +396,16 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target test_serve test_serve_stress test_journal \
                test_serve_recovery test_neighbor_lists test_constructive \
-               test_simd
-# test_simd runs cpu-parallel, whose pool workers share the per-pass
-# coordinate, length and tile staging.
+               test_simd test_engines
+# test_simd and test_engines run cpu-parallel (TwoOptSimd on the shared
+# pool), whose workers share the per-pass coordinate, length and tile
+# staging. The parameterized EngineEquivalence suite prints as
+# AllCases/EngineEquivalence.*, which ^Engine alone does not match.
 # SurvivesInjectedDeviceFault needs gpu0 to reach its 3rd launch inside
 # a 0.2s wall budget; TSan's slowdown makes that a coin flip, so the
 # timing-sensitive case is excluded from this leg only.
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-      -R 'Serve|Journal|NeighborLists|NearestNeighbor|MultipleFragment|^Simd' \
+      -R 'Serve|Journal|NeighborLists|NearestNeighbor|MultipleFragment|^Simd|^Engine|/EngineEquivalence\.' \
       -E 'SurvivesInjectedDeviceFault'
 
 echo

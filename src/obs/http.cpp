@@ -126,6 +126,37 @@ const char* http_status_reason(int status) {
   }
 }
 
+ListenSocket listen_tcp(const std::string& host, std::uint16_t port,
+                        int backlog, std::string_view what) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  TSPOPT_CHECK_MSG(fd >= 0, "socket() failed: " << std::strerror(errno));
+  try {
+    int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    TSPOPT_CHECK_MSG(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
+                     "invalid " << what << " \"" << host << "\"");
+    TSPOPT_CHECK_MSG(
+        ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0,
+        "bind(" << host << ":" << port
+                << ") failed: " << std::strerror(errno));
+    TSPOPT_CHECK_MSG(::listen(fd, backlog) == 0,
+                     "listen() failed: " << std::strerror(errno));
+
+    sockaddr_in bound{};
+    socklen_t bound_len = sizeof bound;
+    TSPOPT_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound),
+                               &bound_len) == 0);
+    return {fd, ntohs(bound.sin_port)};
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+}
+
 HttpServer::HttpServer(Options options) : options_(std::move(options)) {}
 
 HttpServer::~HttpServer() { stop(); }
@@ -142,31 +173,12 @@ void HttpServer::route_deferred(std::string path, DeferredHandler handler) {
 
 void HttpServer::start() {
   if (running()) return;
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  TSPOPT_CHECK_MSG(listen_fd_ >= 0,
-                   "socket() failed: " << std::strerror(errno));
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  TSPOPT_CHECK_MSG(
-      ::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) == 1,
-      "invalid admin listen address \"" << options_.host << "\"");
-  TSPOPT_CHECK_MSG(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                          sizeof addr) == 0,
-                   "bind(" << options_.host << ":" << options_.port
-                           << ") failed: " << std::strerror(errno));
-  TSPOPT_CHECK_MSG(::listen(listen_fd_, options_.listen_backlog) == 0,
-                   "listen() failed: " << std::strerror(errno));
+  ListenSocket listener = listen_tcp(options_.host, options_.port,
+                                     options_.listen_backlog,
+                                     "admin listen address");
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
   TSPOPT_CHECK(set_nonblocking(listen_fd_));
-
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof bound;
-  TSPOPT_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                             &bound_len) == 0);
-  port_ = ntohs(bound.sin_port);
 
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);

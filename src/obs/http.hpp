@@ -55,6 +55,19 @@ struct HttpResponse {
 
 const char* http_status_reason(int status);
 
+// A bound, listening TCP socket and the port it got.
+struct ListenSocket {
+  int fd = -1;
+  std::uint16_t port = 0;
+};
+
+// socket, SO_REUSEADDR, bind host:port (0 = ephemeral), listen(backlog),
+// getsockname: the one listener setup for the serve daemon and the admin
+// plane. CheckError on failure, with the socket closed; an unparseable
+// host reads `invalid <what> "<host>"`.
+ListenSocket listen_tcp(const std::string& host, std::uint16_t port,
+                        int backlog, std::string_view what);
+
 struct HttpServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; bound port via port()

@@ -1,13 +1,10 @@
 #include "serve/daemon.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "common/check.hpp"
@@ -169,30 +166,10 @@ void Daemon::start() {
   if (running_.load(std::memory_order_acquire)) return;
   TSPOPT_CHECK_MSG(!stopped_.load(), "Daemon cannot be restarted");
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  TSPOPT_CHECK_MSG(listen_fd_ >= 0,
-                   "socket() failed: " << std::strerror(errno));
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  TSPOPT_CHECK_MSG(
-      ::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) == 1,
-      "invalid listen address \"" << options_.host << "\"");
-  TSPOPT_CHECK_MSG(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                          sizeof addr) == 0,
-                   "bind(" << options_.host << ":" << options_.port
-                           << ") failed: " << std::strerror(errno));
-  TSPOPT_CHECK_MSG(::listen(listen_fd_, options_.listen_backlog) == 0,
-                   "listen() failed: " << std::strerror(errno));
-
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof bound;
-  TSPOPT_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                             &bound_len) == 0);
-  port_ = ntohs(bound.sin_port);
+  obs::ListenSocket listener = obs::listen_tcp(
+      options_.host, options_.port, options_.listen_backlog, "listen address");
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
 
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::jthread([this] { accept_loop(); });

@@ -339,11 +339,7 @@ Scheduler::Admission Scheduler::submit(JobSpec spec) {
       {
         std::lock_guard lock(jobs_mu_);
         jobs_.erase(job->id());
-        const std::string& key = job->spec().idempotency_key;
-        auto it = key.empty() ? idempotency_.end() : idempotency_.find(key);
-        if (it != idempotency_.end() && it->second == job->id()) {
-          idempotency_.erase(it);
-        }
+        release_key(*job);
       }
       {
         std::lock_guard lock(drain_mu_);
@@ -408,6 +404,15 @@ Scheduler::Admission Scheduler::submit(JobSpec spec) {
   return Admission{true, job->id(), 0.0, ""};
 }
 
+void Scheduler::release_key(const Job& job) {
+  const std::string& key = job.spec().idempotency_key;
+  if (key.empty()) return;
+  auto it = idempotency_.find(key);
+  if (it != idempotency_.end() && it->second == job.id()) {
+    idempotency_.erase(it);
+  }
+}
+
 std::shared_ptr<const Job> Scheduler::find(std::uint64_t id) const {
   std::lock_guard lock(jobs_mu_);
   auto it = jobs_.find(id);
@@ -419,13 +424,7 @@ bool Scheduler::forget(std::uint64_t id) {
     std::lock_guard lock(jobs_mu_);
     auto it = jobs_.find(id);
     if (it == jobs_.end() || !is_terminal(it->second->state())) return false;
-    const std::string& key = it->second->spec().idempotency_key;
-    if (!key.empty()) {
-      auto kit = idempotency_.find(key);
-      if (kit != idempotency_.end() && kit->second == id) {
-        idempotency_.erase(kit);
-      }
-    }
+    release_key(*it->second);
     jobs_.erase(it);
   }
   if (journal_ != nullptr) journal_->append_forgotten(id);
@@ -520,13 +519,7 @@ void Scheduler::settle(const std::shared_ptr<Job>& job, JobState terminal) {
       terminal_order_.pop_front();
       auto it = jobs_.find(oldest);
       if (it != jobs_.end() && is_terminal(it->second->state())) {
-        const std::string& key = it->second->spec().idempotency_key;
-        if (!key.empty()) {
-          auto kit = idempotency_.find(key);
-          if (kit != idempotency_.end() && kit->second == oldest) {
-            idempotency_.erase(kit);
-          }
-        }
+        release_key(*it->second);
         jobs_.erase(it);
         evicted.push_back(oldest);
       }

@@ -241,6 +241,9 @@ class Scheduler {
   void note_run_seconds(double seconds);
   // Replay the journal into jobs_/queue_ (ctor only, before workers).
   void recover_from_journal();
+  // Drop `job`'s idempotency key if it still maps to `job` (a later
+  // same-key submit may have reclaimed it). Caller holds jobs_mu_.
+  void release_key(const Job& job);
 
   simt::DevicePool& pool_;
   SchedulerOptions options_;

@@ -89,28 +89,4 @@ class PerSlotBatchEngine : public BatchTwoOptEngine {
   TwoOptEngine* engine_;
 };
 
-// The reverse adapter: a batch engine as a single-tour TwoOptEngine,
-// running batches of one. This is how the factory's batch-gpu name serves
-// single-tour call sites (the CLI tools, bench_report's engine sweep);
-// hosts that actually hold many tours should use the batch interface
-// directly.
-class BatchSingleTourAdapter : public TwoOptEngine {
- public:
-  explicit BatchSingleTourAdapter(std::unique_ptr<BatchTwoOptEngine> engine)
-      : engine_(std::move(engine)) {}
-
-  std::string name() const override { return engine_->name(); }
-
-  SearchResult search(const Instance& instance, const Tour& tour) override {
-    TourBatch batch(instance, {tour});
-    BatchSearchResult result = engine_->search(batch);
-    SearchResult out = result.per_tour[0];
-    out.wall_seconds = result.wall_seconds;
-    return out;
-  }
-
- private:
-  std::unique_ptr<BatchTwoOptEngine> engine_;
-};
-
 }  // namespace tspopt

@@ -7,7 +7,6 @@
 #include "solver/twoopt_gpu_pruned.hpp"
 #include "solver/twoopt_lut.hpp"
 #include "solver/twoopt_multi.hpp"
-#include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_pruned.hpp"
 #include "solver/twoopt_sequential.hpp"
 #include "solver/twoopt_simd.hpp"
@@ -17,13 +16,6 @@
 namespace tspopt {
 
 namespace {
-
-// batch-simd is cpu-simd run on each slot of a batch, under its own
-// roster name.
-class BatchSimd : public TwoOptSimd {
- public:
-  std::string name() const override { return "batch-simd"; }
-};
 
 using Lease = EngineFactory::Lease;
 
@@ -146,14 +138,11 @@ std::unique_ptr<TwoOptEngine> EngineFactory::create(
   if (name == "cpu-generic") {
     return std::make_unique<TwoOptGeneric>();
   }
-  if (name == "cpu-simd") {
-    return std::make_unique<TwoOptSimd>();
-  }
-  if (name == "batch-simd") {
-    return std::make_unique<BatchSimd>();
+  if (name == "cpu-simd" || name == "batch-simd") {
+    return std::make_unique<TwoOptSimd>(nullptr, nullptr, name);
   }
   if (name == "cpu-parallel") {
-    return std::make_unique<TwoOptCpuParallel>();
+    return std::make_unique<TwoOptSimd>(nullptr, &ThreadPool::shared(), name);
   }
   if (name == "cpu-lut") {
     TSPOPT_CHECK_MSG(instance_ != nullptr,
@@ -172,12 +161,15 @@ std::unique_ptr<TwoOptEngine> EngineFactory::create(
                      "neighbor lists");
     return std::make_unique<TwoOptSimdPruned>(neighbor_lists());
   }
-  if (name == "gpu-small") {
-    return std::make_unique<TwoOptGpuSmall>(device);
-  }
-  if (name == "gpu-small-indirect") {
+  if (name == "gpu-small" || name == "gpu-small-indirect") {
     return std::make_unique<TwoOptGpuSmall>(device, simt::LaunchConfig{},
-                                            false);
+                                            name == "gpu-small", name);
+  }
+  if (name == "batch-gpu") {
+    // One tour is one block: the batch kernel's geometry at B = 1.
+    simt::LaunchConfig one_block{
+        .grid_dim = 1, .block_dim = device.default_config().block_dim};
+    return std::make_unique<TwoOptGpuSmall>(device, one_block, true, name);
   }
   if (name == "gpu-tiled") {
     return std::make_unique<TwoOptGpuTiled>(device);
@@ -192,9 +184,6 @@ std::unique_ptr<TwoOptEngine> EngineFactory::create(
     std::vector<simt::Device*> spanned(devices.begin(), devices.end());
     if (spanned.empty()) spanned = {&device_, &second_device_};
     return std::make_unique<TwoOptMultiDevice>(std::move(spanned), 0, multi_);
-  }
-  if (name == "batch-gpu") {
-    return std::make_unique<BatchSingleTourAdapter>(create_batch(name, devices));
   }
   TSPOPT_CHECK_MSG(false, "unknown engine: " << name);
   return nullptr;  // unreachable

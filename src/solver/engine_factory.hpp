@@ -76,10 +76,12 @@ class EngineFactory {
   static const EngineInfo* find(std::string_view name);
 
   // Throws CheckError for unknown names or when a required resource is
-  // missing (e.g. cpu-lut without an instance). batch-simd is cpu-simd
-  // run per slot, so it resolves to a TwoOptSimd under that name; batch-gpu
-  // resolves to a BatchSingleTourAdapter, so it slots into single-tour
-  // call sites (the CLI tools, bench sweeps) unchanged.
+  // missing (e.g. cpu-lut without an instance). Each name is a
+  // configuration of the one class that runs its kernel, constructed under
+  // the roster name: cpu-simd and batch-simd are a TwoOptSimd on the
+  // calling thread, cpu-parallel one on the shared pool; gpu-small,
+  // gpu-small-indirect and batch-gpu are a TwoOptGpuSmall, batch-gpu with
+  // one block (a batch of one tour).
   //
   // `devices` are the devices the gpu engines run on — the serve
   // scheduler passes its lease. The single-device classes take the first,

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <utility>
 
 #include "common/timer.hpp"
 #include "simt/buffer.hpp"
@@ -173,8 +174,13 @@ void launch_block_kernel(simt::Device& device, const simt::LaunchConfig& config,
 }
 
 TwoOptGpuSmall::TwoOptGpuSmall(simt::Device& device, simt::LaunchConfig config,
-                               bool preorder_coordinates)
-    : device_(device), config_(config), preorder_(preorder_coordinates) {
+                               bool preorder_coordinates, std::string name)
+    : device_(device),
+      config_(config),
+      preorder_(preorder_coordinates),
+      name_(!name.empty()            ? std::move(name)
+            : preorder_coordinates ? "gpu-small"
+                                   : "gpu-small-indirect") {
   if (config_.grid_dim == 0 || config_.block_dim == 0) {
     config_ = device_.default_config();
   }

@@ -18,10 +18,13 @@
 // covers T tours with K blocks per tour; block b stages tour b / K and its
 // threads start at (b % K) * blockDim + tid, striding K * blockDim.
 // gpu-small is T = 1, K = gridDim (the paper's grid stride); batch-gpu is
-// T = B, K = 1 (a block stride over the block's own tour).
+// T = B, K = 1 (a block stride over the block's own tour), which on one
+// tour is this engine at grid_dim = 1 (the factory's single-tour
+// batch-gpu).
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "simt/device.hpp"
@@ -54,12 +57,14 @@ class TwoOptGpuSmall : public TwoOptEngine {
   // shared-memory city limit from ~6136 to ~4090 and adds the extra
   // indirection the paper's four Opt.-2 benefits eliminate. Results are
   // identical either way.
+  //
+  // `name` is the roster name; empty means "gpu-small" or
+  // "gpu-small-indirect" by `preorder_coordinates`.
   explicit TwoOptGpuSmall(simt::Device& device, simt::LaunchConfig config = {},
-                          bool preorder_coordinates = true);
+                          bool preorder_coordinates = true,
+                          std::string name = "");
 
-  std::string name() const override {
-    return preorder_ ? "gpu-small" : "gpu-small-indirect";
-  }
+  std::string name() const override { return name_; }
 
   SearchResult search(const Instance& instance, const Tour& tour) override;
 
@@ -73,6 +78,7 @@ class TwoOptGpuSmall : public TwoOptEngine {
   simt::Device& device_;
   simt::LaunchConfig config_;
   bool preorder_;
+  std::string name_;
   std::vector<Point> ordered_;
 };
 

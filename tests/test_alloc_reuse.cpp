@@ -59,7 +59,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 #include "simt/device.hpp"
 #include "simt/shared_memory.hpp"
 #include "solver/twoopt_gpu_pruned.hpp"
-#include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_sequential.hpp"
 #include "solver/twoopt_simd.hpp"
 #include "solver/twoopt_simd_pruned.hpp"
@@ -290,7 +289,7 @@ TEST(AllocReuse, ServerWorkloadWorkerArenasStayBounded) {
 
 TEST(AllocReuse, ParallelEngineSteadyStateCountIsStable) {
   Fixture f(800, 6);
-  TwoOptCpuParallel engine;
+  TwoOptSimd engine(nullptr, &ThreadPool::shared());
   std::uint64_t first =
       allocations_during([&] { engine.search(f.inst, f.tour); });
   std::uint64_t second =

@@ -12,7 +12,6 @@
 #include "simt/device.hpp"
 #include "solver/twoopt_gpu.hpp"
 #include "solver/twoopt_lut.hpp"
-#include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_sequential.hpp"
 #include "solver/twoopt_simd.hpp"
 #include "solver/twoopt_tiled.hpp"
@@ -77,7 +76,8 @@ TEST_P(EngineEquivalence, AllEnginesAgreeOnBestMove) {
   for (simd::Level level : simd::supported_levels()) {
     engines.push_back(std::make_unique<TwoOptSimd>(&simd::kernels(level)));
   }
-  engines.push_back(std::make_unique<TwoOptCpuParallel>());
+  engines.push_back(
+      std::make_unique<TwoOptSimd>(nullptr, &ThreadPool::shared()));
 
   simt::Device device(simt::gtx680_cuda());
   if (c.instance.n() <= TwoOptGpuSmall::max_cities(device)) {

@@ -32,8 +32,8 @@
 #include "solver/ordering.hpp"
 #include "solver/twoopt_gpu.hpp"
 #include "solver/twoopt_multi.hpp"
-#include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_sequential.hpp"
+#include "solver/twoopt_simd.hpp"
 #include "solver/twoopt_tiled.hpp"
 #include "tsp/generator.hpp"
 #include "tsp/tsplib.hpp"
@@ -693,7 +693,7 @@ TEST(Fuzz, ParallelEngineStableAcrossPoolSizes) {
   SearchResult expect = reference.search(inst, tour);
   for (std::size_t workers : {1u, 2u, 3u, 7u, 16u}) {
     ThreadPool pool(workers);
-    TwoOptCpuParallel engine(&pool);
+    TwoOptSimd engine(nullptr, &pool);
     SearchResult got = engine.search(inst, tour);
     ASSERT_EQ(got.best.delta, expect.best.delta) << workers << " workers";
     ASSERT_EQ(got.best.index, expect.best.index) << workers << " workers";

@@ -15,8 +15,8 @@
 #include "solver/local_search.hpp"
 #include "solver/or_opt.hpp"
 #include "solver/twoopt_gpu.hpp"
-#include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_sequential.hpp"
+#include "solver/twoopt_simd.hpp"
 #include "solver/twoopt_tiled.hpp"
 #include "tsp/catalog.hpp"
 #include "tsp/tsplib.hpp"
@@ -133,7 +133,7 @@ TEST(Integration, CpuParallelMatchesGpuOnACatalogDescent) {
   Pcg32 rng(4);
   Tour cpu_tour = Tour::random(inst.n(), rng);
   Tour gpu_tour = cpu_tour;
-  TwoOptCpuParallel cpu;
+  TwoOptSimd cpu(nullptr, &ThreadPool::shared());
   simt::Device device(simt::radeon7970_ghz());
   TwoOptGpuSmall gpu(device);
   LocalSearchStats cpu_stats = local_search(cpu, inst, cpu_tour);

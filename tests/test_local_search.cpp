@@ -4,8 +4,8 @@
 #include "simt/device.hpp"
 #include "solver/local_search.hpp"
 #include "solver/twoopt_gpu.hpp"
-#include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_sequential.hpp"
+#include "solver/twoopt_simd.hpp"
 #include "solver/twoopt_tiled.hpp"
 #include "tsp/catalog.hpp"
 #include "tsp/generator.hpp"
@@ -57,7 +57,7 @@ TEST(LocalSearch, AllEnginesReachTheSameLocalMinimum) {
   for (int variant = 0; variant < 3; ++variant) {
     Tour t = initial;
     if (variant == 0) {
-      TwoOptCpuParallel e;
+      TwoOptSimd e(nullptr, &ThreadPool::shared());
       local_search(e, inst, t);
     } else if (variant == 1) {
       TwoOptGpuSmall e(device);

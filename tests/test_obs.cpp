@@ -3,11 +3,14 @@
 // schema, and — end to end — a fault-injected multi-device ILS run whose
 // trace and report record the retry/quarantine story.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "obs/http.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -731,6 +735,53 @@ TEST(ObsIntegration, LiveTelemetryCrossCorrelatesByRunId) {
   tracer.clear();
   std::remove(log_path.c_str());
   std::remove(prom_path.c_str());
+}
+
+// The one listener setup behind tspoptd and the admin plane: it binds an
+// ephemeral port, names the address in its error text with the caller's
+// wording, and closes the socket when a step after socket() fails.
+TEST(ListenTcp, BindsEphemeralPortAndClosesTheSocketOnFailure) {
+  auto open_fds = [] {
+    std::size_t count = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+      (void)entry;
+      ++count;
+    }
+    return count;
+  };
+  const std::size_t before = open_fds();
+
+  obs::ListenSocket listener =
+      obs::listen_tcp("127.0.0.1", 0, 4, "listen address");
+  ASSERT_GE(listener.fd, 0);
+  EXPECT_NE(listener.port, 0);
+
+  for (const char* what : {"listen address", "admin listen address"}) {
+    try {
+      obs::listen_tcp("not-an-ip", 0, 4, what);
+      ADD_FAILURE() << "no CheckError for " << what;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("invalid ") + what +
+                                           " \"not-an-ip\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The port is taken while `listener` listens on it.
+  try {
+    obs::listen_tcp("127.0.0.1", listener.port, 4, "listen address");
+    ADD_FAILURE() << "second bind of port " << listener.port << " succeeded";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "bind(127.0.0.1:" + std::to_string(listener.port) +
+                  ") failed: "),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(open_fds(), before + 1);
+  ::close(listener.fd);
+  EXPECT_EQ(open_fds(), before);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include "solver/local_search.hpp"
 #include "solver/ordering.hpp"
 #include "solver/simd.hpp"
-#include "solver/twoopt_parallel.hpp"
 #include "solver/twoopt_sequential.hpp"
 #include "solver/twoopt_simd.hpp"
 #include "solver/twoopt_tiled.hpp"
@@ -541,7 +540,7 @@ TEST(SimdEngines, PinnedKernelsPropagateThroughParallelAndTiledEngines) {
   for (simd::Level level : simd::supported_levels()) {
     const simd::Kernels& k = simd::kernels(level);
     {
-      TwoOptCpuParallel engine(nullptr, &k);
+      TwoOptSimd engine(&k, &ThreadPool::shared());
       expect_results_equal(engine.search(inst, tour), expected,
                            ctx({"cpu-parallel @ ", simd::to_string(level)}));
     }
@@ -599,7 +598,7 @@ TEST(SimdEngines, PassCoverageCountersSplitEveryPair) {
     }
 
     skipped0 = skipped.value();
-    TwoOptCpuParallel parallel(nullptr, &simd::kernels(level));
+    TwoOptSimd parallel(&simd::kernels(level), &ThreadPool::shared());
     EXPECT_EQ(parallel.search(inst, tour).checks,
               static_cast<std::uint64_t>(pair_count(n)));
     ds = skipped.value() - skipped0;

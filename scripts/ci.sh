@@ -23,10 +23,12 @@
 # Pass 3: Observability smoke — run a small traced ILS with
 #         TSPOPT_TRACE/TSPOPT_REPORT set and validate that both emitted
 #         files are well-formed JSON.
-# Pass 4: SIMD dispatch matrix — the engine-equivalence suite under
-#         TSPOPT_SIMD=scalar and TSPOPT_SIMD=avx2 (the AVX2 leg skips
-#         cleanly on hosts without the instructions), then a bench_engines
-#         smoke that emits a BENCH_engines.json artifact.
+# Pass 4: SIMD dispatch matrix — the SIMD, engine-equivalence, pruned
+#         and pruned-equivalence suites under TSPOPT_SIMD=scalar and
+#         TSPOPT_SIMD=avx2 (the AVX2 leg skips cleanly on hosts without
+#         the instructions), so the default-dispatch pruned engines and
+#         the solve-large count pin run at both levels, then a
+#         bench_engines smoke that emits a BENCH_engines.json artifact.
 # Pass 5: Benchmark-regression gate — bench_report smoke run diffed
 #         against the committed BENCH_*.json baselines (exact metrics
 #         gated hard; throughput gated at 15% unless the environment
@@ -175,6 +177,10 @@ for level in scalar avx2; do
   TSPOPT_SIMD="${level}" "${PREFIX}-release/tests/test_simd" \
       --gtest_brief=1
   TSPOPT_SIMD="${level}" "${PREFIX}-release/tests/test_engines" \
+      --gtest_brief=1
+  TSPOPT_SIMD="${level}" "${PREFIX}-release/tests/test_pruned" \
+      --gtest_brief=1
+  TSPOPT_SIMD="${level}" "${PREFIX}-release/tests/test_pruned_equivalence" \
       --gtest_brief=1
 done
 

@@ -23,8 +23,10 @@
 // constants). The position-indexed arrays stay device-resident too: per
 // pass the host ships only what PrunedSweep restaged — the route-indexed
 // arrays over the reversed arc after an applied 2-opt move, all of it
-// after a rebuild, and the id span of the restaged cities' positions
-// (~n ids on unordered city ids) — plus the active-row list.
+// after a rebuild, and the label span of the restaged cities' positions
+// (spatial labels, so a few times the arc rather than ~n) — plus the
+// active-row list. The NN rows, their ids, the route and the positions
+// are all in PrunedSweep's labels; the kernel only indexes with them.
 // Launches go through the normal Device plumbing — launch spans, fault
 // injection, transfer/read counters — and device buffers are grow-only,
 // so steady-state passes do not allocate.
@@ -67,7 +69,8 @@ class TwoOptGpuPruned : public TwoOptEngine {
   const PrunedSweep& sweep() const { return sweep_; }
 
   // The device-resident copy of the sweep's staging (route-ordered
-  // coordinates with the wrap entry, successor lengths, positions, route),
+  // coordinates with the wrap entry, successor lengths, label-indexed
+  // positions, label route),
   // truncated to the current n. After every pass it equals the host
   // staging; the equivalence suite checks that.
   struct DeviceStaging {

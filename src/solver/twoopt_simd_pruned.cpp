@@ -8,33 +8,16 @@ namespace tspopt {
 TwoOptSimdPruned::TwoOptSimdPruned(const NeighborLists& neighbors,
                                    const simd::Kernels* kernels)
     : neighbors_(neighbors),
-      kernels_(kernels != nullptr ? *kernels : simd::active()) {
+      kernels_(kernels != nullptr ? *kernels : simd::active()),
+      sweep_(neighbors) {
   // Pad every candidate row to a multiple of the kernel width by
   // replicating the row's first candidate. A duplicate evaluates to the
   // duplicate delta of an earlier candidate, so the fold's pair-index
   // tie-break rejects it and move selection is bit-identical — while the
   // kernel runs pure full-width lane-groups with no scalar tail.
-  const std::int32_t k = neighbors_.k();
   const std::int32_t w = kernels_.width;
-  k_pad_ = ((k + w - 1) / w) * w;
-  const std::int32_t n = neighbors_.n();
-  ids_pad_.resize(static_cast<std::size_t>(n) *
-                  static_cast<std::size_t>(k_pad_));
-  cand_dist_pad_.resize(ids_pad_.size());
-  for (std::int32_t city = 0; city < n; ++city) {
-    std::span<const std::int32_t> ids = neighbors_.neighbors(city);
-    std::span<const std::int32_t> cds = neighbors_.cand_dists(city);
-    std::int32_t* id_row = ids_pad_.data() +
-                           static_cast<std::size_t>(city) *
-                               static_cast<std::size_t>(k_pad_);
-    std::int32_t* cd_row = cand_dist_pad_.data() +
-                           static_cast<std::size_t>(city) *
-                               static_cast<std::size_t>(k_pad_);
-    for (std::int32_t c = 0; c < k_pad_; ++c) {
-      id_row[c] = ids[static_cast<std::size_t>(c < k ? c : 0)];
-      cd_row[c] = cds[static_cast<std::size_t>(c < k ? c : 0)];
-    }
-  }
+  k_pad_ = ((neighbors_.k() + w - 1) / w) * w;
+  label_rows(neighbors_, k_pad_, ids_pad_, cand_dist_pad_);
 }
 
 SearchResult TwoOptSimdPruned::search(const Instance& instance,
@@ -46,7 +29,7 @@ SearchResult TwoOptSimdPruned::search(const Instance& instance,
   const std::int32_t k = neighbors_.k();
   const float* xs = sweep_.coords().xs();
   const float* ys = sweep_.coords().ys();
-  std::span<const std::int32_t> route = tour.order();
+  std::span<const std::int32_t> route = sweep_.route();
   const std::int32_t* positions = sweep_.positions().data();
   out_delta_.resize(static_cast<std::size_t>(k_pad_));
   out_q_.resize(static_cast<std::size_t>(k_pad_));
@@ -74,7 +57,7 @@ SearchResult TwoOptSimdPruned::search(const Instance& instance,
   std::uint64_t checks = 0;
   for (std::size_t r = 0; r < active.size(); ++r) {
     std::int32_t p = active[r];
-    std::int32_t city = route[static_cast<std::size_t>(p)];
+    std::int32_t label = route[static_cast<std::size_t>(p)];
     std::int32_t row_min = row_mins_[r];
     if (row_min <= best.delta) {
       simd::CandRowArgs args{xs,
@@ -82,10 +65,10 @@ SearchResult TwoOptSimdPruned::search(const Instance& instance,
                              sweep_.succ_len().data(),
                              positions,
                              ids_pad_.data() +
-                                 static_cast<std::size_t>(city) *
+                                 static_cast<std::size_t>(label) *
                                      static_cast<std::size_t>(k_pad_),
                              cand_dist_pad_.data() +
-                                 static_cast<std::size_t>(city) *
+                                 static_cast<std::size_t>(label) *
                                      static_cast<std::size_t>(k_pad_),
                              k_pad_,
                              p,
@@ -102,7 +85,7 @@ SearchResult TwoOptSimdPruned::search(const Instance& instance,
         consider_move(best, d, pair_index(i, j), i, j);
       }
     }
-    if (row_min >= 0) sweep_.set_dont_look(city);
+    if (row_min >= 0) sweep_.set_dont_look(label);
     checks += static_cast<std::uint64_t>(k);
   }
 

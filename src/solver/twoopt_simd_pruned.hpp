@@ -24,7 +24,9 @@
 // Candidate rows are padded to the kernel width at construction time
 // (duplicating each row's first candidate), so neither kernel runs a
 // scalar tail; the duplicate deltas lose consider_move's pair-index
-// tie-break against their originals, leaving selection unchanged.
+// tie-break against their originals, leaving selection unchanged. Rows,
+// records and the route the kernels read are in PrunedSweep's spatial
+// labels, not city ids: the kernels only index with them.
 //
 // Don't-look bits (solver/pruned_sweep.hpp) drive which city rows are
 // swept: quiescent regions of the tour cost nothing, and the staging is
@@ -68,14 +70,15 @@ class TwoOptSimdPruned : public TwoOptEngine {
  private:
   const NeighborLists& neighbors_;
   const simd::Kernels& kernels_;
-  // Width-padded copy of the NeighborLists SoA export: row `city` occupies
-  // [city * k_pad_, (city + 1) * k_pad_), entries past k duplicate the
-  // row's first candidate. Built once per engine.
+  // Width-padded label_rows() of the neighbor lists: row `label` occupies
+  // [label * k_pad_, (label + 1) * k_pad_) and holds candidate labels,
+  // entries past k duplicate the row's first candidate. Built once per
+  // engine.
   std::int32_t k_pad_ = 0;
   std::vector<std::int32_t> ids_pad_;
   std::vector<std::int32_t> cand_dist_pad_;
   // Staging kept current across passes: coordinates, successor lengths,
-  // positions, candidate records, don't-look bits.
+  // the label route, positions, candidate records, don't-look bits.
   PrunedSweep sweep_;
   // The sweep kernel's per-active-row minimum deltas — the fold/don't-look
   // gate.

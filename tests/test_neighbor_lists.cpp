@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "pin_instances.hpp"
+#include "solver/constructive.hpp"
 #include "tsp/catalog.hpp"
 #include "tsp/generator.hpp"
 #include "tsp/neighbor_lists.hpp"
@@ -270,6 +272,94 @@ TEST(NeighborLists, ShorterListIsPrefixOfLonger) {
       }
     }
   }
+}
+
+// labels() is a permutation of [0, n).
+void expect_label_permutation(const NeighborLists& nl, const std::string& what) {
+  std::vector<std::int32_t> sorted(nl.labels().begin(), nl.labels().end());
+  ASSERT_EQ(static_cast<std::int32_t>(sorted.size()), nl.n()) << what;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::int32_t label = 0; label < nl.n(); ++label) {
+    ASSERT_EQ(sorted[static_cast<std::size_t>(label)], label) << what;
+  }
+}
+
+TEST(NeighborLists, LabelsArePermutationsOnDegenerateLayouts) {
+  // The Hilbert walk must reach every grid cell whatever the grid's
+  // shape: one cell (identical points), one row or column (collinear), a
+  // handful of cities, and GEO's (latitude, longitude) plane.
+  std::vector<Instance> instances;
+  instances.emplace_back("identical", Metric::kEuc2D,
+                         std::vector<Point>(300, Point{7.0f, -3.0f}));
+  std::vector<Point> row;
+  std::vector<Point> column;
+  std::vector<Point> diagonal;
+  for (int i = 0; i < 500; ++i) {
+    const auto f = static_cast<float>(i);
+    row.push_back({3.0f * f, 11.0f});
+    column.push_back({-5.0f, 1000.0f - 2.0f * f});
+    diagonal.push_back({f, f});
+  }
+  instances.emplace_back("row", Metric::kEuc2D, row);
+  instances.emplace_back("column", Metric::kEuc2D, column);
+  instances.emplace_back("diagonal", Metric::kEuc2D, diagonal);
+  Pcg32 rng(29);
+  for (std::int32_t n = 3; n <= 8; ++n) {  // an Instance needs n >= 3
+    std::vector<Point> few;
+    for (std::int32_t i = 0; i < n; ++i) {
+      few.push_back({rng.next_float(0.0f, 100.0f), rng.next_float(0.0f, 100.0f)});
+    }
+    instances.emplace_back("few" + std::to_string(n), Metric::kEuc2D, few);
+  }
+  std::vector<Point> globe;
+  for (int i = 0; i < 700; ++i) {
+    globe.push_back({rng.next_float(-80.0f, 80.0f),
+                     rng.next_float(-180.0f, 180.0f)});
+  }
+  instances.emplace_back("globe-GEO", Metric::kGeo, globe);
+  for (const Instance& inst : instances) {
+    NeighborLists nl(inst, 8);
+    expect_label_permutation(nl, inst.name());
+  }
+}
+
+TEST(NeighborLists, LabelsAreDeterministic) {
+  // The walk is serial over the serially built grid: two builds of one
+  // instance label every city alike, however the pool split the rows.
+  Instance inst = generate_clustered("c20k", 20000, 50, 3);
+  NeighborLists a(inst, 8);
+  NeighborLists b(inst, 8);
+  expect_label_permutation(a, inst.name());
+  EXPECT_TRUE(std::equal(a.labels().begin(), a.labels().end(),
+                         b.labels().begin()));
+}
+
+TEST(NeighborLists, LabelsFollowSpaceAlongATour) {
+  // A clustered generator's ids are random in space, so ids of tour
+  // neighbours are far apart; labels follow a Hilbert walk of the plane,
+  // so along a good tour they mostly differ by a few. On this instance's
+  // multiple-fragment tour the mean |delta| between route neighbours is
+  // 54.2 labels against 3 326.5 ids.
+  Instance inst = generate_clustered("c10k", 10000, 25, 5);
+  NeighborLists nl(inst, 16);
+  Tour tour = multiple_fragment(inst, nl);
+  std::span<const std::int32_t> order = tour.order();
+  std::span<const std::int32_t> labels = nl.labels();
+  double label_steps = 0.0;
+  double id_steps = 0.0;
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    const std::int32_t a = order[p];
+    const std::int32_t b = order[(p + 1) % order.size()];
+    label_steps += std::abs(labels[static_cast<std::size_t>(a)] -
+                            labels[static_cast<std::size_t>(b)]);
+    id_steps += std::abs(a - b);
+  }
+  const double n = static_cast<double>(order.size());
+  RecordProperty("mean_label_step", std::to_string(label_steps / n));
+  RecordProperty("mean_id_step", std::to_string(id_steps / n));
+  EXPECT_LT(label_steps * 20.0, id_steps)
+      << "mean |delta label| " << label_steps / n << ", mean |delta id| "
+      << id_steps / n;
 }
 
 TEST(NeighborLists, RequiresCoordinates) {

@@ -108,16 +108,19 @@ struct RowBest {
 using RowKernelFn = RowBest (*)(const RowArgs&);
 
 // One pruned candidate row: the k neighbor-list candidates of the city at
-// tour position p (solver/twoopt_simd_pruned.hpp). Unlike the triangle row
-// kernel this one writes per-candidate results instead of reducing:
-// out_delta[c] is the exact 2-opt delta of the pair {p, out_q[c]} and
-// out_q[c] the candidate neighbor's tour position. The caller folds the k
-// buffered results through consider_move, which preserves the engines'
-// (delta, pair-index) tie-break without tracking 64-bit pair indices in
-// lanes (pair_index exceeds 32 bits past n ~ 65k). out_min receives the
-// row's minimum delta, so the caller can skip that scalar fold whenever
-// the row cannot beat or tie the incumbent best, and derive the
-// don't-look decision (any delta < 0?) from the sign alone.
+// tour position p (solver/twoopt_simd_pruned.hpp). A "city id" here is
+// whatever numbering the caller keys its arrays by consistently; the
+// pruned engines pass spatial labels (solver/pruned_sweep.hpp), and the
+// kernels only index with them. Unlike the triangle row kernel this one
+// writes per-candidate results instead of reducing: out_delta[c] is the
+// exact 2-opt delta of the pair {p, out_q[c]} and out_q[c] the candidate
+// neighbor's tour position. The caller folds the k buffered results
+// through consider_move, which preserves the engines' (delta, pair-index)
+// tie-break without tracking 64-bit pair indices in lanes (pair_index
+// exceeds 32 bits past n ~ 65k). out_min receives the row's minimum
+// delta, so the caller can skip that scalar fold whenever the row cannot
+// beat or tie the incumbent best, and derive the don't-look decision (any
+// delta < 0?) from the sign alone.
 //
 // The delta uses the symmetric rearrangement
 //

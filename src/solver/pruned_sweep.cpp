@@ -54,7 +54,6 @@ void PrunedSweep::begin_pass(const Instance& instance, const Tour& tour) {
     adj_lo_.assign(size, -1);
     adj_hi_.assign(size, -1);
     dont_look_.assign(size, 0);
-    row_bits_.assign((size + 63) / 64, 0);
     armed_.resize(size);
     std::iota(armed_.begin(), armed_.end(), 0);
   } else {
@@ -73,6 +72,7 @@ void PrunedSweep::begin_pass(const Instance& instance, const Tour& tour) {
     dirty_ = {0, 0};
     dirty_label_lo_ = 0;
     dirty_label_hi_ = -1;
+    pred_label_ = -1;
   } else if (child && tour.last_kick().p1 >= 0) {
     // A double bridge A B C D -> A C B D moves only [p1, p3); the six
     // cities at the segment joints are the only ones whose neighbors
@@ -111,27 +111,35 @@ void PrunedSweep::begin_pass(const Instance& instance, const Tour& tour) {
     std::iota(armed_.begin(), armed_.end(), 0);
   }
 
-  if (armed_.size() == static_cast<std::size_t>(n)) {
+  active_rows_built_ = false;
+}
+
+std::span<const std::int32_t> PrunedSweep::active_rows() const {
+  if (active_rows_built_) return active_rows_;
+  active_rows_built_ = true;
+  if (armed_.size() == static_cast<std::size_t>(n_)) {
     active_rows_.resize(armed_.size());
     std::iota(active_rows_.begin(), active_rows_.end(), 0);
-  } else {
-    // Ascending positions without a comparison sort: mark each armed
-    // label's position in a bitmap, then read the set bits out word by
-    // word, clearing them for the next pass. O(active + n / 64).
-    for (std::int32_t label : armed_) {
-      const auto p = static_cast<std::uint32_t>(
-          positions_[static_cast<std::size_t>(label)]);
-      row_bits_[p >> 6] |= std::uint64_t{1} << (p & 63);
-    }
-    active_rows_.clear();
-    for (std::size_t w = 0; w < row_bits_.size(); ++w) {
-      for (std::uint64_t bits = row_bits_[w]; bits != 0; bits &= bits - 1) {
-        active_rows_.push_back(
-            static_cast<std::int32_t>(w * 64 + std::countr_zero(bits)));
-      }
-      row_bits_[w] = 0;
-    }
+    return active_rows_;
   }
+  // Ascending positions without a comparison sort: mark each armed
+  // label's position in a bitmap, then read the set bits out word by
+  // word, clearing them for the next call. O(active + n / 64).
+  row_bits_.resize((static_cast<std::size_t>(n_) + 63) / 64);
+  for (std::int32_t label : armed_) {
+    const auto p = static_cast<std::uint32_t>(
+        positions_[static_cast<std::size_t>(label)]);
+    row_bits_[p >> 6] |= std::uint64_t{1} << (p & 63);
+  }
+  active_rows_.clear();
+  for (std::size_t w = 0; w < row_bits_.size(); ++w) {
+    for (std::uint64_t bits = row_bits_[w]; bits != 0; bits &= bits - 1) {
+      active_rows_.push_back(
+          static_cast<std::int32_t>(w * 64 + std::countr_zero(bits)));
+    }
+    row_bits_[w] = 0;
+  }
+  return active_rows_;
 }
 
 void PrunedSweep::restage(std::span<const Point> points,
@@ -196,9 +204,11 @@ void PrunedSweep::scatter(Tour::Arc arc) {
   };
 
   // The predecessor keeps its position but not its successor.
+  pred_label_ = -1;
   if (!whole) {
     const std::int32_t pred = arc.first == 0 ? n - 1 : arc.first - 1;
-    record(pred, route[pred]);
+    pred_label_ = route[pred];
+    record(pred, pred_label_);
   }
   dirty_ = arc;
   dirty_label_lo_ = n;

@@ -49,9 +49,11 @@
 // in SNIPPETS.md Snippet 3's opt2 kernel), one per label: a city whose
 // candidate row produced no improving move is marked quiescent and skipped
 // on later passes, until one of its own tour edges changes. Under ILS steady state
-// almost every row is quiescent, so a pass costs O(changed-rows * k)
-// instead of O(n * k). The reset policy is exact rather than heuristic,
-// because both backends must select identical moves pass after pass:
+// almost every row is quiescent, so a pass visits O(active-rows) rows, not
+// n; what it sweeps is up to the engine (cpu-simd-pruned re-sweeps only
+// the rows whose candidate records changed, see rewrote()). The reset
+// policy is exact rather than heuristic, because both backends must select
+// identical moves pass after pass:
 //
 //   - first pass (or n changed): every row active — a full candidate
 //     sweep, bit-equal to the DLB-free cpu-pruned engine.
@@ -70,9 +72,11 @@
 // engines are documented as inexact already, and the equivalence suite
 // pins all backends to the same approximation.
 //
-// The active rows come out in ascending position order (gpu-pruned's
-// per-block slices depend on it) from a position bitmap rather than a
-// comparison sort, so the list costs O(active + n / 64) per pass.
+// The armed labels come in no particular order: a pass that reduces its
+// rows to the lexmin (delta, pair index) move may walk them as they are.
+// The ascending-position list of the same rows (gpu-pruned's per-block
+// slices depend on the order) is built only when asked for, from a
+// position bitmap rather than a comparison sort, for O(active + n / 64).
 #pragma once
 
 #include <cstdint>
@@ -104,9 +108,8 @@ class PrunedSweep {
       : labels_(neighbors.labels()) {}
 
   // Brings the staging up to date for `tour` and applies the reset policy
-  // above. Afterwards active_rows() lists the tour positions to sweep this
-  // pass, in ascending order. Reuses capacity: steady-state calls
-  // allocate nothing.
+  // above. Afterwards armed() lists the labels whose rows this pass
+  // visits. Reuses capacity: steady-state calls allocate nothing.
   void begin_pass(const Instance& instance, const Tour& tour);
 
   // Route-ordered coordinates: coords().xs()[p] is position p's city.
@@ -123,7 +126,13 @@ class PrunedSweep {
   // records()[label] == {coords of position + 1, succ_len, position}.
   std::span<const simd::CandRecord> records() const { return records_; }
 
-  std::span<const std::int32_t> active_rows() const { return active_rows_; }
+  // The labels whose rows the current pass visits, in no particular order.
+  // Rows marked quiescent during the pass stay listed until the next
+  // begin_pass.
+  std::span<const std::int32_t> armed() const { return armed_; }
+  // The tour positions of armed(), ascending; built on the first call after
+  // each begin_pass.
+  std::span<const std::int32_t> active_rows() const;
   // dont_look()[label] == 1 when that city's row is quiescent.
   std::span<const std::uint8_t> dont_look() const { return dont_look_; }
 
@@ -138,8 +147,18 @@ class PrunedSweep {
   std::int32_t dirty_label_lo() const { return dirty_label_lo_; }
   std::int32_t dirty_label_hi() const { return dirty_label_hi_; }
 
+  // Whether the last begin_pass may have rewritten the record of a label
+  // in [lo, hi]. scatter() is the only writer of records: it writes the
+  // dirty arc's labels (every label after a rebuild) and the arc's
+  // predecessor. The arc's labels are compared by their span, so a true
+  // may be spurious; a false never is.
+  bool rewrote(std::int32_t lo, std::int32_t hi) const {
+    return (lo <= dirty_label_hi_ && dirty_label_lo_ <= hi) ||
+           (lo <= pred_label_ && pred_label_ <= hi);
+  }
+
   std::uint64_t rows_skipped() const {
-    return static_cast<std::uint64_t>(n_) - active_rows_.size();
+    return static_cast<std::uint64_t>(n_) - armed_.size();
   }
 
   // Marks the row of the city with `label` quiescent: skipped on later
@@ -183,6 +202,9 @@ class PrunedSweep {
   Tour::Arc dirty_;
   std::int32_t dirty_label_lo_ = 0;
   std::int32_t dirty_label_hi_ = -1;
+  // Label of the dirty arc's predecessor, whose record scatter() rewrote
+  // too; -1 when none (a rebuild, or an unchanged tour).
+  std::int32_t pred_label_ = -1;
 
   // Unordered tour-neighbor pair per label, as (min, max); -1 = unset.
   std::vector<std::int32_t> adj_lo_;
@@ -191,9 +213,11 @@ class PrunedSweep {
   // Labels whose bit was clear at the start of the last pass (a superset
   // of the armed labels until begin_pass drops those set since).
   std::vector<std::int32_t> armed_;
-  std::vector<std::int32_t> active_rows_;
-  // One bit per position; all clear between passes.
-  std::vector<std::uint64_t> row_bits_;
+  // active_rows() output and its scratch: one bit per position, all clear
+  // between calls.
+  mutable bool active_rows_built_ = false;
+  mutable std::vector<std::int32_t> active_rows_;
+  mutable std::vector<std::uint64_t> row_bits_;
 
   // Registry instruments, resolved lazily so steady-state passes are
   // allocation-free.

@@ -122,13 +122,12 @@ void cand_row_scalar(const CandRowArgs& a) {
 
 void cand_sweep_scalar(const CandSweepArgs& a) {
   for (std::int32_t r = 0; r < a.num_rows; ++r) {
-    const std::int32_t p = a.rows[r];
-    const CandRecord& own = a.recs[a.route[p]];
-    const std::int32_t* ids =
-        a.ids + static_cast<std::size_t>(a.route[p]) *
-                    static_cast<std::size_t>(a.k_pad);
+    const std::int32_t city = a.rows[r];
+    const CandRecord& own = a.recs[city];
+    const std::int32_t* ids = a.ids + static_cast<std::size_t>(city) *
+                                          static_cast<std::size_t>(a.k_pad);
     const std::int32_t* cds =
-        a.cand_dist + static_cast<std::size_t>(a.route[p]) *
+        a.cand_dist + static_cast<std::size_t>(city) *
                           static_cast<std::size_t>(a.k_pad);
     std::int32_t row_min = std::numeric_limits<std::int32_t>::max();
     for (std::int32_t c = 0; c < a.k_pad; ++c) {
@@ -363,8 +362,7 @@ __attribute__((target("avx2,fma"))) void cand_sweep_avx2(
   constexpr std::int32_t kW = 8;
   const CandRecord* recs = a.recs;
   for (std::int32_t r = 0; r < a.num_rows; ++r) {
-    const std::int32_t p = a.rows[r];
-    const std::int32_t city = a.route[p];
+    const std::int32_t city = a.rows[r];
     const CandRecord& own = recs[city];
     const std::int32_t* ids = a.ids + static_cast<std::size_t>(city) *
                                           static_cast<std::size_t>(a.k_pad);

@@ -161,7 +161,7 @@ struct alignas(16) CandRecord {
   std::int32_t pos = 0;          // the city's tour position
 };
 
-// Whole-pass minimum sweep: for every active row, the minimum candidate
+// Whole-pass minimum sweep: for every listed row, the minimum candidate
 // delta — nothing else. The engine gates the exact consider_move fold
 // (via cand_row) on this minimum, so the expensive full-delta pass only
 // runs for rows that can beat or tie the incumbent best; the don't-look
@@ -175,8 +175,7 @@ struct CandSweepArgs {
   const std::int32_t* ids = nullptr;        // n x k_pad padded ids, city-major
   const std::int32_t* cand_dist = nullptr;  // n x k_pad edge lengths
   std::int32_t k_pad = 0;                   // row stride, multiple of width
-  const std::int32_t* rows = nullptr;       // active tour positions
-  const std::int32_t* route = nullptr;      // n: tour position -> city id
+  const std::int32_t* rows = nullptr;       // city ids of the rows to sweep
   std::int32_t num_rows = 0;
   std::int32_t* out_min = nullptr;          // num_rows minima
 };

@@ -1,5 +1,8 @@
 #include "solver/twoopt_simd_pruned.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/timer.hpp"
 #include "solver/pair_index.hpp"
 
@@ -18,6 +21,14 @@ TwoOptSimdPruned::TwoOptSimdPruned(const NeighborLists& neighbors,
   const std::int32_t w = kernels_.width;
   k_pad_ = ((neighbors_.k() + w - 1) / w) * w;
   label_rows(neighbors_, k_pad_, ids_pad_, cand_dist_pad_);
+  rows_.resize(static_cast<std::size_t>(neighbors_.n()));
+  for (std::size_t label = 0; label < rows_.size(); ++label) {
+    auto first = ids_pad_.begin() +
+                 static_cast<std::ptrdiff_t>(label) * k_pad_;
+    auto [lo, hi] = std::minmax_element(first, first + k_pad_);
+    rows_[label].lo = std::min(*lo, static_cast<std::int32_t>(label));
+    rows_[label].hi = std::max(*hi, static_cast<std::int32_t>(label));
+  }
 }
 
 SearchResult TwoOptSimdPruned::search(const Instance& instance,
@@ -26,67 +37,45 @@ SearchResult TwoOptSimdPruned::search(const Instance& instance,
   obs::Span span = pass_span(*this, tour, kernels_.width);
   TSPOPT_CHECK(neighbors_.n() == tour.n());
   sweep_.begin_pass(instance, tour);
-  const std::int32_t k = neighbors_.k();
-  const float* xs = sweep_.coords().xs();
-  const float* ys = sweep_.coords().ys();
-  std::span<const std::int32_t> route = sweep_.route();
-  const std::int32_t* positions = sweep_.positions().data();
+  const std::uint32_t pass = ++pass_;
   out_delta_.resize(static_cast<std::size_t>(k_pad_));
   out_q_.resize(static_cast<std::size_t>(k_pad_));
 
-  // Phase 1: one batched kernel call computes every active row's minimum
-  // candidate delta.
-  std::span<const std::int32_t> active = sweep_.active_rows();
-  row_mins_.resize(active.size());
+  // Rows visited on the previous pass whose labels the staging did not
+  // rewrite since fold their kept result; the rest are swept below. The
+  // fold is a lexmin, so the order of the two groups does not matter.
+  BestMove best;
+  std::span<const std::int32_t> armed = sweep_.armed();
+  std::uint64_t reused = 0;
+  swept_.clear();
+  for (std::int32_t label : armed) {
+    RowState& row = rows_[static_cast<std::size_t>(label)];
+    const bool stale = row.pass + 1 != pass || sweep_.rewrote(row.lo, row.hi);
+    row.pass = pass;
+    if (stale) {
+      swept_.push_back(label);
+    } else {
+      ++reused;
+      fold(label, row, best);
+    }
+  }
+
+  // One batched kernel call computes every swept row's minimum candidate
+  // delta.
+  row_mins_.resize(swept_.size());
   simd::CandSweepArgs sweep_args{sweep_.records().data(),
                                  ids_pad_.data(),
                                  cand_dist_pad_.data(),
                                  k_pad_,
-                                 active.data(),
-                                 route.data(),
-                                 static_cast<std::int32_t>(active.size()),
+                                 swept_.data(),
+                                 static_cast<std::int32_t>(swept_.size()),
                                  row_mins_.data()};
   kernels_.cand_sweep(sweep_args);
-
-  // Phase 2: the row minimum decides everything the scalar fold would —
-  // whether any candidate improves (don't-look bit) and whether any can
-  // beat or tie the incumbent best. Only rows that can re-evaluate their
-  // deltas (cand_row) and fold through the canonical reduction, whose
-  // `d > best.delta` early-out mirrors consider_move's first test.
-  BestMove best;
-  std::uint64_t checks = 0;
-  for (std::size_t r = 0; r < active.size(); ++r) {
-    std::int32_t p = active[r];
-    std::int32_t label = route[static_cast<std::size_t>(p)];
-    std::int32_t row_min = row_mins_[r];
-    if (row_min <= best.delta) {
-      simd::CandRowArgs args{xs,
-                             ys,
-                             sweep_.succ_len().data(),
-                             positions,
-                             ids_pad_.data() +
-                                 static_cast<std::size_t>(label) *
-                                     static_cast<std::size_t>(k_pad_),
-                             cand_dist_pad_.data() +
-                                 static_cast<std::size_t>(label) *
-                                     static_cast<std::size_t>(k_pad_),
-                             k_pad_,
-                             p,
-                             out_delta_.data(),
-                             out_q_.data(),
-                             &row_min_};
-      kernels_.cand_row(args);
-      for (std::int32_t c = 0; c < k_pad_; ++c) {
-        std::int32_t d = out_delta_[static_cast<std::size_t>(c)];
-        if (d > best.delta) continue;
-        std::int32_t q = out_q_[static_cast<std::size_t>(c)];
-        std::int32_t i = p < q ? p : q;
-        std::int32_t j = p < q ? q : p;
-        consider_move(best, d, pair_index(i, j), i, j);
-      }
-    }
-    if (row_min >= 0) sweep_.set_dont_look(label);
-    checks += static_cast<std::uint64_t>(k);
+  for (std::size_t r = 0; r < swept_.size(); ++r) {
+    RowState& row = rows_[static_cast<std::size_t>(swept_[r])];
+    row.min = row_mins_[r];
+    row.q = -1;
+    fold(swept_[r], row, best);
   }
 
   if (pairs_vectorized_ == nullptr) {
@@ -96,11 +85,13 @@ SearchResult TwoOptSimdPruned::search(const Instance& instance,
         &obs::Registry::global().counter("twoopt.pairs_scalar_tail");
     rows_skipped_ =
         &obs::Registry::global().counter("pruned.rows_skipped_dlb");
+    rows_reused_ = &obs::Registry::global().counter("pruned.rows_reused");
   }
   // Padded rows are all-vector by construction: k_pad_ lane-group pairs
   // per row, zero scalar-tail pairs (the counter stays registered for the
-  // full-sweep SIMD engines, which do run tails).
-  auto active_count = static_cast<std::uint64_t>(active.size());
+  // full-sweep SIMD engines, which do run tails). A reused row counts as
+  // the pairs it stands for, like a pair the reach filter skips.
+  auto active_count = static_cast<std::uint64_t>(armed.size());
   pairs_vectorized_->add(active_count *
                          static_cast<std::uint64_t>(kernels_.vector_pairs(
                              k_pad_)));
@@ -108,12 +99,58 @@ SearchResult TwoOptSimdPruned::search(const Instance& instance,
                           static_cast<std::uint64_t>(kernels_.tail_pairs(
                               k_pad_)));
   rows_skipped_->add(sweep_.rows_skipped());
+  rows_reused_->add(reused);
 
   SearchResult result;
   result.best = best;
-  result.checks = checks;
+  result.checks = active_count * static_cast<std::uint64_t>(neighbors_.k());
   result.wall_seconds = timer.seconds();
   return result;
+}
+
+void TwoOptSimdPruned::fold(std::int32_t label, RowState& row,
+                            BestMove& best) {
+  // The row minimum decides everything the scalar fold would: whether any
+  // candidate improves (don't-look bit) and whether any can beat or tie
+  // the incumbent best, mirroring consider_move's first test.
+  if (row.min <= best.delta) {
+    const std::int32_t p =
+        sweep_.positions()[static_cast<std::size_t>(label)];
+    if (row.q < 0) {
+      const auto base = static_cast<std::size_t>(label) *
+                        static_cast<std::size_t>(k_pad_);
+      simd::CandRowArgs args{sweep_.coords().xs(),
+                             sweep_.coords().ys(),
+                             sweep_.succ_len().data(),
+                             sweep_.positions().data(),
+                             ids_pad_.data() + base,
+                             cand_dist_pad_.data() + base,
+                             k_pad_,
+                             p,
+                             out_delta_.data(),
+                             out_q_.data(),
+                             &row_min_};
+      kernels_.cand_row(args);
+      // The row's lexmin (delta, pair index) candidate; its delta is
+      // row.min.
+      std::int32_t best_delta = std::numeric_limits<std::int32_t>::max();
+      std::int64_t best_index = 0;
+      for (std::int32_t c = 0; c < k_pad_; ++c) {
+        std::int32_t d = out_delta_[static_cast<std::size_t>(c)];
+        std::int32_t q = out_q_[static_cast<std::size_t>(c)];
+        std::int64_t index = pair_index(std::min(p, q), std::max(p, q));
+        if (d < best_delta || (d == best_delta && index < best_index)) {
+          best_delta = d;
+          best_index = index;
+          row.q = q;
+        }
+      }
+    }
+    const std::int32_t i = std::min(p, row.q);
+    const std::int32_t j = std::max(p, row.q);
+    consider_move(best, row.min, pair_index(i, j), i, j);
+  }
+  if (row.min >= 0) sweep_.set_dont_look(label);
 }
 
 }  // namespace tspopt

@@ -34,6 +34,7 @@
 #include "solver/engine_factory.hpp"
 #include "solver/ils.hpp"
 #include "solver/local_search.hpp"
+#include "solver/pair_index.hpp"
 #include "solver/simd.hpp"
 #include "solver/twoopt_gpu_pruned.hpp"
 #include "solver/twoopt_pruned.hpp"
@@ -620,6 +621,133 @@ TEST(PrunedIncremental, IlsEndToEndMatchesRebuildEveryPass) {
   }
 }
 
+// After every pass of the wrapped cpu-simd-pruned engine, recomputes each
+// row the pass reused instead of sweeping: its kept minimum must equal a
+// fresh cand_sweep of the row, and its kept best move (when the pass
+// needed one) the lexmin (delta, pair index) candidate of a fresh
+// cand_row.
+class CheckReusedRows : public TwoOptEngine {
+ public:
+  CheckReusedRows(const NeighborLists& neighbors, simd::Level level)
+      : kernels_(simd::kernels(level)), engine_(neighbors, &kernels_) {
+    const std::int32_t w = kernels_.width;
+    k_pad_ = ((neighbors.k() + w - 1) / w) * w;
+    label_rows(neighbors, k_pad_, ids_, cand_dist_);
+    swept_.resize(static_cast<std::size_t>(neighbors.n()));
+  }
+  std::string name() const override { return engine_.name(); }
+
+  SearchResult search(const Instance& instance, const Tour& tour) override {
+    SearchResult result = engine_.search(instance, tour);
+    const PrunedSweep& sweep = engine_.sweep();
+    std::fill(swept_.begin(), swept_.end(), std::uint8_t{0});
+    for (std::int32_t label : engine_.swept()) {
+      swept_[static_cast<std::size_t>(label)] = 1;
+    }
+    std::vector<std::int32_t> delta(static_cast<std::size_t>(k_pad_));
+    std::vector<std::int32_t> partner(delta.size());
+    for (std::int32_t label : sweep.armed()) {
+      if (swept_[static_cast<std::size_t>(label)] != 0) continue;
+      ++reused;
+      const TwoOptSimdPruned::RowState& row =
+          engine_.rows()[static_cast<std::size_t>(label)];
+      const std::string what = std::string(kernels_.name) + " pass " +
+                               std::to_string(passes) + " label " +
+                               std::to_string(label);
+      std::int32_t swept_min = 0;
+      kernels_.cand_sweep({sweep.records().data(), ids_.data(),
+                           cand_dist_.data(), k_pad_, &label, 1,
+                           &swept_min});
+      EXPECT_EQ(row.min, swept_min) << what;
+
+      const std::int32_t p = sweep.positions()[static_cast<std::size_t>(label)];
+      const auto base =
+          static_cast<std::size_t>(label) * static_cast<std::size_t>(k_pad_);
+      std::int32_t row_min = 0;
+      kernels_.cand_row({sweep.coords().xs(), sweep.coords().ys(),
+                         sweep.succ_len().data(), sweep.positions().data(),
+                         ids_.data() + base, cand_dist_.data() + base, k_pad_,
+                         p, delta.data(), partner.data(), &row_min});
+      EXPECT_EQ(row.min, row_min) << what;
+      if (row.q < 0) continue;
+      BestMove want;
+      for (std::size_t c = 0; c < delta.size(); ++c) {
+        const std::int32_t i = std::min(p, partner[c]);
+        const std::int32_t j = std::max(p, partner[c]);
+        consider_move(want, delta[c], pair_index(i, j), i, j);
+      }
+      EXPECT_EQ(row.min, want.delta) << what;
+      EXPECT_EQ(pair_index(std::min(p, row.q), std::max(p, row.q)),
+                want.index)
+          << what;
+    }
+    ++passes;
+    return result;
+  }
+
+  std::int64_t passes = 0;
+  std::uint64_t reused = 0;
+
+ private:
+  const simd::Kernels& kernels_;
+  TwoOptSimdPruned engine_;
+  std::int32_t k_pad_ = 0;
+  std::vector<std::int32_t> ids_;
+  std::vector<std::int32_t> cand_dist_;
+  std::vector<std::uint8_t> swept_;
+};
+
+TEST(PrunedIncremental, ReusedRowsMatchAFreshSweep) {
+  // At every SIMD level: the first passes of a descent from a random tour,
+  // where an arc's predecessor is seldom near the arc in space (or in
+  // labels); an ILS (kicks of the staged incumbent, and rejected
+  // candidates whose next kick rebuilds); then a re-search of the same
+  // tour, a wrapped arc and a descent from it.
+  Instance inst = generate_clustered("c5k", 5000, 16, 41);
+  NeighborLists neighbors(inst, 10);
+  Tour start = multiple_fragment(inst);
+  const std::int32_t n = inst.n();
+  obs::Counter& rebuilds =
+      obs::Registry::global().counter("pruned.full_rebuilds");
+  for (simd::Level level : simd::supported_levels()) {
+    const std::string what = simd::to_string(level);
+    CheckReusedRows engine(neighbors, level);
+    Pcg32 rng(44);
+    Tour random = Tour::random(n, rng);
+    SearchResult r = engine.search(inst, random);
+    for (std::int32_t pass = 0; pass < 300 && r.best.improves(); ++pass) {
+      random.apply_two_opt(r.best.i, r.best.j);
+      r = engine.search(inst, random);
+    }
+
+    const std::uint64_t rebuilds0 = rebuilds.value();
+    IlsOptions options;
+    options.seed = 43;
+    options.max_iterations = 12;
+    options.time_limit_seconds = -1.0;
+    IlsResult ils = iterated_local_search(engine, inst, start, options);
+    EXPECT_GT(ils.iterations - ils.improvements, 0) << what;
+    EXPECT_GT(rebuilds.value() - rebuilds0, 1u) << what;
+
+    Tour tour = ils.best;
+    engine.search(inst, tour);
+    const std::uint64_t before = engine.reused;
+    engine.search(inst, tour);
+    EXPECT_GT(engine.reused, before) << what << ": re-search";
+
+    const Tour::Arc wrapped = Tour::two_opt_arc(n, 2, n - 3);
+    ASSERT_GT(wrapped.first + wrapped.count, n) << "the arc must wrap";
+    tour.apply_two_opt(2, n - 3);
+    r = engine.search(inst, tour);
+    for (std::int32_t pass = 0; pass < 5000 && r.best.improves(); ++pass) {
+      tour.apply_two_opt(r.best.i, r.best.j);
+      r = engine.search(inst, tour);
+    }
+    EXPECT_FALSE(r.best.improves()) << what;
+    EXPECT_GT(engine.reused, 0u) << what;
+  }
+}
+
 TEST(PrunedIncremental, SolveLargeIlsCountsArePinned) {
   // perfbench's solve-large solve: the clustered 50k instance, a
   // multiple-fragment start and cpu-simd-pruned ILS with its fixed seed
@@ -635,8 +763,11 @@ TEST(PrunedIncremental, SolveLargeIlsCountsArePinned) {
       obs::Registry::global().counter("pruned.positions_restaged");
   obs::Counter& rebuilds =
       obs::Registry::global().counter("pruned.full_rebuilds");
+  obs::Counter& reused =
+      obs::Registry::global().counter("pruned.rows_reused");
   const std::uint64_t restaged0 = restaged.value();
   const std::uint64_t rebuilds0 = rebuilds.value();
+  const std::uint64_t reused0 = reused.value();
 
   constexpr std::int64_t kTarget = 1654000;
   IlsOptions options;
@@ -654,6 +785,7 @@ TEST(PrunedIncremental, SolveLargeIlsCountsArePinned) {
   EXPECT_EQ(result.checks, 26865296u);
   EXPECT_EQ(restaged.value() - restaged0, 7368337u);
   EXPECT_EQ(rebuilds.value() - rebuilds0, 20u);
+  EXPECT_EQ(reused.value() - reused0, 1340877u);
 }
 
 }  // namespace

@@ -754,22 +754,18 @@ TEST(SimdCandKernels, CandSweepMinimaMatchCandRowAcrossLevels) {
   Instance inst = generate_clustered("cs500", 500, 8, 23);
   Tour tour = Tour::random(500, rng);
   CandFixture fx(inst, tour, 12, 16);
-  // All rows active, in tour-position order (the engine sweeps whatever
-  // PrunedSweep left armed; the kernel only sees the position list).
-  std::vector<std::int32_t> active(static_cast<std::size_t>(fx.n));
-  for (std::int32_t p = 0; p < fx.n; ++p)
-    active[static_cast<std::size_t>(p)] = p;
+  // All rows, in tour-position order: the route lists their city ids
+  // (the engine sweeps whichever rows it must; the kernel only sees ids).
   std::vector<std::int32_t> delta_buf(static_cast<std::size_t>(fx.k_pad));
   std::vector<std::int32_t> q_buf(static_cast<std::size_t>(fx.k_pad));
   for (simd::Level level : simd::supported_levels()) {
-    std::vector<std::int32_t> minima(active.size(), 0x7fffffff);
+    std::vector<std::int32_t> minima(fx.route.size(), 0x7fffffff);
     simd::CandSweepArgs args{fx.recs.data(),
                              fx.ids_pad.data(),
                              fx.cd_pad.data(),
                              fx.k_pad,
-                             active.data(),
                              fx.route.data(),
-                             static_cast<std::int32_t>(active.size()),
+                             static_cast<std::int32_t>(fx.route.size()),
                              minima.data()};
     simd::kernels(level).cand_sweep(args);
     for (std::int32_t p = 0; p < fx.n; ++p) {

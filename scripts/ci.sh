@@ -64,7 +64,12 @@
 #         the SIMT simulator), asserting the twoopt.pairs_vectorized and
 #         pruned.rows_skipped_dlb counters are nonzero in each emitted
 #         run report — the proof the vector kernels and don't-look bits
-#         actually engaged at scale.
+#         actually engaged at scale — and pruned.rows_reused in each
+#         cpu-simd-pruned report, the proof that rows whose candidates
+#         did not change kept their last result. gpu-pruned sweeps every
+#         active row (its kernel and simt counts model the paper's
+#         Table II) and registers no such counter, so its report is
+#         exempt from that one.
 # Pass 10: Sampling profiler — capture a span-attributed CPU profile
 #         during an n=10k cpu-simd-pruned ILS run and assert the folded
 #         export is non-empty, the run report carries the schema-v3
@@ -570,18 +575,20 @@ mkdir -p "${PRUNED_TMP}"
 # don't-look bits skip settled rows from the second pass on) while
 # keeping the 100k run to a couple of seconds. The report's metrics
 # section must show the vector kernels and the DLB pruning both engaged.
+# Extra arguments name further counters that must be nonzero.
 check_pruned_report() {
-  python3 - "$1" <<'EOF'
+  python3 - "$@" <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
 m = {i["name"]: i for i in r["metrics"]}
-for name in ("twoopt.pairs_vectorized", "pruned.rows_skipped_dlb"):
+names = ["twoopt.pairs_vectorized", "pruned.rows_skipped_dlb"] + sys.argv[2:]
+for name in names:
     assert name in m, f"missing counter {name}: {sorted(m)}"
     v = m[name]["value"]
     assert v > 0, f"{name} = {v}, expected nonzero"
-print(f"  {sys.argv[1].split('/')[-1]}: "
-      f"pairs_vectorized={m['twoopt.pairs_vectorized']['value']:.0f} "
-      f"rows_skipped_dlb={m['pruned.rows_skipped_dlb']['value']:.0f}")
+print(f"  {sys.argv[1].split('/')[-1]}: " +
+      " ".join(f"{name.split('.')[-1]}={m[name]['value']:.0f}"
+               for name in names))
 EOF
 }
 for level in scalar avx2; do
@@ -595,7 +602,8 @@ for level in scalar avx2; do
   TSPOPT_REPORT="${PRUNED_TMP}/report-simd-${level}.json" \
       "${PREFIX}-release/examples/ils_solver" 100000 2.0 1 \
       cpu-simd-pruned 1 >/dev/null
-  check_pruned_report "${PRUNED_TMP}/report-simd-${level}.json"
+  check_pruned_report "${PRUNED_TMP}/report-simd-${level}.json" \
+      pruned.rows_reused
 done
 echo "gpu-pruned, n=100000, 1 ILS iteration"
 TSPOPT_REPORT="${PRUNED_TMP}/report-gpu.json" \

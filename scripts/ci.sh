@@ -396,7 +396,7 @@ wait "${RESTART_PID}" || RESTART_RC=$?
 echo "kill -9 -> restart -> resume -> finish verified."
 
 echo
-echo "Pass 7b: serve/journal suites under sanitizers, k-NN/MF, SIMD row kernels and engines under TSan"
+echo "Pass 7b: serve/journal suites under sanitizers, k-NN/MF, SIMD row kernels, engines and population ILS under TSan"
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target test_serve test_serve_stress test_journal \
                test_serve_recovery
@@ -407,16 +407,19 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target test_serve test_serve_stress test_journal \
                test_serve_recovery test_neighbor_lists test_constructive \
-               test_simd test_engines
+               test_simd test_engines test_population_ils
 # test_simd and test_engines run cpu-parallel (TwoOptSimd on the shared
 # pool), whose workers share the per-pass coordinate, length and tile
 # staging. The parameterized EngineEquivalence suite prints as
 # AllCases/EngineEquivalence.*, which ^Engine alone does not match.
 # SurvivesInjectedDeviceFault needs gpu0 to reach its 3rd launch inside
 # a 0.2s wall budget; TSan's slowdown makes that a coin flip, so the
-# timing-sensitive case is excluded from this leg only.
+# timing-sensitive case is excluded from this leg only. PopulationIls
+# runs cpu-simd's sweep for every member (batch-simd); its wall-budget
+# case sizes its budgets from a measured run of the same start, so it
+# needs no exclusion.
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-      -R 'Serve|Journal|NeighborLists|NearestNeighbor|MultipleFragment|^Simd|^Engine|/EngineEquivalence\.' \
+      -R 'Serve|Journal|NeighborLists|NearestNeighbor|MultipleFragment|^Simd|^Engine|/EngineEquivalence\.|PopulationIls' \
       -E 'SurvivesInjectedDeviceFault'
 
 echo

@@ -4,6 +4,7 @@
 #include <array>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -67,38 +68,65 @@ Tour multiple_fragment(const Instance& instance, const NeighborLists& lists) {
   // counts lengths, a second places each edge straight into the edge
   // array. The histogram has at most n buckets: a length range wider
   // than that buckets by high bits, and each bucket is then sorted.
+  //
+  // An EUC_2D list stores each candidate's length already (cand_dists is
+  // dist_euc2d, which is the instance's metric), so the passes read it;
+  // other metrics measure each entry once with instance.dist first.
   const auto k = static_cast<std::size_t>(
       std::min(kFragmentCandidates, lists.k()));
-  auto for_each_edge = [&](auto&& emit) {
+  const auto stride = static_cast<std::size_t>(lists.k());
+  const std::span<const std::int32_t> ids = lists.ids_flat();
+  std::span<const std::int32_t> lengths = lists.cand_dist_flat();
+  std::vector<std::int32_t> measured;
+  if (instance.metric() != Metric::kEuc2D) {
+    measured.resize(ids.size());
     for (std::int32_t a = 0; a < n; ++a) {
-      for (std::int32_t b : lists.neighbors(a).first(k)) {
-        if (a < b) emit(instance.dist(a, b), a, b);
+      const std::size_t row = static_cast<std::size_t>(a) * stride;
+      for (std::size_t j = row; j < row + k; ++j) {
+        measured[j] = instance.dist(a, ids[j]);
       }
+    }
+    lengths = measured;
+  }
+  // Calls emit(length, a, b) for the first k entries of every row.
+  auto for_each_entry = [&](auto&& emit) {
+    for (std::int32_t a = 0; a < n; ++a) {
+      const std::size_t row = static_cast<std::size_t>(a) * stride;
+      for (std::size_t j = row; j < row + k; ++j) emit(lengths[j], a, ids[j]);
     }
   };
   // A row is ascending, so its first and k-th entries bound every length.
   std::int64_t lo = std::numeric_limits<std::int64_t>::max();
   std::int64_t hi = std::numeric_limits<std::int64_t>::min();
   for (std::int32_t a = 0; a < n; ++a) {
-    const auto row = lists.neighbors(a).first(k);
-    lo = std::min<std::int64_t>(lo, instance.dist(a, row.front()));
-    hi = std::max<std::int64_t>(hi, instance.dist(a, row.back()));
+    const std::size_t row = static_cast<std::size_t>(a) * stride;
+    lo = std::min<std::int64_t>(lo, lengths[row]);
+    hi = std::max<std::int64_t>(hi, lengths[row + k - 1]);
   }
   int shift = 0;
   while (((hi - lo) >> shift) >= n) ++shift;
   auto bucket = [&](std::int32_t len) {
     return static_cast<std::size_t>((len - lo) >> shift);
   };
+  // An entry with a > b repeats row b's edge. Whether a < b is a coin
+  // toss (ids are in any order), so the passes skip those entries without
+  // a branch: the count adds a < b, and the placement writes them to a
+  // spare last slot and does not advance its cursor.
   std::vector<std::size_t> offset(
       static_cast<std::size_t>((hi - lo) >> shift) + 2, 0);
-  for_each_edge([&](std::int32_t len, std::int32_t, std::int32_t) {
-    ++offset[bucket(len) + 1];
+  for_each_entry([&](std::int32_t len, std::int32_t a, std::int32_t b) {
+    offset[bucket(len) + 1] += static_cast<std::size_t>(a < b);
   });
   std::partial_sum(offset.begin(), offset.end(), offset.begin());
-  std::vector<std::array<std::int32_t, 3>> edges(offset.back());
-  for_each_edge([&](std::int32_t len, std::int32_t a, std::int32_t b) {
-    edges[offset[bucket(len)]++] = {len, a, b};
+  const std::size_t spare = offset.back();
+  std::vector<std::array<std::int32_t, 3>> edges(spare + 1);
+  for_each_entry([&](std::int32_t len, std::int32_t a, std::int32_t b) {
+    std::size_t& next = offset[bucket(len)];
+    const bool keep = a < b;
+    edges[keep ? next : spare] = {len, a, b};
+    next += static_cast<std::size_t>(keep);
   });
+  edges.pop_back();
   if (shift > 0) {
     auto begin = edges.begin();
     for (std::size_t end : offset) {  // each fill cursor now ends its bucket
@@ -164,17 +192,21 @@ Tour multiple_fragment(const Instance& instance, const NeighborLists& lists) {
       std::int64_t best_d = std::numeric_limits<std::int64_t>::max();
       std::int32_t found_ring = -1;
       for (std::int32_t ring = 0; ring <= grid.max_ring(); ++ring) {
-        const bool covers_whole_grid =
-            grid.visit_ring(cx, cy, ring, [&](std::int32_t c) {
-              // The chain's own far end would close it into a cycle.
-              if (alive[static_cast<std::size_t>(c)] == 0 ||
-                  c == other_end[static_cast<std::size_t>(tail)]) {
-                return;
-              }
-              std::int64_t d = instance.dist(tail, c);
-              if (d < best_d || (d == best_d && c < best)) {
-                best_d = d;
-                best = c;
+        const bool covers_whole_grid = grid.visit_ring(
+            cx, cy, ring, [&](std::int32_t begin, std::int32_t end) {
+              for (std::int32_t c : grid.ids().subspan(
+                       static_cast<std::size_t>(begin),
+                       static_cast<std::size_t>(end - begin))) {
+                // The chain's own far end would close it into a cycle.
+                if (alive[static_cast<std::size_t>(c)] == 0 ||
+                    c == other_end[static_cast<std::size_t>(tail)]) {
+                  continue;
+                }
+                std::int64_t d = instance.dist(tail, c);
+                if (d < best_d || (d == best_d && c < best)) {
+                  best_d = d;
+                  best = c;
+                }
               }
             });
         if (best != -1 && found_ring < 0) found_ring = ring;

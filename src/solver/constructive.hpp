@@ -19,8 +19,9 @@ namespace tspopt {
 Tour nearest_neighbor(const Instance& instance, std::int32_t start = 0);
 
 // Multiple Fragment: consider short candidate edges (each city to the
-// first min(12, lists.k()) entries of its k-NN list) in (length, a, b)
-// order, placed by length in two passes rather than sorted; accept an
+// first min(12, lists.k()) entries of its k-NN list, with the lists'
+// stored lengths on EUC_2D instances) in (length, a, b) order, placed by
+// length in two passes rather than sorted; accept an
 // edge when both endpoints have degree < 2 and it closes no premature
 // cycle, then stitch any remaining fragments greedily.
 // Returns a valid closed tour. `lists` must be built over `instance`; a

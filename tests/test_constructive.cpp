@@ -74,13 +74,16 @@ Tour sorted_edge_multiple_fragment(const Instance& instance,
       std::int64_t best_d = std::numeric_limits<std::int64_t>::max();
       std::int32_t found_ring = -1;
       for (std::int32_t ring = 0; ring <= grid.max_ring(); ++ring) {
-        const bool covers_whole_grid =
-            grid.visit_ring(cx, cy, ring, [&](std::int32_t c) {
-              if (alive[at(c)] == 0 || c == other_end[at(tail)]) return;
-              std::int64_t d = instance.dist(tail, c);
-              if (d < best_d || (d == best_d && c < best)) {
-                best_d = d;
-                best = c;
+        const bool covers_whole_grid = grid.visit_ring(
+            cx, cy, ring, [&](std::int32_t begin, std::int32_t end) {
+              for (std::int32_t i = begin; i < end; ++i) {
+                const std::int32_t c = grid.ids()[at(i)];
+                if (alive[at(c)] == 0 || c == other_end[at(tail)]) continue;
+                std::int64_t d = instance.dist(tail, c);
+                if (d < best_d || (d == best_d && c < best)) {
+                  best_d = d;
+                  best = c;
+                }
               }
             });
         if (best != -1 && found_ring < 0) found_ring = ring;
@@ -238,6 +241,48 @@ TEST(MultipleFragment, MatchesSortedEdgeReference) {
   instances.push_back(generate_clustered("clustered", 800, 8, 5));
   for (const Instance& inst : instances) {
     for (std::int32_t k : {1, 5, 11, 16}) {
+      const NeighborLists lists(inst, k);
+      EXPECT_TRUE(multiple_fragment(inst, lists) ==
+                  sorted_edge_multiple_fragment(inst, lists))
+          << inst.name() << " k=" << k;
+    }
+  }
+}
+
+TEST(MultipleFragment, OtherMetricsMatchSortedEdgeReference) {
+  // EUC_2D reads the lists' stored lengths; every other metric measures
+  // its candidate edges with instance.dist, which the reference also
+  // uses. GEO reads (latitude, longitude); EXPLICIT's matrix ignores its
+  // display coordinates.
+  Pcg32 rng(43);
+  std::vector<Point> plane;
+  std::vector<Point> globe;
+  for (int i = 0; i < 500; ++i) {
+    plane.push_back(
+        {rng.next_float(0.0f, 4000.0f), rng.next_float(0.0f, 4000.0f)});
+    globe.push_back(
+        {rng.next_float(-60.0f, 60.0f), rng.next_float(-170.0f, 170.0f)});
+  }
+  std::vector<Instance> instances;
+  for (Metric m : {Metric::kCeil2D, Metric::kMan2D, Metric::kMax2D,
+                   Metric::kAtt}) {
+    instances.emplace_back("plane-" + to_string(m), m, plane);
+  }
+  instances.emplace_back("globe-GEO", Metric::kGeo, globe);
+  const std::size_t n = 200;
+  std::vector<std::int32_t> matrix(n * n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      matrix[a * n + b] = a == b ? 0 : static_cast<std::int32_t>(
+                                           (a * b + 7 * (a + b)) % 97);
+    }
+  }
+  instances.emplace_back(
+      "display-EXPLICIT", std::move(matrix), n,
+      std::vector<Point>(plane.begin(),
+                         plane.begin() + static_cast<std::ptrdiff_t>(n)));
+  for (const Instance& inst : instances) {
+    for (std::int32_t k : {5, 16}) {
       const NeighborLists lists(inst, k);
       EXPECT_TRUE(multiple_fragment(inst, lists) ==
                   sorted_edge_multiple_fragment(inst, lists))

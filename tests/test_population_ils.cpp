@@ -11,12 +11,14 @@
 //      bit-identical to the run that was never interrupted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/timer.hpp"
 #include "solver/checkpoint.hpp"
 #include "solver/engine_factory.hpp"
 #include "solver/batch/population_ils.hpp"
@@ -181,6 +183,19 @@ void expect_solo_trajectory_cut_short(const IlsResult& got,
   EXPECT_LE(got.best_length, want.best_length) << what;
 }
 
+// Wall seconds `run` takes. The time-budget test scales its budgets by
+// this, measured on the run it budgets bounded to kBudgetIterations
+// iterations, so every budgeted run completes at least that many
+// iterations however slow the host (a thread-sanitizer build descends
+// from a random tour many times slower than a release build).
+constexpr std::int64_t kBudgetIterations = 2;
+template <typename Run>
+double measured_seconds(Run&& run) {
+  WallTimer timer;
+  run();
+  return timer.seconds();
+}
+
 TEST(PopulationIls, TimeBudgetMemberMatchesSoloIls) {
   Instance instance = generate_uniform("pop-time-eq", 100, 37);
   Pcg32 rng(43);
@@ -190,16 +205,29 @@ TEST(PopulationIls, TimeBudgetMemberMatchesSoloIls) {
   TwoOptSimd solo;
   IlsOptions opts;
   opts.seed = kSeed;
-  opts.time_limit_seconds = 0.05;
+  opts.max_iterations = kBudgetIterations;
+  opts.time_limit_seconds = -1.0;
+  const double solo_s = measured_seconds(
+      [&] { iterated_local_search(solo, instance, initial, opts); });
+  opts.max_iterations = -1;
+  opts.time_limit_seconds = std::max(0.05, 2.0 * solo_s);
   expect_solo_trajectory_cut_short(
       iterated_local_search(solo, instance, initial, opts), instance, initial,
       kSeed, "solo");
 
   // The population-wide budget on a population of one.
-  PopulationIlsOptions global;
-  global.time_limit_seconds = 0.05;
   std::unique_ptr<BatchTwoOptEngine> engine_one =
       EngineFactory().create_batch("batch-simd");
+  std::vector<PopulationMemberOptions> bounded_one =
+      population_members(1, kSeed);
+  bounded_one[0].max_iterations = kBudgetIterations;
+  PopulationIlsOptions unbounded;
+  unbounded.time_limit_seconds = -1.0;
+  const double one_s = measured_seconds([&] {
+    population_ils(*engine_one, instance, {initial}, bounded_one, unbounded);
+  });
+  PopulationIlsOptions global;
+  global.time_limit_seconds = std::max(0.05, 2.0 * one_s);
   PopulationIlsResult single = population_ils(
       *engine_one, instance, {initial}, population_members(1, kSeed), global);
   expect_solo_trajectory_cut_short(single.members[0], instance, initial,
@@ -207,15 +235,23 @@ TEST(PopulationIls, TimeBudgetMemberMatchesSoloIls) {
 
   // Per-member budgets: members retire at different rounds.
   constexpr std::int32_t kMembers = 3;
-  std::vector<PopulationMemberOptions> members =
-      population_members(kMembers, kSeed);
-  for (std::size_t b = 0; b < members.size(); ++b) {
-    members[b].time_limit_seconds = 0.02 + 0.015 * static_cast<double>(b);
-  }
-  PopulationIlsOptions unbounded;
-  unbounded.time_limit_seconds = -1.0;
   std::unique_ptr<BatchTwoOptEngine> engine_many =
       EngineFactory().create_batch("batch-simd");
+  std::vector<PopulationMemberOptions> members =
+      population_members(kMembers, kSeed);
+  for (PopulationMemberOptions& m : members) {
+    m.max_iterations = kBudgetIterations;
+  }
+  const double many_s = measured_seconds([&] {
+    population_ils(*engine_many, instance,
+                   std::vector<Tour>(kMembers, initial), members, unbounded);
+  });
+  const double base = std::max(0.02, 2.0 * many_s);
+  for (std::size_t b = 0; b < members.size(); ++b) {
+    members[b].max_iterations = -1;
+    members[b].time_limit_seconds =
+        base * (1.0 + 0.75 * static_cast<double>(b));
+  }
   PopulationIlsResult pop =
       population_ils(*engine_many, instance,
                      std::vector<Tour>(kMembers, initial), members, unbounded);

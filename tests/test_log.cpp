@@ -2,13 +2,18 @@
 // stamped fields (run id, tid, span id), argument typing, token-bucket
 // rate limiting with the synthetic log.dropped marker, and — via a
 // re-execed child that SIGKILLs itself mid-run — the per-line flush
-// guarantee that a killed process leaves a parseable JSONL prefix.
+// guarantee that a killed process leaves a parseable JSONL prefix, and
+// that a TSPOPT_TRACE-only process that ends in std::terminate still
+// writes its trace.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <exception>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -252,6 +257,61 @@ TEST(ObsLogDeath, KilledProcessLeavesParseableJsonl) {
     EXPECT_EQ(doc.at("event").string, "before_kill");
     EXPECT_EQ(doc.at("i").number, static_cast<double>(i));
   }
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------- flush-on-terminate death --
+
+// Hidden child body for the test below: records one span through the
+// env-driven tracer, then ends in std::terminate. Inert (skipped) unless
+// re-execed by the parent with OBS_FLUSH_TERMINATE_CHILD set; the marker
+// is deliberately not a TSPOPT_* variable, so the tracer is the only sink
+// the child's environment turns on.
+TEST(ObsFlushChild, Worker) {
+  if (std::getenv("OBS_FLUSH_TERMINATE_CHILD") == nullptr) {
+    GTEST_SKIP() << "driver-only child body";
+  }
+  { obs::Span span = obs::Tracer::global().span("flush.before_terminate"); }
+  std::terminate();
+}
+
+TEST(ObsFlush, TerminateLeavesTheTrace) {
+  std::string path = testing::TempDir() + "/tspopt_flush_terminate.json";
+  std::remove(path.c_str());
+  std::string filter = "--gtest_filter=ObsFlushChild.Worker";
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    // Only TSPOPT_TRACE may be set, so no other sink installs the hooks.
+    std::vector<std::string> names;
+    for (char** env = environ; *env != nullptr; ++env) {
+      if (std::strncmp(*env, "TSPOPT_", 7) != 0) continue;
+      const char* eq = std::strchr(*env, '=');
+      names.emplace_back(*env, eq != nullptr ? eq - *env : std::strlen(*env));
+    }
+    for (const std::string& name : names) ::unsetenv(name.c_str());
+    ::setenv("TSPOPT_TRACE", path.c_str(), 1);
+    ::setenv("OBS_FLUSH_TERMINATE_CHILD", "1", 1);
+    ::execl("/proc/self/exe", "/proc/self/exe", filter.c_str(),
+            static_cast<char*>(nullptr));
+    _exit(127);  // exec failed
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status))
+      << "child should die from std::terminate's abort, status=" << status;
+  EXPECT_EQ(WTERMSIG(status), SIGABRT);
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "no trace written at " << path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  JsonValue doc;
+  ASSERT_NO_THROW(doc = obs::json_parse(buffer.str()));
+  bool saw_span = false;
+  for (const JsonValue& e : doc.at("traceEvents").array) {
+    if (e.at("name").string == "flush.before_terminate") saw_span = true;
+  }
+  EXPECT_TRUE(saw_span);
   std::remove(path.c_str());
 }
 

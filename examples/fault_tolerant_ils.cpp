@@ -13,9 +13,9 @@
 //
 // Defaults: n=1200 clustered cities, 24 perturbation rounds, seed 1.
 // Live telemetry (all env-driven): TSPOPT_LOG=<level>[,path] streams the
-// retry/quarantine/fault decisions as JSONL events, TSPOPT_SAMPLE_MS=<ms>
-// samples the metrics registry into the report's timeseries section, and
-// TSPOPT_PROM=<file>[,ms] keeps a Prometheus exposition file fresh.
+// retry/quarantine/fault decisions as JSONL events, and
+// TSPOPT_SAMPLE_MS=<ms> samples the metrics registry into the report's
+// timeseries section (TSPOPT_REPORT=<file>).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +24,6 @@
 
 #include "obs/flush.hpp"
 #include "obs/log.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "obs/runinfo.hpp"
@@ -53,7 +52,6 @@ int main(int argc, char** argv) {
 
   obs::Log::global();
   obs::Sampler* sampler = obs::Sampler::global_from_env();
-  obs::PromExporter::global_from_env();
   obs::install_flush_hooks();
 
   // SIGINT/SIGTERM drain instead of killing the run mid-pass: the latch

@@ -16,16 +16,15 @@
 // (summary, convergence curve, metrics snapshot, time series, CPU
 // profile attribution), TSPOPT_LOG=<level>[,path] for the structured
 // JSONL event log, TSPOPT_SAMPLE_MS=<ms> for registry time-series
-// sampling, TSPOPT_PROM=<file>[,ms] for a Prometheus exposition file
-// (refreshed on SIGUSR1 too), and TSPOPT_PROFILE=<file>[,hz] for a
-// span-attributed sampling CPU profile written as collapsed stacks. See
-// README "Observability", "Live telemetry" and "Profiling".
+// sampling into the report's timeseries section, and
+// TSPOPT_PROFILE=<file>[,hz] for a span-attributed sampling CPU profile
+// written as collapsed stacks. See README "Observability", "Live
+// telemetry" and "Profiling".
 #include <cstdlib>
 #include <iostream>
 
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "obs/runinfo.hpp"
@@ -58,7 +57,6 @@ int main(int argc, char** argv) {
   // Live telemetry, all env-driven (see header comment).
   obs::Log::global();
   obs::Sampler* sampler = obs::Sampler::global_from_env();
-  obs::PromExporter::global_from_env();
   obs::Profiler* profiler = obs::Profiler::global_from_env();
 
   Instance instance =

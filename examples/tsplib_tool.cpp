@@ -6,9 +6,13 @@
 //   $ ./examples/tsplib_tool path/to/file.tsp --solve
 //   $ ./examples/tsplib_tool pr2392 --solve --engine gpu-tiled
 //   $ ./examples/tsplib_tool kroA200 --solve --svg /tmp/kroA200.svg
+//   $ TSPOPT_REPORT=/tmp/r.json ./examples/tsplib_tool vm1084 --solve
 //
 // Exercises the full TSPLIB substrate (parser, writer, metrics, catalog,
-// tour files, SVG) plus the engine factory.
+// tour files, SVG) plus the engine factory. Telemetry is env-driven as in
+// every binary: TSPOPT_REPORT=<file> writes the run report,
+// TSPOPT_SAMPLE_MS=<ms> adds its timeseries section, TSPOPT_LOG and
+// TSPOPT_TRACE as in README "Observability".
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -17,7 +21,6 @@
 #include "common/cli.hpp"
 #include "common/timer.hpp"
 #include "obs/log.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "obs/runinfo.hpp"
@@ -43,7 +46,6 @@ int main(int argc, char** argv) {
   cli.add_option("seconds", "solve time budget", "30");
   cli.add_option("svg", "write the tour as SVG to this path");
   cli.add_option("tour", "write the tour in TSPLIB format to this path");
-  cli.add_option("report", "write a machine-readable run report (JSON)");
   cli.add_flag("engines", "list available engine names and exit");
   cli.add_flag("list-engines",
                "list engines with one-line descriptions and exit");
@@ -70,11 +72,9 @@ int main(int argc, char** argv) {
   }
 
   // Live telemetry, all env-driven: TSPOPT_LOG (JSONL event log),
-  // TSPOPT_SAMPLE_MS (registry time series), TSPOPT_PROM (Prometheus
-  // exposition file, also refreshed on SIGUSR1).
+  // TSPOPT_SAMPLE_MS (registry time series for the report).
   obs::Log::global();
   obs::Sampler* sampler = obs::Sampler::global_from_env();
-  obs::PromExporter::global_from_env();
 
   std::string target = cli.positional(0).value_or("berlin52");
   bool solve = cli.has("solve") || !cli.positional(0).has_value();
@@ -187,22 +187,16 @@ int main(int argc, char** argv) {
     std::cout << "wrote TSPLIB copy to " << out_path << "\n";
   }
 
-  // --report <file> writes the run report explicitly; TSPOPT_REPORT still
-  // works as the env-driven fallback.
+  // Machine-readable run report when TSPOPT_REPORT is set.
   if (sampler != nullptr) {
     sampler->stop();
     sampler->sample_now();  // final state closes every series
     report.set_timeseries(*sampler);
   }
   report.set_metrics(obs::Registry::global());
-  if (cli.has("report")) {
-    report.write(cli.get("report"));
-    std::cout << "wrote run report to " << cli.get("report") << "\n";
-  } else {
-    std::string report_path = report.write_if_requested();
-    if (!report_path.empty()) {
-      std::cout << "wrote run report to " << report_path << "\n";
-    }
+  std::string report_path = report.write_if_requested();
+  if (!report_path.empty()) {
+    std::cout << "wrote run report to " << report_path << "\n";
   }
   return 0;
 }

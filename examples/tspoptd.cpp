@@ -21,11 +21,12 @@
 // Signals: SIGTERM drains (stops admission, finishes every queued and
 // running job, then exits 143); SIGINT cancels the backlog and stops
 // running jobs at their next hook poll (exits 130). Both paths flush all
-// telemetry sinks (JSONL log, trace, sampler dump) before exiting.
-// Telemetry is env-driven as everywhere else: TSPOPT_LOG,
-// TSPOPT_SAMPLE_MS, TSPOPT_TRACE, TSPOPT_PROFILE (whole-lifetime CPU
-// profile; for an on-demand window on a live daemon use GET
-// /profilez?seconds=N instead). Metrics are served live at /metrics.
+// telemetry sinks (JSONL log, CPU profile, trace) before exiting. Other
+// signals keep their default action. Telemetry is env-driven as
+// everywhere else: TSPOPT_LOG, TSPOPT_TRACE, TSPOPT_PROFILE
+// (whole-lifetime CPU profile; for an on-demand window on a live daemon
+// use GET /profilez?seconds=N instead). The daemon writes no run report,
+// so it starts no sampler; metrics are served live at /metrics.
 #include <chrono>
 #include <csignal>
 #include <fstream>
@@ -39,7 +40,6 @@
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
 #include "obs/runinfo.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "serve/daemon.hpp"
 #include "serve/shutdown.hpp"
@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
   }
 
   obs::Log::global();
-  obs::Sampler::global_from_env();
   obs::Profiler::global_from_env();
   // Label this process's track in the Chrome trace export, so a client
   // export concatenated with ours reads as two named process lanes.

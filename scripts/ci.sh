@@ -21,8 +21,11 @@
 #         devices, LUT and neighbor lists, and the engine-equivalence
 #         suite, which runs the one SIMD engine inline and on the pool.
 # Pass 3: Observability smoke — run a small traced ILS with
-#         TSPOPT_TRACE/TSPOPT_REPORT set and validate that both emitted
-#         files are well-formed JSON.
+#         TSPOPT_TRACE/TSPOPT_REPORT/TSPOPT_SAMPLE_MS set, validate that
+#         both emitted files are well-formed JSON, and that the report's
+#         timeseries section took >= 2 samples whose last ils.best_length
+#         point equals summary.best_length and the last convergence
+#         length.
 # Pass 4: SIMD dispatch matrix — the SIMD, engine-equivalence, pruned
 #         and pruned-equivalence suites under TSPOPT_SIMD=scalar and
 #         TSPOPT_SIMD=avx2 (the AVX2 leg skips cleanly on hosts without
@@ -155,16 +158,33 @@ for suite in ${ASAN_SUITES}; do
 done
 
 echo
-echo "== Pass 3: Observability smoke (trace + run report) =="
+echo "== Pass 3: Observability smoke (trace + run report + sampler) =="
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "${OBS_TMP}"' EXIT
 TSPOPT_TRACE="${OBS_TMP}/trace.json" TSPOPT_REPORT="${OBS_TMP}/report.json" \
+TSPOPT_SAMPLE_MS=20 \
     "${PREFIX}-release/examples/ils_solver" 200 0.2 1 >/dev/null
 for f in trace report; do
   python3 -m json.tool "${OBS_TMP}/${f}.json" >/dev/null \
       || { echo "invalid ${f} JSON"; exit 1; }
 done
 echo "trace + report JSON valid."
+python3 - "${OBS_TMP}/report.json" <<'EOF'
+import json, sys
+r = json.load(open(sys.argv[1]))
+ts = r["timeseries"]
+assert ts["samples_taken"] >= 2, f"samples_taken {ts['samples_taken']}"
+series = [s for s in ts["series"]
+          if s["name"] == "ils.best_length" and s["field"] == "value"]
+assert len(series) == 1 and series[0]["points"], "no ils.best_length series"
+sampled = series[0]["points"][-1]["v"]
+best = r["summary"]["best_length"]
+curve = r["convergence"][-1]["length"]
+assert sampled == best, f"last ils.best_length sample {sampled} != {best}"
+assert best == curve, f"summary.best_length {best} != convergence {curve}"
+print(f"timeseries: {ts['samples_taken']} samples; "
+      f"ils.best_length ends at {best} = summary = convergence")
+EOF
 
 echo
 echo "== Pass 4: SIMD dispatch matrix + bench artifact =="

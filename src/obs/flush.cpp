@@ -6,8 +6,6 @@
 
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
-#include "obs/prometheus.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
 namespace tspopt::obs {
@@ -26,23 +24,9 @@ void flush_on_terminate() {
 
 void flush_all_telemetry() noexcept {
   // Each sink flushes independently; a failure in one (e.g. an unwritable
-  // dump path) must not stop the others on the way out.
+  // profile path) must not stop the others on the way out.
   try {
     Log::global().flush();
-  } catch (...) {}
-  try {
-    if (Sampler* sampler = Sampler::global_if_started()) {
-      sampler->sample_now();  // the final state makes it into the window
-      if (const char* dump = std::getenv("TSPOPT_SAMPLE_DUMP");
-          dump != nullptr && *dump != '\0') {
-        sampler->write_json_file(dump);
-      }
-    }
-  } catch (...) {}
-  try {
-    if (PromExporter* exporter = PromExporter::global_if_started()) {
-      exporter->write_now();
-    }
   } catch (...) {}
   // The profiler must settle *before* the tracer flushes: stop() disarms
   // SIGPROF and folds the last ring contents, the collapsed stacks go to

@@ -244,8 +244,7 @@ bool Profiler::start() {
   sa.sa_sigaction = &sigprof_trampoline;
   sa.sa_flags = SA_RESTART | SA_SIGINFO;
   // Empty mask: SIGPROF must not delay SIGTERM/SIGINT (the serve drain
-  // latch) or SIGUSR1 (the Prometheus dump) — the coexistence contract
-  // tested in test_profiler.cpp.
+  // latch) — the coexistence contract tested in test_profiler.cpp.
   sigemptyset(&sa.sa_mask);
   if (::sigaction(SIGPROF, &sa, &old_action_) != 0) {
     set_span_name_capture(false);

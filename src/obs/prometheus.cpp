@@ -1,36 +1,14 @@
 #include "obs/prometheus.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <mutex>
 
-#include "common/check.hpp"
-#include "obs/flush.hpp"
 #include "obs/registry.hpp"
 #include "obs/runinfo.hpp"
 
 namespace tspopt::obs {
 
 namespace {
-
-// Set by the SIGUSR1 handler; consumed by whichever exporter thread sees
-// it first (in practice there is one exporter per process). Atomic, not
-// sig_atomic_t: the handler may run on any thread while an exporter
-// thread reads the flag, so this is cross-thread communication, not just
-// handler-vs-interrupted-code.
-std::atomic<int> g_usr1_pending{0};
-static_assert(std::atomic<int>::is_always_lock_free,
-              "SIGUSR1 latch must be async-signal-safe");
-
-extern "C" void usr1_handler(int) {
-  g_usr1_pending.store(1, std::memory_order_relaxed);
-}
 
 std::string sanitize_name(std::string_view name) {
   std::string out = "tspopt_";
@@ -165,101 +143,5 @@ std::string prometheus_text(const Registry& registry) {
   }
   return out;
 }
-
-void prometheus_write(const Registry& registry, const std::string& path) {
-  std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    TSPOPT_CHECK_MSG(out.good(), "cannot open exposition output " << tmp);
-    out << prometheus_text(registry);
-    TSPOPT_CHECK_MSG(out.good(), "failed writing exposition to " << tmp);
-  }
-  TSPOPT_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                   "cannot rename " << tmp << " to " << path);
-}
-
-PromExporter::PromExporter(Registry& registry, Options options)
-    : registry_(registry), options_(std::move(options)) {
-  TSPOPT_CHECK_MSG(!options_.path.empty(), "exporter needs an output path");
-  TSPOPT_CHECK_MSG(options_.period_ms > 0.0,
-                   "exporter period must be positive");
-  std::signal(SIGUSR1, usr1_handler);
-  write_now();  // the file exists as soon as the exporter does
-  thread_ = std::jthread([this](std::stop_token st) {
-    std::mutex wait_mu;
-    std::condition_variable_any cv;
-    // Wake in short slices so a SIGUSR1 dump request is served promptly
-    // even under a long period.
-    auto slice = std::chrono::duration<double, std::milli>(
-        std::min(options_.period_ms, 100.0));
-    std::unique_lock<std::mutex> lock(wait_mu);
-    double since_write_ms = 0.0;
-    while (!st.stop_requested()) {
-      cv.wait_for(lock, st, slice, [] { return false; });
-      if (st.stop_requested()) break;
-      since_write_ms += slice.count();
-      bool on_signal = g_usr1_pending.exchange(0,
-          std::memory_order_relaxed) != 0;
-      if (on_signal || since_write_ms >= options_.period_ms) {
-        write_now();
-        since_write_ms = 0.0;
-      }
-    }
-  });
-}
-
-PromExporter::~PromExporter() {
-  stop();
-  write_now();  // final exposition reflects the finished run
-}
-
-void PromExporter::stop() {
-  if (thread_.joinable()) {
-    thread_.request_stop();
-    thread_.join();
-  }
-}
-
-void PromExporter::write_now() {
-  prometheus_write(registry_, options_.path);
-  writes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-namespace {
-// The env-driven exporter, observable without creating it (the exit-flush
-// hooks must not start threads at process teardown).
-PromExporter* g_env_exporter = nullptr;
-}  // namespace
-
-PromExporter* PromExporter::global_from_env() {
-  static PromExporter* exporter = []() -> PromExporter* {
-    const char* spec = std::getenv("TSPOPT_PROM");
-    if (spec == nullptr || *spec == '\0') return nullptr;
-    Options options;
-    options.path = spec;
-    auto comma = options.path.find(',');
-    if (comma != std::string::npos) {
-      std::string period = options.path.substr(comma + 1);
-      options.path = options.path.substr(0, comma);
-      char* end = nullptr;
-      double ms = std::strtod(period.c_str(), &end);
-      if (end != nullptr && *end == '\0' && ms > 0.0) {
-        options.period_ms = ms;
-      } else {
-        std::fprintf(stderr,
-                     "TSPOPT_PROM: ignoring bad period \"%s\" "
-                     "(using %g ms)\n",
-                     period.c_str(), options.period_ms);
-      }
-    }
-    // Leaked on purpose: must outlive atexit-ordered work.
-    g_env_exporter = new PromExporter(Registry::global(), options);
-    install_flush_hooks();
-    return g_env_exporter;
-  }();
-  return exporter;
-}
-
-PromExporter* PromExporter::global_if_started() { return g_env_exporter; }
 
 }  // namespace tspopt::obs

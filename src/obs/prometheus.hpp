@@ -10,61 +10,16 @@
 // tspopt_run_info{id=...,git=...} series carries the process run id so
 // scrapes cross-correlate with the JSONL log and the run report.
 //
-// PromExporter writes the exposition to a file on a period (and once more
-// at destruction) from a background jthread, and additionally on SIGUSR1 —
-// so an operator can `kill -USR1` a long solve and scrape the file without
-// waiting for the next period. Files are written to a temporary sibling
-// and renamed, so a scraper never sees a torn exposition.
-//
-// The global-from-env exporter reads TSPOPT_PROM at first use:
-// "<path>[,period_ms]" (default period 1000 ms).
+// The one reader is tspoptd's admin plane, which serves the exposition
+// live at GET /metrics (serve/admin.cpp).
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <string>
-#include <thread>
 
 namespace tspopt::obs {
 
 class Registry;
 
 std::string prometheus_text(const Registry& registry);
-
-// Atomically replace `path` with the current exposition (tmp + rename).
-void prometheus_write(const Registry& registry, const std::string& path);
-
-class PromExporter {
- public:
-  struct Options {
-    std::string path;
-    double period_ms = 1000.0;
-  };
-
-  PromExporter(Registry& registry, Options options);
-  ~PromExporter();  // stop + one final write
-  PromExporter(const PromExporter&) = delete;
-  PromExporter& operator=(const PromExporter&) = delete;
-
-  void stop();
-  void write_now();
-  std::uint64_t writes() const {
-    return writes_.load(std::memory_order_relaxed);
-  }
-  const std::string& path() const { return options_.path; }
-
-  // TSPOPT_PROM-driven exporter over Registry::global(); nullptr when the
-  // variable is unset. Created (and leaked) on first call.
-  static PromExporter* global_from_env();
-  // The exporter global_from_env() created, or nullptr — never creates
-  // (safe from exit/terminate hooks).
-  static PromExporter* global_if_started();
-
- private:
-  Registry& registry_;
-  Options options_;
-  std::atomic<std::uint64_t> writes_{0};
-  std::jthread thread_;
-};
 
 }  // namespace tspopt::obs

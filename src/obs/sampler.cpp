@@ -4,11 +4,9 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 
 #include "common/check.hpp"
-#include "obs/flush.hpp"
 #include "obs/json.hpp"
 
 namespace tspopt::obs {
@@ -212,21 +210,6 @@ void Sampler::write_json(JsonWriter& w) const {
   w.end_object();
 }
 
-void Sampler::write_json_file(const std::string& path) const {
-  JsonWriter w;
-  write_json(w);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  TSPOPT_CHECK_MSG(out.good(), "cannot open timeseries output " << path);
-  out << w.str() << '\n';
-  TSPOPT_CHECK_MSG(out.good(), "failed writing timeseries to " << path);
-}
-
-namespace {
-// The env-driven sampler, observable without creating it (the exit-flush
-// hooks must not start threads at process teardown).
-Sampler* g_env_sampler = nullptr;
-}  // namespace
-
 Sampler* Sampler::global_from_env() {
   static Sampler* sampler = []() -> Sampler* {
     const char* ms = std::getenv("TSPOPT_SAMPLE_MS");
@@ -242,14 +225,11 @@ Sampler* Sampler::global_from_env() {
     }
     SamplerOptions options;
     options.period_ms = period;
-    // Leaked on purpose: the sampler must outlive atexit flushes.
-    g_env_sampler = new Sampler(Registry::global(), options);
-    install_flush_hooks();
-    return g_env_sampler;
+    // Leaked on purpose, like the registry it samples: its thread never
+    // races static destruction.
+    return new Sampler(Registry::global(), options);
   }();
   return sampler;
 }
-
-Sampler* Sampler::global_if_started() { return g_env_sampler; }
 
 }  // namespace tspopt::obs

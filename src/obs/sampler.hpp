@@ -8,15 +8,16 @@
 // histogram into count/sum/percentile series) at negligible cost to the
 // solve: one registry walk per period, zero work on the hot paths.
 //
-// The retained window exports as the run report's "timeseries" section
-// (schema v2) and can be dumped to a file mid-run. When the ring is full
-// the oldest sample is evicted — a long run keeps the most recent
+// The retained window has one reader: the run report's "timeseries"
+// section (RunReport::set_timeseries). When the ring is full the oldest
+// sample is evicted — a long run keeps the most recent
 // `capacity * period` of history, and `total_samples()` still counts
 // everything taken.
 //
 // The global-from-env sampler reads TSPOPT_SAMPLE_MS at first use: a
 // positive value starts a sampler over Registry::global() with that
-// period.
+// period. A binary that starts it stops it and takes a final sample
+// before it hands the window to its report.
 #pragma once
 
 #include <chrono>
@@ -82,16 +83,11 @@ class Sampler {
   //     "series": [ { "name", "labels", "kind", "field",
   //                   "points": [ {"t": seconds, "v": value}, ... ] } ] }
   void write_json(JsonWriter& w) const;
-  // Mid-run dump: the section above as a standalone JSON document.
-  void write_json_file(const std::string& path) const;
 
   // TSPOPT_SAMPLE_MS-driven sampler over Registry::global(); nullptr when
   // the variable is unset or not a positive number. The instance is
   // created (and leaked) on first call.
   static Sampler* global_from_env();
-  // The sampler global_from_env() created, or nullptr — never creates
-  // (safe from exit/terminate hooks).
-  static Sampler* global_if_started();
 
  private:
   struct Series {

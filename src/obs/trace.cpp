@@ -8,6 +8,7 @@
 #include <random>
 
 #include "common/check.hpp"
+#include "obs/flush.hpp"
 #include "obs/json.hpp"
 
 namespace tspopt::obs {
@@ -332,15 +333,16 @@ void Tracer::flush() const {
 }
 
 Tracer& Tracer::global() {
-  // Leaked on purpose so the atexit flush below can never race static
-  // destruction.
+  // Leaked on purpose so the exit flush can never race static
+  // destruction. TSPOPT_TRACE is written by the shared exit and terminate
+  // hooks (obs/flush.hpp), after the profiler merges its samples.
   static Tracer* tracer = [] {
     auto* t = new Tracer();
     const char* path = std::getenv("TSPOPT_TRACE");
     if (path != nullptr && *path != '\0') {
       t->set_flush_path(path);
       t->enable(true);
-      std::atexit([] { Tracer::global().flush(); });
+      install_flush_hooks();
     }
     return t;
   }();

@@ -14,7 +14,8 @@
 // nesting renders from ts/dur containment per thread track).
 //
 // The global tracer reads TSPOPT_TRACE at first use: when set to a path,
-// tracing is enabled and the trace is written there at process exit. Tests
+// tracing is enabled and the trace is written there at process exit or
+// std::terminate, by the shared flush hooks (obs/flush.hpp). Tests
 // drive private Tracer instances (or enable/flush the global one)
 // explicitly.
 #pragma once
@@ -226,7 +227,8 @@ class Tracer {
   std::int64_t now_ns() const;
 
   // The process-wide tracer. First use reads TSPOPT_TRACE: a non-empty
-  // value enables tracing and registers an atexit flush to that path.
+  // value enables tracing and installs the shared exit/terminate flush
+  // hooks, which write the trace to that path.
   static Tracer& global();
 
  private:

@@ -14,7 +14,6 @@
 #include <fstream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -606,10 +605,10 @@ TEST(ObsIntegration, FaultyMultiDeviceIlsProducesTraceAndReport) {
 TEST(ObsIntegration, LiveTelemetryCrossCorrelatesByRunId) {
   // The acceptance scenario, in-process: a fault-injected multi-device
   // ILS run with the JSONL log, the time-series sampler and the
-  // Prometheus exposition all live at once — every artifact must carry
-  // the same run id, the log must record the fault-tolerance decisions
-  // with span correlation, and the report's timeseries section must show
-  // monotone counter growth.
+  // Prometheus exposition /metrics serves all live at once — every
+  // artifact must carry the same run id, the log must record the
+  // fault-tolerance decisions with span correlation, and the report's
+  // timeseries section must show monotone counter growth.
   obs::Registry& registry = obs::Registry::global();
   registry.clear();
   obs::Tracer& tracer = obs::Tracer::global();
@@ -617,9 +616,7 @@ TEST(ObsIntegration, LiveTelemetryCrossCorrelatesByRunId) {
   tracer.enable(true);  // spans must be live for span-id stamping
 
   std::string log_path = testing::TempDir() + "/tspopt_obs_accept.jsonl";
-  std::string prom_path = testing::TempDir() + "/tspopt_obs_accept.prom";
   std::remove(log_path.c_str());
-  std::remove(prom_path.c_str());
   obs::Log::Options log_options;
   log_options.level = obs::LogLevel::kDebug;
   log_options.path = log_path;
@@ -655,7 +652,7 @@ TEST(ObsIntegration, LiveTelemetryCrossCorrelatesByRunId) {
 
   sampler.stop();
   sampler.sample_now();  // final snapshot of the finished counters
-  obs::prometheus_write(registry, prom_path);
+  std::string prom = obs::prometheus_text(registry);
   obs::Log::global().flush();
   obs::Log::global().configure(obs::Log::Options{});  // back to off/stderr
 
@@ -698,11 +695,6 @@ TEST(ObsIntegration, LiveTelemetryCrossCorrelatesByRunId) {
   EXPECT_TRUE(saw_span);
 
   // --- the exposition: same run id, same counters ---
-  std::ifstream prom_in(prom_path, std::ios::binary);
-  ASSERT_TRUE(prom_in.good());
-  std::stringstream prom_buf;
-  prom_buf << prom_in.rdbuf();
-  std::string prom = prom_buf.str();
   EXPECT_NE(prom.find("tspopt_run_info{id=\"" + obs::run_id() + "\""),
             std::string::npos);
   EXPECT_NE(prom.find("tspopt_multi_retries{device=\"flaky\"} 2"),
@@ -734,7 +726,6 @@ TEST(ObsIntegration, LiveTelemetryCrossCorrelatesByRunId) {
 
   tracer.clear();
   std::remove(log_path.c_str());
-  std::remove(prom_path.c_str());
 }
 
 // The one listener setup behind tspoptd and the admin plane: it binds an

@@ -1,8 +1,7 @@
 // The sampling CPU profiler: SIGPROF capture on a burning thread, span
 // attribution of a synthetic nested workload, ring-overflow accounting
 // into obs.profiler.dropped, the at-most-one-capture discipline, signal
-// coexistence with the SIGUSR1 Prometheus dump and the serve shutdown
-// latch, span-name inheritance across ThreadPool::submit, and a fuzz
+// coexistence with the serve shutdown latch, span-name inheritance across ThreadPool::submit, and a fuzz
 // pass over the collapsed-stack writer/symbolizer. The whole binary runs
 // in the ASan/TSan CI matrix, which is what makes the capture tests an
 // async-signal-safety smoke: a handler that mallocs or locks trips the
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "obs/profiler.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -184,22 +182,16 @@ TEST(Profiler, SecondCaptureIsRefusedWhileOneIsActive) {
 }
 
 // The coexistence contract: starting/stopping a capture must not disturb
-// the dispositions of the serve shutdown signals or the SIGUSR1
-// Prometheus dump, and those signals must keep working *during* a
-// capture (the profiler installs SIGPROF with an empty sa_mask).
+// the dispositions of the serve shutdown signals, and those signals must
+// keep working *during* a capture (the profiler installs SIGPROF with an
+// empty sa_mask).
 TEST(Profiler, CoexistsWithShutdownAndPromSignals) {
   serve::ShutdownSignal& shutdown = serve::ShutdownSignal::global();
   shutdown.install();
-  PromExporter::Options prom_options;
-  prom_options.path = testing::TempDir() + "/tspopt_profiler_coexist.prom";
-  prom_options.period_ms = 60000.0;  // only SIGUSR1 triggers a rewrite
-  PromExporter exporter(Registry::global(), prom_options);
 
-  struct sigaction term_before {}, int_before {}, usr1_before {},
-      prof_before {};
+  struct sigaction term_before {}, int_before {}, prof_before {};
   ASSERT_EQ(sigaction(SIGTERM, nullptr, &term_before), 0);
   ASSERT_EQ(sigaction(SIGINT, nullptr, &int_before), 0);
-  ASSERT_EQ(sigaction(SIGUSR1, nullptr, &usr1_before), 0);
   ASSERT_EQ(sigaction(SIGPROF, nullptr, &prof_before), 0);
 
   Profiler profiler;
@@ -212,29 +204,16 @@ TEST(Profiler, CoexistsWithShutdownAndPromSignals) {
   EXPECT_EQ(after.sa_flags, term_before.sa_flags);
   ASSERT_EQ(sigaction(SIGINT, nullptr, &after), 0);
   EXPECT_EQ(after.sa_sigaction, int_before.sa_sigaction);
-  ASSERT_EQ(sigaction(SIGUSR1, nullptr, &after), 0);
-  EXPECT_EQ(after.sa_handler, usr1_before.sa_handler);
 
   // The SIGPROF handler itself: SA_RESTART (no spurious EINTR storms in
-  // the sampled program) and an empty mask (SIGTERM/SIGINT/SIGUSR1 are
-  // never delayed by a sample in flight).
+  // the sampled program) and an empty mask (SIGTERM/SIGINT are never
+  // delayed by a sample in flight).
   ASSERT_EQ(sigaction(SIGPROF, nullptr, &after), 0);
   EXPECT_NE(after.sa_sigaction, prof_before.sa_sigaction);
   EXPECT_TRUE(after.sa_flags & SA_RESTART);
   EXPECT_TRUE(after.sa_flags & SA_SIGINFO);
   EXPECT_EQ(sigismember(&after.sa_mask, SIGTERM), 0);
   EXPECT_EQ(sigismember(&after.sa_mask, SIGINT), 0);
-  EXPECT_EQ(sigismember(&after.sa_mask, SIGUSR1), 0);
-
-  // SIGUSR1 dump mid-capture: the exporter rewrites its file.
-  std::uint64_t writes_before = exporter.writes();
-  ASSERT_EQ(raise(SIGUSR1), 0);
-  auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (exporter.writes() == writes_before &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(10ms);
-  }
-  EXPECT_GT(exporter.writes(), writes_before);
 
   // SIGTERM mid-capture: the drain latch sees it (exit code 143) and the
   // capture keeps sampling.

@@ -1,17 +1,10 @@
 // The Prometheus text exposition: golden output for a known registry,
 // name sanitization, label escaping per the spec, cumulative le-buckets
-// with +Inf / _sum / _count / _overflow, the run-info correlation series,
-// the atomic (tmp + rename) file writer, and the periodic + SIGUSR1
-// exporter.
+// with +Inf / _sum / _count / _overflow, and the run-info correlation
+// series.
 #include <gtest/gtest.h>
 
-#include <csignal>
-#include <cstdio>
-#include <chrono>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <thread>
 
 #include "obs/prometheus.hpp"
 #include "obs/registry.hpp"
@@ -20,19 +13,7 @@
 namespace tspopt {
 namespace {
 
-using obs::PromExporter;
 using obs::Registry;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-bool file_exists(const std::string& path) {
-  return std::ifstream(path).good();
-}
 
 TEST(ObsPrometheus, GoldenExpositionForAKnownRegistry) {
   Registry registry;
@@ -109,64 +90,6 @@ TEST(ObsPrometheus, HistogramBucketsAreCumulative) {
   EXPECT_NE(text.find("tspopt_d_bucket{le=\"+Inf\"} 10"),
             std::string::npos);
   EXPECT_NE(text.find("tspopt_d_overflow 0"), std::string::npos);
-}
-
-TEST(ObsPrometheus, WriteIsAtomicViaRename) {
-  Registry registry;
-  registry.counter("written").add(1);
-  std::string path = testing::TempDir() + "/tspopt_prom_write_test.prom";
-  std::remove(path.c_str());
-  obs::prometheus_write(registry, path);
-  EXPECT_EQ(read_file(path), obs::prometheus_text(registry));
-  // The temporary sibling must not survive the rename.
-  EXPECT_FALSE(file_exists(path + ".tmp"));
-  // A second write replaces the file in place.
-  registry.counter("written").add(1);
-  obs::prometheus_write(registry, path);
-  EXPECT_NE(read_file(path).find("tspopt_written 2"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(ObsPromExporter, WritesOnConstructionPeriodAndDestruction) {
-  Registry registry;
-  obs::Counter& counter = registry.counter("exported");
-  std::string path =
-      testing::TempDir() + "/tspopt_prom_exporter_test.prom";
-  std::remove(path.c_str());
-  {
-    PromExporter exporter(registry, {path, /*period_ms=*/10.0});
-    // The file exists as soon as the exporter does.
-    EXPECT_TRUE(file_exists(path));
-    EXPECT_GE(exporter.writes(), 1u);
-    counter.add(41);
-    for (int i = 0; i < 400 && exporter.writes() < 3; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_GE(exporter.writes(), 3u);
-    counter.add(1);
-  }
-  // The destructor's final write reflects the finished run.
-  EXPECT_NE(read_file(path).find("tspopt_exported 42"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(ObsPromExporter, Sigusr1ForcesAWriteUnderALongPeriod) {
-  Registry registry;
-  registry.counter("on.demand").add(7);
-  std::string path =
-      testing::TempDir() + "/tspopt_prom_sigusr1_test.prom";
-  std::remove(path.c_str());
-  PromExporter exporter(registry, {path, /*period_ms=*/3600000.0});
-  std::uint64_t before = exporter.writes();
-  std::raise(SIGUSR1);
-  // The exporter polls the signal flag in <=100ms slices; give it a
-  // generous (but bounded) window.
-  for (int i = 0; i < 400 && exporter.writes() == before; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GT(exporter.writes(), before);
-  exporter.stop();
-  std::remove(path.c_str());
 }
 
 }  // namespace

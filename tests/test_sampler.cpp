@@ -4,9 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -200,25 +197,6 @@ TEST(ObsSampler, WriteJsonRoundTripsTheTimeseriesSection) {
     prev_t = p.at("t").number;
   }
   EXPECT_EQ(points.array.back().at("v").number, 40.0);
-}
-
-TEST(ObsSampler, WriteJsonFileEmitsAStandaloneDocument) {
-  Registry registry;
-  registry.counter("dumped").add(4);
-  Sampler sampler(registry, manual_options());
-  sampler.stop();
-  std::string path =
-      testing::TempDir() + "/tspopt_sampler_dump_test.json";
-  sampler.write_json_file(path);
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  JsonValue doc = obs::json_parse(buffer.str());
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.at("samples_taken").number, 1.0);
-  EXPECT_EQ(doc.at("series").array.size(), 1u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -3,14 +3,14 @@
 // A RunReport serializes one whole run — instance metadata, engine/device
 // configuration, metrics snapshot, per-device counters with derived
 // series, and the ILS convergence curve — to a stable, versioned JSON
-// schema (see README "Observability" for the field map). The report layer
-// is deliberately generic (strings and numbers only): the simt/solver
-// adapters in solver/obs_adapters.hpp populate it, which keeps obs below
-// every other layer in the dependency order.
+// schema. The report layer is deliberately generic (strings and numbers
+// only): the simt/solver adapters in solver/obs_adapters.hpp populate it,
+// which keeps obs below every other layer in the dependency order.
 //
-// Schema v3, top level (sections appear only when populated; "run" is
-// always present):
-//   { "schema": "tspopt.run_report", "schema_version": 3,
+// This comment is the schema's one field map; README and DESIGN point
+// here. Schema v4, top level (sections appear only when populated; "run"
+// is always present):
+//   { "schema": "tspopt.run_report", "schema_version": 4,
 //     "run": {"id", "generated_utc", "<key>": "<value>", ...},
 //     "instance": {"name", "n", "metric"},
 //     "engine": {"name"},
@@ -19,6 +19,9 @@
 //     "devices": [ {"label", "spec", "counters": {...},
 //                   "derived": {...}} ],
 //     "convergence": [ {"seconds","length","iteration","checks","passes"} ],
+//     "population": [ {"member", "best_length", "iterations",
+//                      "improvements", "checks", "wall_seconds",
+//                      "stopped", "convergence": [ <as above> ]} ],
 //     "timeseries": { <Sampler::write_json section> },
 //     "metrics": [ <registry instrument objects> ],
 //     "profile": { "hz", "samples", "dropped", "attributed",
@@ -26,7 +29,7 @@
 //                                    "share"} ] } }
 //
 // v2 over v1: the "run" header (process run id for cross-correlation with
-// the JSONL log and Prometheus exposition, RFC 3339 UTC generation time,
+// the JSONL log and tspoptd's /metrics, RFC 3339 UTC generation time,
 // free-form environment key/values) and the optional "timeseries" section
 // carrying the Sampler's retained window.
 //
@@ -37,11 +40,9 @@
 // phase, `leaf_samples` the samples where it is the innermost phase.
 //
 // v4 over v3: the optional "population" section — one entry per
-// PopulationIls member ({"member", "best_length", "iterations",
-// "improvements", "checks", "wall_seconds", "stopped", "convergence":
-// [...]}), carrying the per-tour convergence curves of a batched
-// multi-start run; the top-level "convergence" section stays the best
-// member's curve so single-run consumers keep working unchanged.
+// PopulationIls member, carrying the per-tour convergence curves of a
+// batched multi-start run; the top-level "convergence" section stays the
+// best member's curve so single-run consumers keep working unchanged.
 #pragma once
 
 #include <cstdint>

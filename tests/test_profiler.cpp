@@ -1,11 +1,11 @@
 // The sampling CPU profiler: SIGPROF capture on a burning thread, span
 // attribution of a synthetic nested workload, ring-overflow accounting
 // into obs.profiler.dropped, the at-most-one-capture discipline, signal
-// coexistence with the serve shutdown latch, span-name inheritance across ThreadPool::submit, and a fuzz
-// pass over the collapsed-stack writer/symbolizer. The whole binary runs
-// in the ASan/TSan CI matrix, which is what makes the capture tests an
-// async-signal-safety smoke: a handler that mallocs or locks trips the
-// sanitizers here.
+// coexistence with the serve shutdown latch, span-name inheritance
+// across ThreadPool::submit, and a fuzz pass over the collapsed-stack
+// writer/symbolizer. The whole binary runs in the ASan/TSan CI matrix,
+// which is what makes the capture tests an async-signal-safety smoke: a
+// handler that mallocs or locks trips the sanitizers here.
 #include <gtest/gtest.h>
 
 #include <csignal>
